@@ -17,6 +17,7 @@
 #include "disk/dpm.hh"
 #include "trace/stats.hh"
 #include "trace/workloads.hh"
+#include "tracefmt/trace_source.hh"
 #include "util/table.hh"
 
 using namespace pacache;
@@ -80,8 +81,9 @@ runWith(const Trace &trace, ReplacementPolicy &policy, double &resp_ms)
     EventQueue eq;
     Cache cache(1024, policy);
     DiskArray disks(trace.numDisks(), eq, pm, sm, dpm);
-    StorageSystem system(trace, eq, cache, disks, StorageConfig{});
-    system.run();
+    StorageSystem system(eq, cache, disks, StorageConfig{});
+    tracefmt::MemorySource source(trace);
+    system.run(source);
     resp_ms = system.responses().mean() * 1000.0;
     return system.totalEnergy();
 }

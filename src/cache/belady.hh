@@ -49,10 +49,7 @@ class BasicBeladyPolicy : public ReplacementPolicy
     BlockId evict(Time now, std::size_t idx) override;
     bool supportsPrefetch() const override { return false; }
     bool isOffline() const override { return true; }
-    bool streamReady() const override
-    {
-        return F::kStreaming && prepared;
-    }
+    bool streamReady() const override { return prepared; }
 
   private:
     using UseKey = std::pair<std::size_t, BlockId>;

@@ -1,7 +1,6 @@
 #include "cache/future_window.hh"
 
 #include <fcntl.h>
-#include <stdlib.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +10,7 @@
 
 #include "tracefmt/pct.hh"
 #include "util/logging.hh"
+#include "util/temp_file.hh"
 
 namespace pacache
 {
@@ -20,25 +20,6 @@ namespace
 
 /** Records decoded between page-release batches in the scans. */
 constexpr uint64_t kScanDropRecords = 1 << 20;
-
-/** An unlinked temp file: space reclaimed on close, never listed. */
-int
-makeUnlinkedTemp()
-{
-    const char *env = ::getenv("TMPDIR");
-    std::string templ = (env && *env ? std::string(env)
-                                     : std::string("/tmp")) +
-                        "/pacache-sidecar-XXXXXX";
-    std::vector<char> buf(templ.begin(), templ.end());
-    buf.push_back('\0');
-    const int fd = ::mkstemp(buf.data());
-    if (fd < 0) {
-        PACACHE_FATAL("cannot create sidecar temp file '",
-                      buf.data(), "': ", std::strerror(errno));
-    }
-    ::unlink(buf.data());
-    return fd;
-}
 
 void
 pwriteFully(int fd, const void *data, std::size_t n, uint64_t offset)
@@ -180,7 +161,7 @@ WindowedFuture::build(const std::string &pct_path)
     map.dropRange(last_drop, info.records - last_drop);
     total = static_cast<std::size_t>(access);
 
-    sidecarFd = makeUnlinkedTemp();
+    sidecarFd = makeUnlinkedTempFile("pacache-sidecar-");
     if (total > 0 &&
         ::ftruncate(sidecarFd,
                     static_cast<off_t>(access * sizeof(SideEntry))) !=
@@ -192,7 +173,7 @@ WindowedFuture::build(const std::string &pct_path)
         // table; 48 bytes/entry leaves headroom for both factors.
         pinHorizon = std::max<std::size_t>(
             opts.pinnedBudgetBytes / 48, kTimePageDoubles);
-        timesFd = makeUnlinkedTemp();
+        timesFd = makeUnlinkedTempFile("pacache-sidecar-");
         if (total > 0 &&
             ::ftruncate(timesFd, static_cast<off_t>(
                                      access * sizeof(double))) != 0)

@@ -73,16 +73,16 @@ class ReplacementPolicy
 
     /**
      * Off-line policies consume future knowledge built from the whole
-     * access stream in prepare(), so streaming drivers must
-     * materialize the trace for them; they override this to true.
+     * access stream before the run starts; they override this to
+     * true.
      */
     virtual bool isOffline() const { return false; }
 
     /**
-     * True when this policy can replay a stream it has never seen
-     * materialized. On-line policies always can; off-line ones only
-     * when armed with out-of-core future knowledge (the windowed
-     * oracles override this once prepareWindowed() has run).
+     * True when this policy can replay a stream. On-line policies
+     * always can; off-line ones once their future knowledge is
+     * attached (prepare() or, for the windowed oracles,
+     * prepareWindowed()).
      */
     virtual bool streamReady() const { return !isOffline(); }
 };

@@ -1,31 +1,13 @@
 #include "core/experiment.hh"
 
-#include <stdlib.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <memory>
+#include <optional>
 
-#include "cache/arc.hh"
-#include "cache/belady.hh"
-#include "cache/clock.hh"
-#include "cache/fifo.hh"
-#include "cache/lirs.hh"
-#include "cache/lru.hh"
-#include "cache/mq.hh"
-#include "core/opg.hh"
-#include "core/pa_lru.hh"
-#include "disk/disk_array.hh"
-#include "disk/dpm.hh"
-#include "disk/oracle_dpm.hh"
-#include "obs/observer.hh"
-#include "obs/profiler.hh"
-#include "sim/event_queue.hh"
+#include "core/sim_stack.hh"
 #include "tracefmt/pct.hh"
 #include "tracefmt/trace_source.hh"
 #include "util/logging.hh"
+#include "util/temp_file.hh"
 
 namespace pacache
 {
@@ -81,374 +63,19 @@ resolvePaParams(const ExperimentConfig &config, const PowerModel &pm)
     return pa;
 }
 
-namespace
-{
-
-/**
- * OPG prices idle periods with the energy function of the DPM the
- * disks actually run; the adaptive timeout policy is closest to the
- * threshold walk.
- */
-DpmKind
-opgPricing(const ExperimentConfig &cfg)
-{
-    return (cfg.dpm == DpmChoice::Practical ||
-            cfg.dpm == DpmChoice::Adaptive)
-        ? DpmKind::Practical
-        : DpmKind::Oracle;
-}
-
-Energy
-opgThetaOf(const ExperimentConfig &cfg, const PowerModel &pm)
-{
-    return cfg.opgTheta >= 0
-        ? cfg.opgTheta
-        : pm.mode(firstEnvelopeNap(pm)).transitionEnergy();
-}
-
-} // namespace
-
-std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(const ExperimentConfig &cfg, const PowerModel &pm,
-                      const PaClassifier *classifier, std::size_t capacity)
-{
-    const DpmKind pricing = opgPricing(cfg);
-    const Energy theta = opgThetaOf(cfg, pm);
-
-    switch (cfg.policy) {
-      case PolicyKind::LRU:
-      case PolicyKind::InfiniteCache:
-        return std::make_unique<LruPolicy>();
-      case PolicyKind::FIFO:
-        return std::make_unique<FifoPolicy>();
-      case PolicyKind::CLOCK:
-        return std::make_unique<ClockPolicy>();
-      case PolicyKind::ARC:
-        return std::make_unique<ArcPolicy>(capacity);
-      case PolicyKind::MQ:
-        return std::make_unique<MqPolicy>();
-      case PolicyKind::LIRS:
-        return std::make_unique<LirsPolicy>(capacity);
-      case PolicyKind::Belady:
-        return std::make_unique<BeladyPolicy>();
-      case PolicyKind::OPG:
-        if (cfg.oracleMemBudget > 0) {
-            return std::make_unique<SpilledOpgPolicy>(
-                pm, pricing, theta, cfg.oracleMemBudget);
-        }
-        return std::make_unique<OpgPolicy>(pm, pricing, theta);
-      case PolicyKind::PALRU:
-        PACACHE_ASSERT(classifier, "PA-LRU needs a classifier");
-        return std::make_unique<PaLruPolicy>(*classifier);
-      case PolicyKind::PAARC:
-        PACACHE_ASSERT(classifier, "PA-ARC needs a classifier");
-        return std::make_unique<PaDualPolicy>(
-            *classifier, std::make_unique<ArcPolicy>(capacity),
-            std::make_unique<ArcPolicy>(capacity), "PA-ARC");
-      case PolicyKind::PALIRS:
-        PACACHE_ASSERT(classifier, "PA-LIRS needs a classifier");
-        return std::make_unique<PaDualPolicy>(
-            *classifier, std::make_unique<LirsPolicy>(capacity),
-            std::make_unique<LirsPolicy>(capacity), "PA-LIRS");
-    }
-    PACACHE_PANIC("unknown policy kind");
-}
-
-namespace
-{
-
-/**
- * Out-of-core oracle request: build windowed future knowledge over
- * this .pct file and stream the replay instead of materializing.
- */
-struct WindowedSetup
-{
-    std::string pctPath;
-    std::size_t windowEntries;
-    std::size_t chunkAccesses; //!< 0 = WindowedFuture default
-};
-
-/**
- * Shared experiment body: exactly one of @p trace / @p source is
- * non-null and picks the in-memory or streaming drive path.
- * @p windowed (streaming off-line runs only) carries the
- * out-of-core oracle request.
- */
-ExperimentResult
-runExperimentImpl(const Trace *trace, tracefmt::TraceSource *source,
-                  std::size_t num_disks, const ExperimentConfig &config,
-                  const WindowedSetup *windowed = nullptr)
-{
-    const PowerModel pm(config.spec);
-    const ServiceModel sm(config.spec, config.service);
-
-    // Infinite cache: capacity one past the total block volume —
-    // summed from the trace, or from a constant-memory pre-scan when
-    // streaming.
-    std::size_t capacity = config.cacheBlocks;
-    if (config.policy == PolicyKind::InfiniteCache) {
-        uint64_t blocks = 0;
-        if (trace) {
-            for (const auto &rec : *trace)
-                blocks += rec.numBlocks;
-        } else {
-            blocks = tracefmt::scan(*source).blocks;
-        }
-        capacity = static_cast<std::size_t>(blocks) + 16;
-    }
-
-    // Classifier for the PA family.
-    std::unique_ptr<PaClassifier> classifier;
-    if (policyNeedsClassifier(config.policy)) {
-        classifier = std::make_unique<PaClassifier>(
-            num_disks, resolvePaParams(config, pm));
-    }
-
-    std::unique_ptr<ReplacementPolicy> policy;
-    if (windowed) {
-        // Out-of-core off-line run: the backward pass over the .pct
-        // file replaces prepare()'s whole-trace oracle indexing.
-        obs::ProfileScope scope(config.profiler, "oracle_precompute");
-        WindowedFuture::Options wopts;
-        wopts.windowEntries = windowed->windowEntries;
-        if (windowed->chunkAccesses > 0)
-            wopts.chunkAccesses = windowed->chunkAccesses;
-        wopts.pinTimes = config.policy == PolicyKind::OPG;
-        // Budgeted oracle: half bounds the pinned-times map, half
-        // the policy's SpillPool (max() keeps a 1-byte budget — the
-        // fuzzer's "tightest possible" probe — in budgeted mode).
-        const std::size_t budget = config.oracleMemBudget;
-        if (wopts.pinTimes && budget > 0)
-            wopts.pinnedBudgetBytes =
-                std::max<std::size_t>(budget / 2, 1);
-        WindowedFuture fut(windowed->pctPath, wopts);
-        if (config.policy == PolicyKind::OPG) {
-            if (budget > 0) {
-                auto opg = std::make_unique<SpilledWindowedOpgPolicy>(
-                    pm, opgPricing(config), opgThetaOf(config, pm),
-                    std::max<std::size_t>(budget / 2, 1));
-                opg->prepareWindowed(std::move(fut));
-                policy = std::move(opg);
-            } else {
-                auto opg = std::make_unique<WindowedOpgPolicy>(
-                    pm, opgPricing(config), opgThetaOf(config, pm));
-                opg->prepareWindowed(std::move(fut));
-                policy = std::move(opg);
-            }
-        } else {
-            PACACHE_ASSERT(config.policy == PolicyKind::Belady,
-                           "windowed oracle supports Belady/OPG only");
-            auto min = std::make_unique<WindowedBeladyPolicy>();
-            min->prepareWindowed(std::move(fut));
-            policy = std::move(min);
-        }
-    } else {
-        policy = makeReplacementPolicy(config, pm, classifier.get(),
-                                       capacity);
-    }
-    Cache cache(capacity, *policy);
-
-    EventQueue eq;
-    AlwaysOnDpm always_on;
-    PracticalDpm practical(pm);
-    AdaptiveDpm adaptive(pm);
-    Dpm *dpm = &static_cast<Dpm &>(always_on);
-    if (config.dpm == DpmChoice::Practical)
-        dpm = &practical;
-    else if (config.dpm == DpmChoice::Adaptive)
-        dpm = &adaptive;
-
-    const bool wtdu = config.storage.writePolicy ==
-                      WritePolicy::WriteThroughDeferredUpdate;
-
-    // Observability wiring. configureRun() must precede disk
-    // construction (the constructor reports the initial power state).
-    obs::SimObserver *observer = config.observer;
-    DiskOptions disk_opts = config.disk;
-    StorageConfig storage_cfg = config.storage;
-    storage_cfg.profiler = config.profiler;
-    if (observer) {
-        std::vector<std::string> mode_names;
-        for (std::size_t m = 0; m < pm.numModes(); ++m)
-            mode_names.push_back(pm.mode(m).name);
-        observer->configureRun(num_disks, wtdu, std::move(mode_names));
-        disk_opts.observer = observer;
-        storage_cfg.observer = observer;
-        cache.setObserver(observer);
-        if (classifier) {
-            classifier->setObserver(observer);
-            const PaClassifier *cls = classifier.get();
-            observer->setPriorityFn([cls, num_disks](DiskId d) {
-                return d < num_disks && cls->isPriority(d);
-            });
-        }
-    }
-
-    DiskArray disks(num_disks, eq, pm, sm, *dpm, disk_opts);
-
-    std::unique_ptr<Disk> log_disk;
-    if (wtdu) {
-        DiskOptions log_opts;
-        log_opts.observer = disk_opts.observer;
-        log_disk = std::make_unique<Disk>(
-            static_cast<DiskId>(num_disks), eq, pm, sm, always_on,
-            log_opts);
-    }
-
-    std::unique_ptr<StorageSystem> system_ptr;
-    if (trace) {
-        system_ptr = std::make_unique<StorageSystem>(
-            *trace, eq, cache, disks, storage_cfg, classifier.get(),
-            log_disk.get());
-    } else {
-        system_ptr = std::make_unique<StorageSystem>(
-            *source, eq, cache, disks, storage_cfg, classifier.get(),
-            log_disk.get());
-    }
-    StorageSystem &system = *system_ptr;
-
-    if (observer) {
-        const PaClassifier *cls = classifier.get();
-        observer->setSnapshotFn([&pm, &cache, &disks, &system, cls,
-                                 num_disks](obs::TimelineSnapshot &s) {
-            const CacheStats &cs = cache.stats();
-            s.accesses = cs.accesses;
-            s.hits = cs.hits;
-            s.missesPerDisk = system.diskAccesses();
-            EnergyStats agg(pm.numModes());
-            for (DiskId d = 0; d < num_disks; ++d)
-                agg += disks.disk(d).energy();
-            s.idleEnergyPerMode = agg.idleEnergyPerMode;
-            s.serviceEnergy = agg.serviceEnergy;
-            s.spinUpEnergy = agg.spinUpEnergy;
-            s.spinDownEnergy = agg.spinDownEnergy;
-            s.spinUps = agg.spinUps;
-            s.spinDowns = agg.spinDowns;
-            const ResponseStats &rs = system.responses();
-            s.responseCount = rs.count();
-            s.responseSum = rs.sum();
-            if (cls) {
-                for (DiskId d = 0; d < num_disks; ++d) {
-                    if (cls->isPriority(d))
-                        s.prioritySet.push_back(d);
-                }
-            }
-        });
-    }
-
-    system.run();
-
-    ExperimentResult result;
-    result.policyName = policyKindName(config.policy);
-    result.cache = cache.stats();
-    result.numModes = pm.numModes();
-    result.responses = system.responses();
-    result.diskAccesses = system.diskAccesses();
-    result.logWrites = system.logWrites();
-    result.prefetchedBlocks = system.prefetchedBlocks();
-
-    result.energy = EnergyStats(pm.numModes());
-    result.perDisk.reserve(num_disks);
-    const OracleAnalyzer oracle(pm);
-    {
-        obs::ProfileScope pricing_scope(
-            config.dpm == DpmChoice::Oracle ? config.profiler
-                                            : nullptr,
-            "oracle_pricing");
-        for (DiskId d = 0; d < num_disks; ++d) {
-            EnergyStats stats = config.dpm == DpmChoice::Oracle
-                ? oracle.priceDisk(disks.disk(d)).stats
-                : disks.disk(d).energy();
-            result.energy += stats;
-            result.perDisk.push_back(std::move(stats));
-            result.diskMeanInterArrival.push_back(
-                disks.disk(d).meanInterArrival());
-        }
-    }
-
-    result.totalEnergy = result.energy.total();
-    if (log_disk) {
-        result.logServiceEnergy = log_disk->energy().serviceEnergy;
-        result.totalEnergy += result.logServiceEnergy;
-    }
-
-    // Final summary gauges: the registry snapshot then reports the
-    // exact values the CLI report prints.
-    if (obs::MetricRegistry *reg =
-            observer ? observer->metrics() : nullptr) {
-        reg->gauge("energy.total_joules").set(result.totalEnergy);
-        reg->gauge("energy.service_joules")
-            .set(result.energy.serviceEnergy);
-        reg->gauge("energy.spinup_joules").set(result.energy.spinUpEnergy);
-        reg->gauge("energy.spindown_joules")
-            .set(result.energy.spinDownEnergy);
-        Energy idle = 0;
-        for (const Energy e : result.energy.idleEnergyPerMode)
-            idle += e;
-        reg->gauge("energy.idle_joules").set(idle);
-        reg->gauge("cache.hit_ratio").set(result.cache.hitRatio());
-        reg->gauge("responses.mean_ms")
-            .set(result.responses.mean() * 1e3);
-        reg->gauge("responses.p95_ms")
-            .set(result.responses.percentile(0.95) * 1e3);
-        reg->gauge("responses.max_s").set(result.responses.max());
-        for (DiskId d = 0; d < num_disks; ++d) {
-            reg->gauge("disk." + std::to_string(d) + ".energy_joules")
-                .set(result.perDisk[d].total());
-        }
-        if (log_disk) {
-            reg->gauge("log_device.service_joules")
-                .set(log_disk->energy().serviceEnergy);
-        }
-    }
-    return result;
-}
-
-} // namespace
-
 ExperimentResult
 runExperiment(const Trace &trace, const ExperimentConfig &config)
 {
     PACACHE_ASSERT(!trace.empty(), "cannot run an empty trace");
-    return runExperimentImpl(
-        &trace, nullptr, std::max<std::size_t>(trace.numDisks(), 1),
-        config);
+    // Infinite cache: capacity one past the total block volume.
+    const std::size_t capacity = config.policy == PolicyKind::InfiniteCache
+        ? trace.numBlockAccesses() + 16
+        : config.cacheBlocks;
+    SimStack stack(config, std::max<std::size_t>(trace.numDisks(), 1),
+                   capacity);
+    stack.run(trace);
+    return stack.collect();
 }
-
-namespace
-{
-
-/** A named temp .pct, unlinked when the spill goes out of scope. */
-struct PctSpill
-{
-    std::string path;
-
-    ~PctSpill()
-    {
-        if (!path.empty())
-            ::unlink(path.c_str());
-    }
-
-    void
-    create()
-    {
-        const char *env = ::getenv("TMPDIR");
-        std::string templ = (env && *env ? std::string(env)
-                                         : std::string("/tmp")) +
-                            "/pacache-spill-XXXXXX.pct";
-        std::vector<char> buf(templ.begin(), templ.end());
-        buf.push_back('\0');
-        const int fd = ::mkstemps(buf.data(), 4);
-        if (fd < 0) {
-            PACACHE_FATAL("cannot create spill file '", buf.data(),
-                          "': ", std::strerror(errno));
-        }
-        ::close(fd);
-        path.assign(buf.data());
-    }
-};
-
-} // namespace
 
 ExperimentResult
 runExperiment(tracefmt::TraceSource &source,
@@ -465,31 +92,40 @@ runExperiment(tracefmt::TraceSource &source,
     }
 
     // Disk-array sizing: take the header hint when the format has
-    // one (.pct, memory), else a constant-memory pre-scan pass.
+    // one (.pct, memory), else a constant-memory pre-scan pass. The
+    // infinite cache sizes itself from a pre-scan of the block volume.
     uint64_t num_disks = source.numDisksHint();
     if (num_disks == tracefmt::TraceSource::kUnknown)
         num_disks = tracefmt::scan(source).numDisks;
     const std::size_t disks =
         std::max<std::size_t>(static_cast<std::size_t>(num_disks), 1);
+    const std::size_t capacity = config.policy == PolicyKind::InfiniteCache
+        ? static_cast<std::size_t>(tracefmt::scan(source).blocks) + 16
+        : config.cacheBlocks;
 
-    if (!offline)
-        return runExperimentImpl(nullptr, &source, disks, config);
+    if (!offline) {
+        SimStack stack(config, disks, capacity);
+        stack.run(source);
+        return stack.collect();
+    }
 
     // The backward pass needs random access to the records: use the
     // source's own .pct file, or spill the stream to a temporary one
     // (a single sequential pass, never materialized).
-    WindowedSetup setup;
-    setup.windowEntries = config.windowAccesses;
-    setup.chunkAccesses = config.oracleChunkAccesses;
-    setup.pctPath = source.pctPath();
-    PctSpill spill;
-    if (setup.pctPath.empty()) {
-        spill.create();
-        tracefmt::writePct(spill.path, source);
+    WindowedOracle oracle;
+    oracle.windowEntries = config.windowAccesses;
+    oracle.chunkAccesses = config.oracleChunkAccesses;
+    oracle.pctPath = source.pctPath();
+    std::optional<ScopedTempFile> spill;
+    if (oracle.pctPath.empty()) {
+        spill.emplace("pacache-spill-", ".pct");
+        tracefmt::writePct(spill->path(), source);
         source.rewind();
-        setup.pctPath = spill.path;
+        oracle.pctPath = spill->path();
     }
-    return runExperimentImpl(nullptr, &source, disks, config, &setup);
+    SimStack stack(config, disks, capacity, &oracle);
+    stack.run(source);
+    return stack.collect();
 }
 
 } // namespace pacache

@@ -100,17 +100,17 @@ struct ExperimentConfig
     std::size_t oracleMemBudget = 0;
 
     /**
-     * Observability fan-out; null disables instrumentation. The
-     * runner wires it into the disks, cache, classifier and storage
-     * system, installs the timeline snapshot callback, and fills the
-     * final summary gauges into the attached metric registry.
+     * Observability fan-out; null disables instrumentation. SimStack
+     * wires it into the disks, cache, classifier and storage system,
+     * installs the timeline snapshot callback, and fills the final
+     * summary gauges into the attached metric registry.
      */
     obs::SimObserver *observer = nullptr;
 
     /**
-     * Scoped wall-clock profiler; null disables phase timing. The
-     * runner forwards it into the storage system (expand/replay
-     * phases) and wraps its own oracle re-pricing pass.
+     * Scoped wall-clock profiler; null disables phase timing. SimStack
+     * times the oracle precompute, replay, drain and oracle re-pricing
+     * phases with it.
      */
     obs::Profiler *profiler = nullptr;
 };
@@ -160,11 +160,10 @@ PaParams resolvePaParams(const ExperimentConfig &config,
                          const PowerModel &pm);
 
 /**
- * Build the replacement policy an ExperimentConfig asks for.
- * @p classifier may be null unless the policy is PA-family;
- * @p capacity sizes ARC/LIRS ghost lists. Exposed so alternative
- * front-ends (the sharded server) assemble per-stripe policies with
- * exactly the runner's construction rules.
+ * Build the replacement policy an ExperimentConfig asks for, as
+ * SimStack does. @p classifier may be null unless the policy is
+ * PA-family; @p capacity sizes ARC/LIRS ghost lists. Exposed for
+ * harnesses that drive a bare Cache + policy without a whole stack.
  */
 std::unique_ptr<ReplacementPolicy>
 makeReplacementPolicy(const ExperimentConfig &config, const PowerModel &pm,

@@ -144,10 +144,7 @@ class BasicOpgPolicy : public ReplacementPolicy
     BlockId evict(Time now, std::size_t idx) override;
     bool supportsPrefetch() const override { return false; }
     bool isOffline() const override { return true; }
-    bool streamReady() const override
-    {
-        return F::kStreaming && ready;
-    }
+    bool streamReady() const override { return ready; }
 
     /** Energy penalty currently assigned to a resident block. */
     Energy penaltyOf(const BlockId &block) const;

@@ -11,49 +11,15 @@
 namespace pacache
 {
 
-StorageSystem::StorageSystem(const Trace &trace_, EventQueue &eq,
-                             Cache &cache_, DiskArray &disks_,
-                             const StorageConfig &config,
-                             PaClassifier *classifier, Disk *log_disk)
-    : trace(&trace_), queue(eq), cache(cache_), disks(disks_),
-      cfg(config), cls(classifier), logDisk(log_disk),
-      perDiskAccesses(disks_.numDisks(), 0)
-{
-    init();
-}
-
-StorageSystem::StorageSystem(tracefmt::TraceSource &source_,
-                             EventQueue &eq, Cache &cache_,
-                             DiskArray &disks_,
-                             const StorageConfig &config,
-                             PaClassifier *classifier, Disk *log_disk)
-    : trace(nullptr), source(&source_), queue(eq), cache(cache_),
-      disks(disks_), cfg(config), cls(classifier), logDisk(log_disk),
-      perDiskAccesses(disks_.numDisks(), 0)
-{
-    PACACHE_ASSERT(cache.policy().streamReady(),
-                   "streaming runs need an on-line policy or windowed "
-                   "future knowledge; materialize the trace for ",
-                   cache.policy().name());
-    init();
-}
-
 StorageSystem::StorageSystem(EventQueue &eq, Cache &cache_,
                              DiskArray &disks_,
                              const StorageConfig &config,
-                             PaClassifier *classifier, Disk *log_disk)
-    : trace(nullptr), queue(eq), cache(cache_), disks(disks_),
-      cfg(config), cls(classifier), logDisk(log_disk),
-      perDiskAccesses(disks_.numDisks(), 0)
-{
-    PACACHE_ASSERT(!cache.policy().isOffline(),
-                   "incremental runs need an on-line policy; ",
-                   cache.policy().name(), " wants the whole future");
-    init();
-}
-
-void
-StorageSystem::init()
+                             PaClassifier *classifier, Disk *log_disk,
+                             obs::SimObserver *observer_,
+                             obs::Profiler *profiler_)
+    : queue(eq), cache(cache_), disks(disks_), cfg(config),
+      cls(classifier), logDisk(log_disk), observer(observer_),
+      profiler(profiler_), perDiskAccesses(disks_.numDisks(), 0)
 {
     if (cfg.writePolicy == WritePolicy::WriteThroughDeferredUpdate) {
         PACACHE_ASSERT(logDisk != nullptr, "WTDU needs a log device");
@@ -79,83 +45,19 @@ StorageSystem::init()
 }
 
 void
-StorageSystem::run()
+StorageSystem::run(tracefmt::TraceSource &source)
 {
-    PACACHE_ASSERT(trace || source,
-                   "incremental StorageSystem has no trace to run; "
-                   "drive it with step()/finish()");
-    PACACHE_ASSERT(!ran, "StorageSystem::run called twice");
-    ran = true;
-    if (source)
-        runStreaming();
-    else
-        runMaterialized();
-}
-
-void
-StorageSystem::step(const BlockAccess &acc, std::size_t idx)
-{
-    PACACHE_ASSERT(!trace && !source,
-                   "step() is for incremental mode; use run()");
-    PACACHE_ASSERT(!ran, "step() after finish()");
-    queue.runUntil(acc.time);
-    processAccess(acc, idx);
-}
-
-void
-StorageSystem::finish(Time trace_end)
-{
-    PACACHE_ASSERT(!trace && !source,
-                   "finish() is for incremental mode; use run()");
-    PACACHE_ASSERT(!ran, "StorageSystem::finish called twice");
-    ran = true;
-    finishRun(trace_end);
-}
-
-void
-StorageSystem::runMaterialized()
-{
-    std::vector<BlockAccess> accesses;
-    {
-        obs::ProfileScope scope(cfg.profiler, "expand_trace");
-        accesses = expandTrace(*trace);
-    }
-    {
-        // Off-line policies (Belady/OPG) index the whole future
-        // here; on-line policies return immediately.
-        obs::ProfileScope scope(cfg.profiler, "oracle_precompute");
-        cache.policy().prepare(accesses);
-    }
-
-    obs::SimObserver *observer = cfg.observer;
-    if (observer)
-        observer->runBegin(accesses.size(), trace->endTime());
-
-    {
-        obs::ProfileScope scope(cfg.profiler, "replay");
-        for (std::size_t i = 0; i < accesses.size(); ++i) {
-            queue.runUntil(accesses[i].time);
-            processAccess(accesses[i], i);
-            if (observer)
-                observer->requestProcessed(accesses[i].time);
-        }
-    }
-
-    finishRun(trace->endTime());
-}
-
-void
-StorageSystem::runStreaming()
-{
-    // On-line policies ignore prepare(); guaranteed by the ctor.
-    obs::SimObserver *observer = cfg.observer;
+    PACACHE_ASSERT(!finished, "StorageSystem::run after finish");
+    PACACHE_ASSERT(cache.policy().streamReady(),
+                   cache.policy().name(),
+                   " cannot replay before its future knowledge is "
+                   "attached");
+    // Progress counts records: the one unit every source can hint.
     if (observer) {
-        const uint64_t hint = source->sizeHint();
+        const uint64_t hint = source.sizeHint();
         observer->runBegin(
-            hint == tracefmt::TraceSource::kUnknown
-                ? 0
-                : static_cast<std::size_t>(hint),
-            std::max<Time>(source->endTimeHint(), 0.0));
+            hint == tracefmt::TraceSource::kUnknown ? 0 : hint,
+            std::max<Time>(source.endTimeHint(), 0.0));
     }
 
     TraceRecord rec;
@@ -163,16 +65,15 @@ StorageSystem::runStreaming()
     std::size_t records = 0;
     Time end_time = 0;
     {
-        obs::ProfileScope scope(cfg.profiler, "replay");
-        while (source->next(rec)) {
+        obs::ProfileScope scope(profiler, "replay");
+        while (source.next(rec)) {
             for (uint32_t b = 0; b < rec.numBlocks; ++b) {
                 const BlockAccess acc{rec.time,
                                       BlockId{rec.disk, rec.block + b},
                                       rec.write, records};
-                queue.runUntil(acc.time);
-                processAccess(acc, idx++);
+                step(acc, idx++);
                 if (observer)
-                    observer->requestProcessed(acc.time);
+                    observer->requestProcessed(acc.time, records);
             }
             end_time = rec.time;
             ++records;
@@ -181,17 +82,30 @@ StorageSystem::runStreaming()
     PACACHE_ASSERT(records > 0 || cfg.endTimeFloor > 0,
                    "cannot run an empty trace");
 
-    finishRun(end_time);
+    finish(end_time);
 }
 
 void
-StorageSystem::finishRun(Time trace_end)
+StorageSystem::step(const BlockAccess &acc, std::size_t idx)
 {
+    queue.runUntil(acc.time);
+    if (cls)
+        cls->onRequest(acc.block.disk, acc.block, acc.time);
+    if (acc.write)
+        handleWrite(acc, idx);
+    else
+        handleRead(acc, idx);
+}
+
+void
+StorageSystem::finish(Time trace_end)
+{
+    PACACHE_ASSERT(!finished, "StorageSystem::finish called twice");
     // Drain in-flight services, spin-ups, and demotion chains, then
     // close every disk's accounting at a horizon that depends only on
     // the trace and the power model — NOT on run dynamics — so that
     // energies are comparable across policies and DPM choices.
-    obs::ProfileScope scope(cfg.profiler, "drain_finalize");
+    obs::ProfileScope scope(profiler, "drain_finalize");
     if (cfg.fault)
         cfg.fault->crashPoint(CrashSite::Shutdown, 0);
     queue.runAll();
@@ -204,19 +118,9 @@ StorageSystem::finishRun(Time trace_end)
     disks.finalize(horizon);
     if (logDisk)
         logDisk->finalize(horizon);
-    if (cfg.observer)
-        cfg.observer->runEnd(horizon);
-}
-
-void
-StorageSystem::processAccess(const BlockAccess &acc, std::size_t idx)
-{
-    if (cls)
-        cls->onRequest(acc.block.disk, acc.block, acc.time);
-    if (acc.write)
-        handleWrite(acc, idx);
-    else
-        handleRead(acc, idx);
+    finished = true;
+    if (observer)
+        observer->runEnd(horizon);
 }
 
 void
@@ -284,8 +188,8 @@ StorageSystem::handleWrite(const BlockAccess &acc, std::size_t idx)
             if (cfg.fault)
                 cfg.fault->crashPoint(CrashSite::EagerUpdate, d);
             std::vector<BlockId> dirty = cache.dirtyBlocksOf(d);
-            if (cfg.observer)
-                cfg.observer->wbeuForcedWake(d, dirty.size(), now);
+            if (observer)
+                observer->wbeuForcedWake(d, dirty.size(), now);
             for (const BlockId &b : dirty)
                 cache.markClean(b);
             flushBlocks(d, std::move(dirty), now,
@@ -335,8 +239,8 @@ StorageSystem::handleWrite(const BlockAccess &acc, std::size_t idx)
             cfg.fault->noteLogAppend(d, acc.block.block, version);
         cache.markLogged(acc.block);
         ++logWriteCount;
-        if (cfg.observer)
-            cfg.observer->wtduLogWrite();
+        if (observer)
+            observer->wtduLogWrite();
 
         DiskRequest req;
         req.arrival = now;
@@ -519,8 +423,8 @@ StorageSystem::completeRetire(DiskId disk, Time now)
         cfg.fault->crashPoint(CrashSite::RetirePost, disk);
         cfg.fault->noteLogRetire(disk, log->timestamp(disk));
     }
-    if (cfg.observer)
-        cfg.observer->wtduRegionRecycle(disk, now);
+    if (observer)
+        observer->wtduRegionRecycle(disk, now);
 
     // Release the writes that arrived during the retire window. The
     // disk is at full speed (a write to it just completed, or it never

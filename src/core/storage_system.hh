@@ -75,20 +75,6 @@ struct StorageConfig
     Time endTimeFloor = 0;
 
     /**
-     * Observability fan-out (metrics / trace events / timeline /
-     * progress). Null disables instrumentation. The same observer
-     * should also be wired into the disks, cache, and classifier —
-     * runExperiment() does this automatically.
-     */
-    obs::SimObserver *observer = nullptr;
-
-    /**
-     * Scoped wall-clock profiler for the run's own phases (expand,
-     * replay, drain). Null disables phase timing.
-     */
-    obs::Profiler *profiler = nullptr;
-
-    /**
      * Crash/power-fail injector for qa torture runs (DESIGN.md 5j).
      * Null — the default everywhere outside tests — disables every
      * hook at the cost of one pointer test per crash site.
@@ -101,7 +87,6 @@ class StorageSystem
 {
   public:
     /**
-     * @param trace       the workload (not owned; must outlive run())
      * @param eq          event queue (owns simulated time)
      * @param cache       storage cache (policy already attached)
      * @param disks       data-disk array
@@ -109,61 +94,40 @@ class StorageSystem
      * @param classifier  optional PA classifier to feed
      * @param log_disk    required for WTDU: the always-active log
      *                    device (not part of @p disks)
-     */
-    StorageSystem(const Trace &trace, EventQueue &eq, Cache &cache,
-                  DiskArray &disks, const StorageConfig &config,
-                  PaClassifier *classifier = nullptr,
-                  Disk *log_disk = nullptr);
-
-    /**
-     * Streaming variant: pull records from @p source one at a time so
-     * traces larger than RAM can drive the simulation. Requires a
-     * policy whose streamReady() holds — on-line policies always, and
-     * off-line ones once windowed future knowledge has been attached
-     * (prepareWindowed); every record's disk id must be
-     * < disks.numDisks().
-     */
-    StorageSystem(tracefmt::TraceSource &source, EventQueue &eq,
-                  Cache &cache, DiskArray &disks,
-                  const StorageConfig &config,
-                  PaClassifier *classifier = nullptr,
-                  Disk *log_disk = nullptr);
-
-    /**
-     * Incremental variant: no trace attached; the caller feeds
-     * accesses one at a time through step() and closes the run with
-     * finish(). This is the kernel facade the sharded serving
-     * front-end drives — each serve stripe owns one incremental
-     * StorageSystem and pushes its partition of the request stream
-     * through it. Requires an on-line replacement policy, exactly
-     * like the streaming constructor.
+     * @param observer    observability fan-out (null: none); the
+     *                    same observer should also be wired into the
+     *                    disks, cache and classifier, as SimStack does
+     * @param profiler    wall-clock phase profiler (null: none)
      */
     StorageSystem(EventQueue &eq, Cache &cache, DiskArray &disks,
                   const StorageConfig &config,
                   PaClassifier *classifier = nullptr,
-                  Disk *log_disk = nullptr);
+                  Disk *log_disk = nullptr,
+                  obs::SimObserver *observer = nullptr,
+                  obs::Profiler *profiler = nullptr);
 
     /**
-     * Drive the whole trace, drain the event queue, and finalize all
-     * disks. Idempotent guard: panics on a second call. Only valid
-     * with a trace or source attached (not in incremental mode).
+     * Pull every record from @p source through step() and close the
+     * run with finish() at the last arrival. Requires a policy whose
+     * streamReady() holds: on-line policies always, off-line ones
+     * once their future knowledge is attached. Every record's disk id
+     * must be < disks.numDisks().
      */
-    void run();
+    void run(tracefmt::TraceSource &source);
 
     /**
-     * Incremental mode: advance simulated time to @p acc.time and
-     * process one access — the exact per-request body of the replay
-     * loops, so a stream of step() calls reproduces run() on the same
-     * access sequence bit for bit. @p idx is the access's position in
-     * the stream (feeds policy recency bookkeeping).
+     * Advance simulated time to @p acc.time and process one access.
+     * @p idx is the access's position in the block-access stream
+     * (feeds policy recency bookkeeping and off-line future lookups).
      */
     void step(const BlockAccess &acc, std::size_t idx);
 
     /**
-     * Incremental mode: drain the event queue and finalize disk
-     * accounting at the same policy-independent horizon run() uses,
-     * where @p trace_end is the last request's arrival time. Panics
-     * on a second call.
+     * Drain the event queue and finalize disk accounting at a
+     * policy-independent horizon past @p trace_end, the last
+     * request's arrival time. Panics once a call has completed; a
+     * call unwound by an injected crash may be repeated to finish
+     * the drain.
      */
     void finish(Time trace_end);
 
@@ -195,14 +159,6 @@ class StorageSystem
     WtduLog *wtduLog() { return log.get(); }
 
   private:
-    void init();
-    void runMaterialized();
-    void runStreaming();
-
-    /** Drain the queue and finalize accounting at the fixed horizon. */
-    void finishRun(Time trace_end);
-
-    void processAccess(const BlockAccess &acc, std::size_t idx);
     void handleRead(const BlockAccess &acc, std::size_t idx);
     void handleWrite(const BlockAccess &acc, std::size_t idx);
     void handleVictim(const CacheResult &result, Time now);
@@ -258,14 +214,14 @@ class StorageSystem
         std::vector<DeferredWrite> deferred;
     };
 
-    const Trace *trace;                      //!< null when streaming
-    tracefmt::TraceSource *source = nullptr; //!< null when in-memory
     EventQueue &queue;
     Cache &cache;
     DiskArray &disks;
     StorageConfig cfg;
     PaClassifier *cls;
     Disk *logDisk;
+    obs::SimObserver *observer;
+    obs::Profiler *profiler;
     std::unique_ptr<WtduLog> log;
 
     ResponseStats respStats;
@@ -275,7 +231,7 @@ class StorageSystem
     uint64_t loggedEvictionCount = 0;
     uint64_t prefetchCount = 0;
     uint64_t nextVersion = 1; //!< payload versions for the WTDU log
-    bool ran = false;
+    bool finished = false;
 };
 
 } // namespace pacache

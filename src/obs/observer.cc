@@ -98,21 +98,21 @@ SimObserver::nameClassifierTrack()
 // ---- run lifecycle --------------------------------------------------
 
 void
-SimObserver::runBegin(std::size_t total_accesses, Time trace_end)
+SimObserver::runBegin(uint64_t total_records, Time trace_end)
 {
-    totalAccesses = total_accesses;
+    totalRecords = total_records;
     traceEnd = trace_end;
     if (progress) {
         wallStart = std::chrono::steady_clock::now();
         lastPrint = wallStart;
-        progressStarted = true;
     }
 }
 
 void
-SimObserver::requestProcessed(Time now)
+SimObserver::requestProcessed(Time now, uint64_t record)
 {
     ++processedAccesses;
+    processedRecords = record + 1;
     if (timeline && now >= nextTick) {
         while (now >= nextTick) {
             emitTimelineRow(nextTick);
@@ -202,17 +202,24 @@ SimObserver::printProgress(Time now, bool final)
     const double rate = elapsed.count() > 0
         ? static_cast<double>(processedAccesses) / elapsed.count()
         : 0.0;
-    const double pct = totalAccesses
-        ? 100.0 * static_cast<double>(processedAccesses) /
-              static_cast<double>(totalAccesses)
-        : 0.0;
-
+    // Without a record-count hint there is nothing to take a
+    // percentage of: print the counts alone.
     char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "\rsim %.1fs / %.1fs (%5.1f%%)  %zu/%zu blocks  "
-                  "%.0f blk/s",
-                  std::min(now, traceEnd), traceEnd, pct,
-                  processedAccesses, totalAccesses, rate);
+    if (totalRecords) {
+        const double pct = 100.0 * static_cast<double>(processedRecords) /
+                           static_cast<double>(totalRecords);
+        std::snprintf(buf, sizeof buf,
+                      "\rsim %.1fs / %.1fs (%5.1f%%)  %llu/%llu records  "
+                      "%.0f blk/s",
+                      std::min(now, traceEnd), traceEnd, pct,
+                      static_cast<unsigned long long>(processedRecords),
+                      static_cast<unsigned long long>(totalRecords), rate);
+    } else {
+        std::snprintf(buf, sizeof buf,
+                      "\rsim %.1fs  %llu records  %.0f blk/s", now,
+                      static_cast<unsigned long long>(processedRecords),
+                      rate);
+    }
     *progress << buf;
     if (final)
         *progress << '\n';

@@ -9,8 +9,8 @@
  *     spin-downs, PA epochs/class flips, WBEU forced wake-ups and
  *     WTDU log-region recycling),
  *   - a TimelineSink (per-interval delta rows), and
- *   - a progress meter (simulated-time progress and blocks/sec to a
- *     stream, normally stderr).
+ *   - a progress meter (simulated-time and record progress plus
+ *     blocks/sec to a stream, normally stderr).
  *
  * Components hold a `SimObserver *` that is null by default; every
  * hook is guarded by that null check, so an un-instrumented run pays
@@ -97,11 +97,17 @@ class SimObserver
 
     // ---- run lifecycle (StorageSystem) -----------------------------
 
-    /** Start of run(): request count and trace end (for progress). */
-    void runBegin(std::size_t total_accesses, Time trace_end);
+    /**
+     * Start of run(): trace record count (0 = unknown) and trace end
+     * (for progress).
+     */
+    void runBegin(uint64_t total_records, Time trace_end);
 
-    /** One block access has been fully processed at simulated @p now. */
-    void requestProcessed(Time now);
+    /**
+     * One block access of trace record @p record has been fully
+     * processed at simulated @p now.
+     */
+    void requestProcessed(Time now, uint64_t record);
 
     /**
      * End of run(), after disk finalization at @p horizon: closes the
@@ -191,12 +197,12 @@ class SimObserver
     std::function<bool(DiskId)> priorityFn;
 
     // Progress state.
-    std::size_t totalAccesses = 0;
-    std::size_t processedAccesses = 0;
+    uint64_t totalRecords = 0;
+    uint64_t processedRecords = 0;
+    uint64_t processedAccesses = 0;
     Time traceEnd = 0;
     std::chrono::steady_clock::time_point wallStart;
     std::chrono::steady_clock::time_point lastPrint;
-    bool progressStarted = false;
 };
 
 } // namespace pacache::obs

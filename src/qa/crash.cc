@@ -4,15 +4,11 @@
 #include <sstream>
 #include <utility>
 
-#include "core/experiment.hh"
-#include "core/storage_system.hh"
+#include "core/sim_stack.hh"
 #include "core/wtdu_log.hh"
-#include "disk/disk_array.hh"
-#include "disk/dpm.hh"
 #include "obs/energy_ledger.hh"
 #include "qa/gen.hh"
 #include "serve/server.hh"
-#include "sim/event_queue.hh"
 #include "util/random.hh"
 
 namespace pacache::qa
@@ -123,23 +119,6 @@ failMsg(Args &&...args)
     return PropertyResult::fail(os.str());
 }
 
-/** The ExperimentConfig a case's knobs describe (crash flavor). */
-ExperimentConfig
-crashExperimentConfig(const FuzzCase &c)
-{
-    ExperimentConfig cfg;
-    cfg.policy = c.cfg.policy;
-    cfg.dpm = c.cfg.dpm;
-    cfg.cacheBlocks = c.cfg.cacheBlocks > 0 ? c.cfg.cacheBlocks : 1;
-    cfg.storage.writePolicy = c.cfg.writePolicy;
-    cfg.storage.wtduRegionBlocks =
-        c.cfg.wtduRegionBlocks > 0 ? c.cfg.wtduRegionBlocks : 1;
-    cfg.spec = c.cfg.spec;
-    cfg.pa.epochLength = c.cfg.paEpoch;
-    cfg.opgTheta = c.cfg.theta;
-    return cfg;
-}
-
 /** The durability properties exercise the WTDU write path only. */
 FuzzCase
 wtduCase(const FuzzCase &c)
@@ -150,47 +129,18 @@ wtduCase(const FuzzCase &c)
 }
 
 /**
- * A whole injector-wired simulation stack, owned piecewise so the
- * run can be unwound by CrashException and the post-crash state (the
- * WtduLog, the disks' energy accounting) stays inspectable.
- * Mirrors runExperimentImpl()'s construction order.
+ * A case's whole simulation stack with @p inj wired in. The stack
+ * outlives a CrashException unwinding the run, so the post-crash
+ * state (the WtduLog, the disks' energy accounting) stays
+ * inspectable.
  */
 class CrashRig
 {
   public:
     CrashRig(const FuzzCase &c, FaultInjector *inj)
-        : cfg(crashExperimentConfig(c)), pm(cfg.spec),
-          sm(cfg.spec, cfg.service), practical(pm), adaptive(pm),
-          numDisks(std::max<std::size_t>(c.trace.numDisks(), 1)),
-          trace(&c.trace)
+        : trace(c.trace), cfg(c.experimentConfig(inj)),
+          stack(cfg, diskCount(), cfg.cacheBlocks)
     {
-        if (policyNeedsClassifier(cfg.policy)) {
-            classifier = std::make_unique<PaClassifier>(
-                numDisks, resolvePaParams(cfg, pm));
-        }
-        policy = makeReplacementPolicy(cfg, pm, classifier.get(),
-                                       cfg.cacheBlocks);
-        cache = std::make_unique<Cache>(cfg.cacheBlocks, *policy);
-
-        Dpm *dpm = &static_cast<Dpm &>(alwaysOn);
-        if (cfg.dpm == DpmChoice::Practical)
-            dpm = &practical;
-        else if (cfg.dpm == DpmChoice::Adaptive)
-            dpm = &adaptive;
-        disks = std::make_unique<DiskArray>(numDisks, eq, pm, sm, *dpm,
-                                            cfg.disk);
-
-        StorageConfig scfg = cfg.storage;
-        scfg.fault = inj;
-        if (scfg.writePolicy ==
-            WritePolicy::WriteThroughDeferredUpdate) {
-            logDisk = std::make_unique<Disk>(
-                static_cast<DiskId>(numDisks), eq, pm, sm, alwaysOn,
-                DiskOptions{});
-        }
-        system = std::make_unique<StorageSystem>(
-            *trace, eq, *cache, *disks, scfg, classifier.get(),
-            logDisk.get());
     }
 
     /** Run the workload. @return true if the plan fired. */
@@ -198,7 +148,7 @@ class CrashRig
     run()
     {
         try {
-            system->run();
+            stack.run(trace);
             return false;
         } catch (const CrashException &) {
             return true;
@@ -206,45 +156,24 @@ class CrashRig
     }
 
     /**
-     * Post-crash completion of the simulation's accounting: drain
-     * the event queue and finalize every disk at the same
-     * policy-independent horizon StorageSystem::finishRun() uses.
+     * Post-crash completion of the simulation's accounting: resume
+     * the drain and finalize every disk at the run's usual horizon.
      * Only needed after a crash (a clean run() finalizes itself).
      */
-    void
-    drainAndFinalize()
+    void finishAfterCrash() { stack.system().finish(trace.endTime()); }
+
+    ExperimentResult collect() const { return stack.collect(); }
+    WtduLog *log() { return stack.system().wtduLog(); }
+    std::size_t
+    diskCount() const
     {
-        eq.runAll();
-        const Time tail =
-            (pm.thresholds().empty() ? 0.0 : pm.thresholds().back()) +
-            pm.mode(pm.deepestMode()).transitionTime() + 10.0;
-        const Time horizon =
-            std::max(trace->endTime() + tail, eq.now());
-        disks->finalize(horizon);
-        if (logDisk)
-            logDisk->finalize(horizon);
+        return std::max<std::size_t>(trace.numDisks(), 1);
     }
 
-    WtduLog *log() { return system->wtduLog(); }
-    DiskArray &diskArray() { return *disks; }
-    std::size_t diskCount() const { return numDisks; }
-
   private:
+    const Trace &trace;
     ExperimentConfig cfg;
-    PowerModel pm;
-    ServiceModel sm;
-    EventQueue eq;
-    AlwaysOnDpm alwaysOn;
-    PracticalDpm practical;
-    AdaptiveDpm adaptive;
-    std::size_t numDisks;
-    const Trace *trace;
-    std::unique_ptr<PaClassifier> classifier;
-    std::unique_ptr<ReplacementPolicy> policy;
-    std::unique_ptr<Cache> cache;
-    std::unique_ptr<DiskArray> disks;
-    std::unique_ptr<Disk> logDisk;
-    std::unique_ptr<StorageSystem> system;
+    SimStack stack;
 };
 
 std::string
@@ -361,12 +290,11 @@ propWtduCrashLedger(const FuzzCase &c)
     CrashRig rig(cc, &inj);
     const bool crashed = rig.run();
     if (crashed)
-        rig.drainAndFinalize();
+        rig.finishAfterCrash();
 
-    std::vector<EnergyStats> perDisk;
-    perDisk.reserve(rig.diskCount());
+    const std::vector<EnergyStats> perDisk = rig.collect().perDisk;
     for (DiskId d = 0; d < rig.diskCount(); ++d) {
-        const EnergyStats &es = rig.diskArray().disk(d).energy();
+        const EnergyStats &es = perDisk[d];
         const double err = obs::ledgerRelError(es);
         if (err > obs::kLedgerConservationTol)
             return failMsg("disk ", d, ": ledger rel error ", err,
@@ -374,7 +302,6 @@ propWtduCrashLedger(const FuzzCase &c)
                            crashed ? "crash recovery" : "clean run",
                            " (site ", crashSiteName(cc.cfg.crash.site),
                            "@", cc.cfg.crash.occurrence, ")");
-        perDisk.push_back(es);
     }
     const double aggErr = obs::ledgerMaxRelError(perDisk);
     if (aggErr > obs::kLedgerConservationTol)
@@ -466,30 +393,18 @@ propServeCrashShutdownRecovery(const FuzzCase &c)
     if (!rig.run())
         return failMsg("shutdown crash never fired in replay mode");
 
+    CrashInjector serveInj(cc.cfg.crash);
     serve::ServeConfig sc;
-    sc.exp = crashExperimentConfig(cc);
+    sc.exp = cc.experimentConfig(&serveInj);
     sc.shards = 1;
     sc.threads = 1;
     sc.ringCapacity = 256;
     sc.batch = 16;
-    sc.numDisks = std::max<std::size_t>(c.trace.numDisks(), 1);
-    CrashInjector serveInj(cc.cfg.crash);
-    sc.exp.storage.fault = &serveInj;
+    sc.numDisks = rig.diskCount();
 
     serve::ServeServer server(sc);
     server.start();
-    const std::vector<BlockAccess> accesses = expandTrace(c.trace);
-    serve::ServeRequest req;
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-        const BlockAccess &acc = accesses[i];
-        req.time = acc.time;
-        req.block = acc.block;
-        req.write = acc.write;
-        req.traceIndex = acc.traceIndex;
-        req.idx = i;
-        req.submitNs = 0;
-        server.submit(req);
-    }
+    server.submitTrace(c.trace);
     bool serveCrashed = false;
     try {
         server.finish(c.trace.endTime());

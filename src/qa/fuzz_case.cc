@@ -12,6 +12,23 @@
 namespace pacache::qa
 {
 
+ExperimentConfig
+FuzzCase::experimentConfig(FaultInjector *fault) const
+{
+    ExperimentConfig out;
+    out.policy = cfg.policy;
+    out.dpm = cfg.dpm;
+    out.cacheBlocks = cfg.cacheBlocks > 0 ? cfg.cacheBlocks : 1;
+    out.storage.writePolicy = cfg.writePolicy;
+    out.storage.wtduRegionBlocks =
+        cfg.wtduRegionBlocks > 0 ? cfg.wtduRegionBlocks : 1;
+    out.storage.fault = fault;
+    out.spec = cfg.spec;
+    out.pa.epochLength = cfg.paEpoch;
+    out.opgTheta = cfg.theta;
+    return out;
+}
+
 namespace
 {
 

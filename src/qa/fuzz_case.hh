@@ -77,6 +77,9 @@ struct FuzzCase
 
     /** The fuzzed power model (derived from cfg.spec). */
     PowerModel powerModel() const { return PowerModel(cfg.spec); }
+
+    /** The experiment the knobs describe, @p fault wired in. */
+    ExperimentConfig experimentConfig(FaultInjector *fault = nullptr) const;
 };
 
 /** Reproducer metadata stored alongside the case in a corpus file. */

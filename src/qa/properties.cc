@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <limits>
 #include <set>
 #include <sstream>
-#include <unistd.h>
 #include <vector>
 
 #include "cache/belady.hh"
@@ -25,10 +23,12 @@
 #include "core/pa_classifier.hh"
 #include "qa/crash.hh"
 #include "qa/gen.hh"
+#include "runner/shard_replay.hh"
 #include "runner/sweep.hh"
 #include "serve/server.hh"
 #include "tracefmt/pct.hh"
 #include "tracefmt/trace_source.hh"
+#include "util/temp_file.hh"
 
 namespace pacache::qa
 {
@@ -51,23 +51,6 @@ blockStr(const BlockId &b)
     std::ostringstream os;
     os << '(' << b.disk << ',' << b.block << ')';
     return os.str();
-}
-
-/** The ExperimentConfig a case's knobs describe. */
-ExperimentConfig
-experimentConfig(const FuzzCase &c)
-{
-    ExperimentConfig cfg;
-    cfg.policy = c.cfg.policy;
-    cfg.dpm = c.cfg.dpm;
-    cfg.cacheBlocks = c.cfg.cacheBlocks > 0 ? c.cfg.cacheBlocks : 1;
-    cfg.storage.writePolicy = c.cfg.writePolicy;
-    cfg.storage.wtduRegionBlocks =
-        c.cfg.wtduRegionBlocks > 0 ? c.cfg.wtduRegionBlocks : 1;
-    cfg.spec = c.cfg.spec;
-    cfg.pa.epochLength = c.cfg.paEpoch;
-    cfg.opgTheta = c.cfg.theta;
-    return cfg;
 }
 
 /** Victim-recording pass-through (the oracle-equivalence pattern). */
@@ -199,26 +182,6 @@ diffResults(const ExperimentResult &a, const ExperimentResult &b)
     return {};
 }
 
-/** Self-deleting temp file for the round-trip property. */
-struct TempFile
-{
-    std::string path;
-
-    explicit TempFile(const std::string &stem)
-    {
-        std::ostringstream os;
-        os << "pacache_qa_" << ::getpid() << '_' << stem;
-        path = (std::filesystem::temp_directory_path() / os.str())
-                   .string();
-    }
-
-    ~TempFile()
-    {
-        std::error_code ec;
-        std::filesystem::remove(path, ec);
-    }
-};
-
 // ---------------------------------------------------------------
 // Differential properties: fast path vs retained reference.
 // ---------------------------------------------------------------
@@ -296,7 +259,7 @@ propStreamingMatchesMaterialized(const FuzzCase &c)
 {
     if (c.trace.empty())
         return PropertyResult::ok();
-    const ExperimentConfig cfg = experimentConfig(c);
+    const ExperimentConfig cfg = c.experimentConfig();
     const ExperimentResult mat = runExperiment(c.trace, cfg);
     tracefmt::MemorySource src(c.trace);
     const ExperimentResult streamed = runExperiment(src, cfg);
@@ -319,7 +282,7 @@ propWindowedOracleEquivalence(const FuzzCase &c)
     Rng rng(deriveSeed(c.seed, 0x5ca1e));
     const std::size_t accesses =
         std::max<std::size_t>(c.trace.numBlockAccesses(), 1);
-    ExperimentConfig cfg = experimentConfig(c);
+    ExperimentConfig cfg = c.experimentConfig();
     cfg.policy = rng.chance(0.5) ? PolicyKind::OPG : PolicyKind::Belady;
     cfg.windowAccesses = 1 + rng.below(accesses + 8);
     cfg.oracleChunkAccesses = 1 + rng.below(accesses + 8);
@@ -329,14 +292,12 @@ propWindowedOracleEquivalence(const FuzzCase &c)
     mat_cfg.oracleChunkAccesses = 0;
     const ExperimentResult mat = runExperiment(c.trace, mat_cfg);
 
-    std::ostringstream stem;
-    stem << c.seed << "_win.pct";
-    const TempFile tmp(stem.str());
+    const ScopedTempFile tmp("pacache-qa-", ".pct");
     {
         tracefmt::MemorySource src(c.trace);
-        tracefmt::writePct(tmp.path, src);
+        tracefmt::writePct(tmp.path(), src);
     }
-    tracefmt::PctMmapSource src(tmp.path);
+    tracefmt::PctMmapSource src(tmp.path());
     const ExperimentResult windowed = runExperiment(src, cfg);
     const std::string diff = diffResults(mat, windowed);
     if (!diff.empty())
@@ -360,7 +321,7 @@ propSpilledOracleEquivalence(const FuzzCase &c)
     // — must replay bit-identically to the unbounded in-memory
     // oracle.  Belady ignores the budget and must be unaffected.
     Rng rng(deriveSeed(c.seed, 0x5b111));
-    ExperimentConfig cfg = experimentConfig(c);
+    ExperimentConfig cfg = c.experimentConfig();
     cfg.policy = rng.chance(0.8) ? PolicyKind::OPG : PolicyKind::Belady;
     cfg.windowAccesses = 0;
     cfg.oracleChunkAccesses = 0;
@@ -391,14 +352,12 @@ propSpilledOracleEquivalence(const FuzzCase &c)
     wcfg.windowAccesses = 1 + rng.below(accesses + 8);
     wcfg.oracleChunkAccesses = 1 + rng.below(accesses + 8);
     wcfg.oracleMemBudget = 1 + rng.below(std::size_t{16} << 10);
-    std::ostringstream stem;
-    stem << c.seed << "_spill.pct";
-    const TempFile tmp(stem.str());
+    const ScopedTempFile tmp("pacache-qa-", ".pct");
     {
         tracefmt::MemorySource src(c.trace);
-        tracefmt::writePct(tmp.path, src);
+        tracefmt::writePct(tmp.path(), src);
     }
-    tracefmt::PctMmapSource src(tmp.path);
+    tracefmt::PctMmapSource src(tmp.path());
     const ExperimentResult windowed = runExperiment(src, wcfg);
     const std::string diff = diffResults(want, windowed);
     if (!diff.empty())
@@ -423,7 +382,7 @@ propParallelMatchesSerial(const FuzzCase &c)
         runner::RunPoint point;
         point.label = runner::policyCliName(policy);
         point.trace = &c.trace;
-        point.config = experimentConfig(c);
+        point.config = c.experimentConfig();
         point.config.policy = policy;
         points.push_back(std::move(point));
     }
@@ -522,7 +481,7 @@ propServeMatchesReplay(const FuzzCase &c)
 {
     if (c.trace.empty())
         return PropertyResult::ok();
-    ExperimentConfig cfg = experimentConfig(c);
+    ExperimentConfig cfg = c.experimentConfig();
     if (policyNeedsFuture(cfg.policy))
         cfg.policy = PolicyKind::LRU; // serve is on-line only
     const ExperimentResult ref = runExperiment(c.trace, cfg);
@@ -564,17 +523,35 @@ propServeMatchesReplay(const FuzzCase &c)
                        diff);
     if (!one.ledgerConserves || !three.ledgerConserves)
         return failMsg("2-shard serve breaks ledger conservation");
+
+    // Disk-sharded replay computes the same partition (DESIGN.md 5h),
+    // so it must land on the 2-stripe serve result bit for bit. With
+    // one disk the replay clamps to one shard; serve does not.
+    if (c.trace.numDisks() < 2)
+        return PropertyResult::ok();
+    const ScopedTempFile tmp("pacache-qa-", ".pct");
+    {
+        tracefmt::MemorySource src(c.trace);
+        tracefmt::writePct(tmp.path(), src);
+    }
+    runner::ShardReplayOptions so;
+    so.shards = 2;
+    so.jobs = 1;
+    const ExperimentResult sharded =
+        runner::runShardedExperiment(tmp.path(), cfg, so);
+    const std::string sdiff = diffResults(sharded, one.result);
+    if (!sdiff.empty())
+        return failMsg("2-shard replay diverges from 2-stripe serve: ",
+                       sdiff);
     return PropertyResult::ok();
 }
 
 PropertyResult
 propPctRoundTrip(const FuzzCase &c)
 {
-    std::ostringstream stem;
-    stem << c.seed << ".pct";
-    const TempFile tmp(stem.str());
+    const ScopedTempFile tmp("pacache-qa-", ".pct");
     {
-        tracefmt::PctWriter writer(tmp.path);
+        tracefmt::PctWriter writer(tmp.path());
         for (const TraceRecord &rec : c.trace)
             writer.append(rec);
         writer.finish();
@@ -601,11 +578,11 @@ propPctRoundTrip(const FuzzCase &c)
         return PropertyResult::ok();
     };
 
-    tracefmt::PctBufferedSource buffered(tmp.path);
+    tracefmt::PctBufferedSource buffered(tmp.path());
     PropertyResult r = compare(buffered, "buffered reader");
     if (!r.passed)
         return r;
-    tracefmt::PctMmapSource mapped(tmp.path);
+    tracefmt::PctMmapSource mapped(tmp.path());
     return compare(mapped, "mmap reader");
 }
 
@@ -651,7 +628,7 @@ propEnergyAccountingIdentity(const FuzzCase &c)
 {
     if (c.trace.empty())
         return PropertyResult::ok();
-    const ExperimentConfig cfg = experimentConfig(c);
+    const ExperimentConfig cfg = c.experimentConfig();
     const ExperimentResult res = runExperiment(c.trace, cfg);
     const CacheStats &cs = res.cache;
 
@@ -813,7 +790,7 @@ propLedgerConservation(const FuzzCase &c)
 {
     if (c.trace.empty())
         return PropertyResult::ok();
-    const ExperimentConfig cfg = experimentConfig(c);
+    const ExperimentConfig cfg = c.experimentConfig();
     const ExperimentResult res = runExperiment(c.trace, cfg);
 
     for (std::size_t d = 0; d < res.perDisk.size(); ++d) {

@@ -1,18 +1,15 @@
 #include "runner/shard_replay.hh"
 
-#include <stdlib.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <memory>
 #include <vector>
 
+#include "core/sim_stack.hh"
 #include "obs/profiler.hh"
 #include "runner/thread_pool.hh"
 #include "tracefmt/pct.hh"
 #include "util/logging.hh"
+#include "util/temp_file.hh"
 
 namespace pacache::runner
 {
@@ -56,34 +53,6 @@ class FullArraySource : public tracefmt::PctMmapSource
     uint64_t allDisks;
 };
 
-/** Per-shard sub-trace file, unlinked on scope exit. */
-struct ShardFile
-{
-    std::string path;
-
-    ~ShardFile()
-    {
-        if (!path.empty())
-            ::unlink(path.c_str());
-    }
-};
-
-std::string
-makeShardPath(const std::string &dir, unsigned shard)
-{
-    std::string templ = dir + "/pacache-shard-" +
-                        std::to_string(shard) + "-XXXXXX.pct";
-    std::vector<char> buf(templ.begin(), templ.end());
-    buf.push_back('\0');
-    const int fd = ::mkstemps(buf.data(), 4);
-    if (fd < 0) {
-        PACACHE_FATAL("cannot create shard file '", buf.data(),
-                      "': ", std::strerror(errno));
-    }
-    ::close(fd);
-    return std::string(buf.data());
-}
-
 } // namespace
 
 ExperimentResult
@@ -96,10 +65,7 @@ runShardedExperiment(const std::string &pct_path,
         std::max<std::size_t>(info.numDisks, 1);
     const unsigned shards = static_cast<unsigned>(std::clamp<uint64_t>(
         opts.shards, 1, static_cast<uint64_t>(num_disks)));
-    PACACHE_ASSERT(config.cacheBlocks >= shards,
-                   "cache of ", config.cacheBlocks,
-                   " blocks cannot be split across ", shards,
-                   " shards");
+    splitCapacity(config.cacheBlocks, shards, 0); // fail before demux
 
     // Per-shard configuration: headless, a common finishRun horizon,
     // and out-of-core oracles even for shards whose sub-trace is
@@ -107,8 +73,6 @@ runShardedExperiment(const std::string &pct_path,
     ExperimentConfig shard_cfg = config;
     shard_cfg.observer = nullptr;
     shard_cfg.profiler = nullptr;
-    shard_cfg.storage.observer = nullptr;
-    shard_cfg.storage.profiler = nullptr;
     shard_cfg.storage.endTimeFloor =
         std::max(config.storage.endTimeFloor, info.endTime);
     const bool offline = config.policy == PolicyKind::Belady ||
@@ -122,24 +86,20 @@ runShardedExperiment(const std::string &pct_path,
         shard_cfg.oracleMemBudget = std::max<std::size_t>(
             shard_cfg.oracleMemBudget / shards, 1);
 
-    std::string dir = opts.tempDir;
-    if (dir.empty()) {
-        const char *env = ::getenv("TMPDIR");
-        dir = env && *env ? env : "/tmp";
-    }
-
     // One streaming pass demultiplexes the trace into per-shard
     // sub-traces; global order is preserved within each shard, so
     // per-shard times stay monotone.
-    std::vector<ShardFile> files(shards);
+    std::vector<std::unique_ptr<ScopedTempFile>> files;
     {
         obs::ProfileScope scope(config.profiler, "shard_demux");
         std::vector<std::unique_ptr<tracefmt::PctWriter>> writers;
         writers.reserve(shards);
         for (unsigned s = 0; s < shards; ++s) {
-            files[s].path = makeShardPath(dir, s);
+            files.push_back(std::make_unique<ScopedTempFile>(
+                "pacache-shard-" + std::to_string(s) + "-", ".pct",
+                opts.tempDir));
             writers.push_back(std::make_unique<tracefmt::PctWriter>(
-                files[s].path));
+                files[s]->path()));
         }
         tracefmt::PctMmapSource src(pct_path);
         TraceRecord rec;
@@ -155,8 +115,6 @@ runShardedExperiment(const std::string &pct_path,
 
     // Replay every shard into its pre-assigned slot; the pool only
     // decides scheduling, never the statistics.
-    const std::size_t cap_base = config.cacheBlocks / shards;
-    const std::size_t cap_extra = config.cacheBlocks % shards;
     std::vector<ExperimentResult> results(shards);
     {
         obs::ProfileScope scope(config.profiler, "replay");
@@ -165,47 +123,18 @@ runShardedExperiment(const std::string &pct_path,
         for (unsigned s = 0; s < shards; ++s) {
             pool.submit([&, s] {
                 ExperimentConfig cfg = shard_cfg;
-                cfg.cacheBlocks = cap_base + (s < cap_extra ? 1 : 0);
-                FullArraySource src(files[s].path, num_disks);
+                cfg.cacheBlocks =
+                    splitCapacity(config.cacheBlocks, shards, s);
+                FullArraySource src(files[s]->path(), num_disks);
                 results[s] = runExperiment(src, cfg);
             });
         }
         pool.wait();
     }
 
-    // Deterministic merge, in shard index order. Per-disk statistics
-    // come from each disk's owning shard; cache/response/log
-    // statistics sum across shards.
     obs::ProfileScope scope(config.profiler, "merge");
-    ExperimentResult out;
-    out.policyName = results[0].policyName;
-    out.numModes = results[0].numModes;
-    out.energy = EnergyStats(out.numModes);
-    out.perDisk.reserve(num_disks);
-    for (std::size_t d = 0; d < num_disks; ++d) {
-        const ExperimentResult &owner = results[d % shards];
-        PACACHE_ASSERT(d < owner.perDisk.size(),
-                       "shard result missing disk ", d);
-        out.energy += owner.perDisk[d];
-        out.perDisk.push_back(owner.perDisk[d]);
-        out.diskAccesses.push_back(owner.diskAccesses[d]);
-        out.diskMeanInterArrival.push_back(
-            owner.diskMeanInterArrival[d]);
-    }
-    for (const ExperimentResult &r : results) {
-        out.cache.accesses += r.cache.accesses;
-        out.cache.hits += r.cache.hits;
-        out.cache.misses += r.cache.misses;
-        out.cache.evictions += r.cache.evictions;
-        out.cache.coldMisses += r.cache.coldMisses;
-        out.cache.prefetchInserts += r.cache.prefetchInserts;
-        out.responses.merge(r.responses);
-        out.logWrites += r.logWrites;
-        out.prefetchedBlocks += r.prefetchedBlocks;
-        out.logServiceEnergy += r.logServiceEnergy;
-    }
-    out.totalEnergy = out.energy.total() + out.logServiceEnergy;
-    return out;
+    return mergeByOwner(results,
+                        [shards](DiskId d) { return d % shards; });
 }
 
 } // namespace pacache::runner

@@ -4,13 +4,9 @@
 #include <chrono>
 #include <mutex>
 
-#include "cache/future.hh"
-#include "disk/disk_array.hh"
-#include "disk/dpm.hh"
-#include "disk/oracle_dpm.hh"
+#include "core/sim_stack.hh"
 #include "obs/energy_ledger.hh"
 #include "serve/request_ring.hh"
-#include "sim/event_queue.hh"
 #include "trace/trace.hh"
 #include "util/logging.hh"
 
@@ -39,58 +35,21 @@ hostNowNs()
  */
 struct ServeServer::Shard
 {
-    Shard(const ServeConfig &cfg, const PowerModel &pm,
-          const ServiceModel &sm, std::size_t capacity,
-          std::size_t num_disks)
-        : ring(cfg.ringCapacity), practical(pm), adaptive(pm)
+    Shard(const ServeConfig &cfg, std::size_t capacity)
+        : ring(cfg.ringCapacity), stack(cfg.exp, cfg.numDisks, capacity)
     {
-        if (policyNeedsClassifier(cfg.exp.policy)) {
-            classifier = std::make_unique<PaClassifier>(
-                num_disks, resolvePaParams(cfg.exp, pm));
-        }
-        policy = makeReplacementPolicy(cfg.exp, pm, classifier.get(),
-                                       capacity);
-        cache = std::make_unique<Cache>(capacity, *policy);
-
-        Dpm *dpm = &static_cast<Dpm &>(alwaysOn);
-        if (cfg.exp.dpm == DpmChoice::Practical)
-            dpm = &practical;
-        else if (cfg.exp.dpm == DpmChoice::Adaptive)
-            dpm = &adaptive;
-        disks = std::make_unique<DiskArray>(num_disks, eq, pm, sm,
-                                            *dpm, cfg.exp.disk);
-
-        if (cfg.exp.storage.writePolicy ==
-            WritePolicy::WriteThroughDeferredUpdate) {
-            logDisk = std::make_unique<Disk>(
-                static_cast<DiskId>(num_disks), eq, pm, sm, alwaysOn,
-                DiskOptions{});
-        }
-        system = std::make_unique<StorageSystem>(
-            eq, *cache, *disks, cfg.exp.storage, classifier.get(),
-            logDisk.get());
     }
 
     std::mutex mu; //!< guards everything below the ring
     RequestRing<ServeRequest> ring;
-    EventQueue eq;
-    AlwaysOnDpm alwaysOn;
-    PracticalDpm practical;
-    AdaptiveDpm adaptive;
-    std::unique_ptr<PaClassifier> classifier;
-    std::unique_ptr<ReplacementPolicy> policy;
-    std::unique_ptr<Cache> cache;
-    std::unique_ptr<DiskArray> disks;
-    std::unique_ptr<Disk> logDisk;
-    std::unique_ptr<StorageSystem> system;
+    SimStack stack;
     Time lastTime = 0;      //!< monotone clamp of request times
     uint64_t processed = 0;
     LogHistogram latency;   //!< host seconds, sampled requests only
 };
 
 ServeServer::ServeServer(const ServeConfig &config)
-    : cfg(config), numShards(config.shards), pm(config.exp.spec),
-      sm(config.exp.spec, config.exp.service)
+    : cfg(config), numShards(config.shards)
 {
     PACACHE_ASSERT(numShards >= 1, "need at least one stripe");
     PACACHE_ASSERT(cfg.threads >= 1, "need at least one worker");
@@ -102,17 +61,10 @@ ServeServer::ServeServer(const ServeConfig &config)
                    "serve mode takes no observer/profiler; metrics "
                    "are shard-local (see src/obs/metrics.hh)");
 
-    const std::size_t base = cfg.exp.cacheBlocks / numShards;
-    const std::size_t extra = cfg.exp.cacheBlocks % numShards;
     stripes.reserve(numShards);
     for (std::size_t i = 0; i < numShards; ++i) {
-        const std::size_t capacity = base + (i < extra ? 1 : 0);
-        PACACHE_ASSERT(capacity >= 1, "cache of ", cfg.exp.cacheBlocks,
-                       " blocks cannot split into ", numShards,
-                       " stripes");
-        stripes.push_back(std::make_unique<Shard>(cfg, pm, sm,
-                                                  capacity,
-                                                  cfg.numDisks));
+        stripes.push_back(std::make_unique<Shard>(
+            cfg, splitCapacity(cfg.exp.cacheBlocks, numShards, i)));
     }
 }
 
@@ -193,7 +145,7 @@ ServeServer::processOne(Shard &shard, const ServeRequest &req)
     const Time t = req.time < shard.lastTime ? shard.lastTime
                                              : req.time;
     shard.lastTime = t;
-    shard.system->step(
+    shard.stack.system().step(
         BlockAccess{t, req.block, req.write,
                     static_cast<std::size_t>(req.traceIndex)},
         static_cast<std::size_t>(req.idx));
@@ -225,57 +177,23 @@ ServeServer::finish(Time end_time)
     workers.clear();
     PACACHE_ASSERT(allRingsEmpty(), "workers exited with work left");
 
-    ServeResult out;
-    ExperimentResult &r = out.result;
-    r.policyName = policyKindName(cfg.exp.policy);
-    r.numModes = pm.numModes();
-
-    for (auto &stripe : stripes)
-        stripe->system->finish(end_time);
-
-    // Per-disk statistics come from each disk's owning stripe; the
-    // other stripes' replicas of that disk never saw traffic and
-    // their idle-only energy is deliberately not charged.
-    const OracleAnalyzer oracle(pm);
-    r.energy = EnergyStats(pm.numModes());
-    r.perDisk.reserve(cfg.numDisks);
-    for (DiskId d = 0; d < cfg.numDisks; ++d) {
-        Shard &owner = *stripes[shardOf(d)];
-        EnergyStats stats = cfg.exp.dpm == DpmChoice::Oracle
-            ? oracle.priceDisk(owner.disks->disk(d)).stats
-            : owner.disks->disk(d).energy();
-        r.energy += stats;
-        r.perDisk.push_back(std::move(stats));
-        r.diskAccesses.push_back(owner.system->diskAccesses()[d]);
-        r.diskMeanInterArrival.push_back(
-            owner.disks->disk(d).meanInterArrival());
-    }
-
+    // Each stripe closes at the shared horizon; per-disk statistics
+    // come from each disk's owning stripe.
+    std::vector<ExperimentResult> parts;
+    parts.reserve(numShards);
     for (auto &stripe : stripes) {
-        const CacheStats &cs = stripe->cache->stats();
-        r.cache.accesses += cs.accesses;
-        r.cache.hits += cs.hits;
-        r.cache.misses += cs.misses;
-        r.cache.evictions += cs.evictions;
-        r.cache.coldMisses += cs.coldMisses;
-        r.cache.prefetchInserts += cs.prefetchInserts;
-        r.responses.merge(stripe->system->responses());
-        r.logWrites += stripe->system->logWrites();
-        r.prefetchedBlocks += stripe->system->prefetchedBlocks();
-        if (stripe->logDisk) {
-            r.logServiceEnergy +=
-                stripe->logDisk->energy().serviceEnergy;
-        }
-        out.latency.merge(stripe->latency);
+        stripe->stack.system().finish(end_time);
+        parts.push_back(stripe->stack.collect());
     }
-    r.totalEnergy = r.energy.total() + r.logServiceEnergy;
+    ServeResult out;
+    out.result = mergeByOwner(parts, [this](DiskId d) { return shardOf(d); });
+    const ExperimentResult &r = out.result;
 
     out.shards.reserve(numShards);
     for (std::size_t i = 0; i < numShards; ++i) {
-        Shard &stripe = *stripes[i];
         ShardSummary sum;
-        sum.requests = stripe.processed;
-        sum.hits = stripe.cache->stats().hits;
+        sum.requests = stripes[i]->processed;
+        sum.hits = parts[i].cache.hits;
         std::vector<EnergyStats> owned;
         for (DiskId d = 0; d < cfg.numDisks; ++d) {
             if (shardOf(d) != i)
@@ -283,10 +201,10 @@ ServeServer::finish(Time end_time)
             owned.push_back(r.perDisk[d]);
             sum.energy += r.perDisk[d].total();
         }
-        if (stripe.logDisk)
-            sum.energy += stripe.logDisk->energy().serviceEnergy;
+        sum.energy += parts[i].logServiceEnergy;
         sum.ledgerRelError = obs::ledgerMaxRelError(owned);
         out.shards.push_back(std::move(sum));
+        out.latency.merge(stripes[i]->latency);
     }
     out.ledgerMaxRelError = obs::ledgerMaxRelError(r.perDisk);
     out.ledgerConserves =
@@ -299,7 +217,25 @@ ServeServer::shardWtduLog(std::size_t shard) const
 {
     PACACHE_ASSERT(shard < numShards, "stripe ", shard,
                    " out of range (", numShards, " stripes)");
-    return stripes[shard]->system->wtduLog();
+    return stripes[shard]->stack.system().wtduLog();
+}
+
+void
+ServeServer::submitTrace(const Trace &trace)
+{
+    ServeRequest req;
+    uint64_t idx = 0;
+    for (std::size_t r = 0; r < trace.size(); ++r) {
+        const TraceRecord &rec = trace[r];
+        for (uint32_t b = 0; b < rec.numBlocks; ++b) {
+            req.time = rec.time;
+            req.block = BlockId{rec.disk, rec.block + b};
+            req.write = rec.write;
+            req.traceIndex = r;
+            req.idx = idx++;
+            submit(req);
+        }
+    }
 }
 
 ServeResult
@@ -310,19 +246,7 @@ ServeServer::replayTrace(const Trace &trace, const ServeConfig &config)
     cfg.numDisks = std::max<std::size_t>(trace.numDisks(), 1);
     ServeServer server(cfg);
     server.start();
-
-    const std::vector<BlockAccess> accesses = expandTrace(trace);
-    ServeRequest req;
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-        const BlockAccess &acc = accesses[i];
-        req.time = acc.time;
-        req.block = acc.block;
-        req.write = acc.write;
-        req.traceIndex = acc.traceIndex;
-        req.idx = i;
-        req.submitNs = 0;
-        server.submit(req);
-    }
+    server.submitTrace(trace);
     return server.finish(trace.endTime());
 }
 

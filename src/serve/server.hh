@@ -5,10 +5,10 @@
  *
  * The server partitions the disk array into `shards` stripes
  * (stripeOf(disk) = disk mod shards); each stripe owns a complete,
- * independently-locked simulation stack — event queue, cache slice
- * with its own replacement policy, PA classifier, DPM instance, disk
- * array, optional WTDU log device — wrapped in one incremental
- * StorageSystem. Because every disk's power-state machine, energy
+ * independently-locked SimStack — event queue, cache slice with its
+ * own replacement policy, PA classifier, DPM instance, disk array,
+ * optional WTDU log device — driven through StorageSystem::step().
+ * Because every disk's power-state machine, energy
  * accounting, and event queue live in exactly one stripe, disk
  * transitions are naturally serialized through that stripe's lock
  * (the per-disk DPM actor of DESIGN.md 5g) and the PR 6 energy
@@ -127,6 +127,12 @@ class ServeServer
     ServeResult finish(Time end_time);
 
     /**
+     * Submit every block access of @p trace, in trace order, from the
+     * calling thread (the replay producer). Requires start().
+     */
+    void submitTrace(const Trace &trace);
+
+    /**
      * Drive @p trace through a server built from @p config (numDisks
      * taken from the trace) and return the merged result; with
      * config.shards == 1 the result is bit-identical to
@@ -155,8 +161,6 @@ class ServeServer
 
     ServeConfig cfg;
     std::size_t numShards;
-    PowerModel pm;
-    ServiceModel sm;
     std::vector<std::unique_ptr<Shard>> stripes;
     std::vector<std::thread> workers;
     std::atomic<bool> done{false};

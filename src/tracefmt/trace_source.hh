@@ -61,6 +61,8 @@ class MemorySource : public TraceSource
 {
   public:
     explicit MemorySource(const Trace &trace_) : trace(&trace_) {}
+    /** The source only points at the trace: it must outlive it. */
+    explicit MemorySource(const Trace &&) = delete;
 
     bool
     next(TraceRecord &out) override

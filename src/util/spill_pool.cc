@@ -1,41 +1,16 @@
 #include "util/spill_pool.hh"
 
 #include <fcntl.h>
-#include <stdlib.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <string>
 
 #include "util/logging.hh"
+#include "util/temp_file.hh"
 
 namespace pacache
 {
-
-namespace
-{
-
-/** An unlinked temp file: space reclaimed on close, never listed. */
-int
-makeUnlinkedSpillFile()
-{
-    const char *env = ::getenv("TMPDIR");
-    std::string templ = (env && *env ? std::string(env)
-                                     : std::string("/tmp")) +
-                        "/pacache-spill-XXXXXX";
-    std::vector<char> buf(templ.begin(), templ.end());
-    buf.push_back('\0');
-    const int fd = ::mkstemp(buf.data());
-    if (fd < 0) {
-        PACACHE_FATAL("cannot create spill temp file '", buf.data(),
-                      "': ", std::strerror(errno));
-    }
-    ::unlink(buf.data());
-    return fd;
-}
-
-} // namespace
 
 SpillPool::SpillPool(std::size_t budget_bytes) : budget(budget_bytes)
 {
@@ -119,7 +94,7 @@ void
 SpillPool::ensureFile()
 {
     if (fd < 0)
-        fd = makeUnlinkedSpillFile();
+        fd = makeUnlinkedTempFile("pacache-spill-");
 }
 
 std::uint64_t

@@ -8,6 +8,7 @@
 #include "cache/lru.hh"
 #include "core/storage_system.hh"
 #include "disk/dpm.hh"
+#include "tracefmt/trace_source.hh"
 
 namespace pacache
 {
@@ -42,6 +43,14 @@ struct Harness
     }
 };
 
+/** Stream @p t through @p sys with the one replay loop. */
+void
+runTrace(StorageSystem &sys, const Trace &t)
+{
+    tracefmt::MemorySource src(t);
+    sys.run(src);
+}
+
 Trace
 rwTrace()
 {
@@ -59,8 +68,8 @@ TEST(StorageSystem, WriteThroughWritesEveryWrite)
     StorageConfig cfg;
     cfg.writePolicy = WritePolicy::WriteThrough;
     const Trace t = rwTrace();
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg);
-    sys.run();
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg);
+    runTrace(sys, t);
     // Disk sees: 1 read miss + 2 writes.
     EXPECT_EQ(sys.diskAccesses()[0], 3u);
     EXPECT_EQ(h.cache.stats().hits, 2u);
@@ -73,8 +82,8 @@ TEST(StorageSystem, WriteBackDefersUntilEviction)
     StorageConfig cfg;
     cfg.writePolicy = WritePolicy::WriteBack;
     const Trace t = rwTrace();
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg);
-    sys.run();
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg);
+    runTrace(sys, t);
     // Disk sees only the read miss; both writes stay dirty in cache.
     EXPECT_EQ(sys.diskAccesses()[0], 1u);
     EXPECT_EQ(h.cache.dirtyCount(0), 2u);
@@ -89,8 +98,8 @@ TEST(StorageSystem, WriteBackFlushesDirtyVictim)
     t.append({1.0, 0, 1, 1, true});  // dirty block 1
     t.append({2.0, 0, 2, 1, true});  // dirty block 2
     t.append({3.0, 0, 3, 1, false}); // evicts 1 -> write-back + read
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg);
-    sys.run();
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg);
+    runTrace(sys, t);
     EXPECT_EQ(sys.diskAccesses()[0], 2u); // victim write + read miss
 }
 
@@ -101,8 +110,8 @@ TEST(StorageSystem, WriteBackRespondsAtCacheSpeed)
     cfg.writePolicy = WritePolicy::WriteBack;
     Trace t;
     t.append({1.0, 0, 1, 1, true});
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg);
-    sys.run();
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg);
+    runTrace(sys, t);
     EXPECT_EQ(sys.responses().count(), 1u);
     EXPECT_NEAR(sys.responses().mean(), cfg.hitLatency, 1e-12);
 }
@@ -116,8 +125,8 @@ TEST(StorageSystem, WbeuFlushesOnActivation)
     t.append({1.0, 0, 1, 1, true});    // dirty block on disk 0
     t.append({2.0, 0, 2, 1, true});    // another dirty block
     t.append({300.0, 0, 50, 1, false}); // read miss wakes disk 0
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg);
-    sys.run();
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg);
+    runTrace(sys, t);
     // Activation flush: dirty blocks written once disk 0 wakes.
     EXPECT_EQ(h.cache.dirtyCount(0), 0u);
     // Disk saw the read plus the flush writes (coalesced 1..2 run).
@@ -133,8 +142,8 @@ TEST(StorageSystem, WbeuForcesFlushAtDirtyCap)
     Trace t;
     for (int i = 0; i < 3; ++i)
         t.append({1.0 + i, 0, static_cast<BlockNum>(10 * i), 1, true});
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg);
-    sys.run();
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg);
+    runTrace(sys, t);
     EXPECT_EQ(h.cache.dirtyCount(0), 0u);
     EXPECT_GE(sys.diskAccesses()[0], 1u); // the forced flush
 }
@@ -144,9 +153,8 @@ TEST(StorageSystem, WtduRequiresLogDisk)
     Harness h(64, 1, true, false);
     StorageConfig cfg;
     cfg.writePolicy = WritePolicy::WriteThroughDeferredUpdate;
-    const Trace t = rwTrace();
     EXPECT_ANY_THROW(
-        StorageSystem(t, h.eq, h.cache, h.disks, cfg, nullptr, nullptr));
+        StorageSystem(h.eq, h.cache, h.disks, cfg, nullptr, nullptr));
 }
 
 TEST(StorageSystem, WtduLogsWritesToSleepingDisk)
@@ -157,9 +165,9 @@ TEST(StorageSystem, WtduLogsWritesToSleepingDisk)
     Trace t;
     t.append({1.0, 0, 1, 1, false});   // spin the disk's timeline up
     t.append({300.0, 0, 5, 1, true});  // disk asleep: goes to the log
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg, nullptr,
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg, nullptr,
                       h.logDisk.get());
-    sys.run();
+    runTrace(sys, t);
     EXPECT_EQ(sys.logWrites(), 1u);
     ASSERT_NE(sys.wtduLog(), nullptr);
     // The write never reached the data disk (no wake-up read came).
@@ -176,9 +184,9 @@ TEST(StorageSystem, WtduWritesDirectlyToActiveDisk)
     Trace t;
     t.append({1.0, 0, 1, 1, false});
     t.append({1.5, 0, 5, 1, true}); // disk still at full speed
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg, nullptr,
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg, nullptr,
                       h.logDisk.get());
-    sys.run();
+    runTrace(sys, t);
     EXPECT_EQ(sys.logWrites(), 0u);
     EXPECT_EQ(sys.diskAccesses()[0], 2u);
 }
@@ -193,9 +201,9 @@ TEST(StorageSystem, WtduFlushesLogOnActivation)
     t.append({300.0, 0, 5, 1, true});   // logged
     t.append({301.0, 0, 6, 1, true});   // logged
     t.append({600.0, 0, 50, 1, false}); // read wakes the disk
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg, nullptr,
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg, nullptr,
                       h.logDisk.get());
-    sys.run();
+    runTrace(sys, t);
     EXPECT_EQ(sys.logWrites(), 2u);
     // After activation the region is retired and blocks are clean.
     EXPECT_EQ(sys.wtduLog()->used(0), 0u);
@@ -216,9 +224,9 @@ TEST(StorageSystem, WtduFullRegionForcesFlushAndRetire)
     t.append({300.0, 0, 10, 1, true});  // log slot 1
     t.append({301.0, 0, 11, 1, true});  // log slot 2: full
     t.append({302.0, 0, 12, 1, true});  // forces flush + retire
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg, nullptr,
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg, nullptr,
                       h.logDisk.get());
-    sys.run();
+    runTrace(sys, t);
     // Two-phase retire: the overflowing write is deferred while the
     // flush is in flight and released as a direct write-through once
     // the retire completes, so it never reaches the log.
@@ -245,9 +253,9 @@ TEST(StorageSystem, WtduDeferredWriteKeepsOriginalResponseOrigin)
     t.append({300.0, 0, 10, 1, true});
     t.append({301.0, 0, 11, 1, true});
     t.append({302.0, 0, 12, 1, true}); // deferred past the retire
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg, nullptr,
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg, nullptr,
                       h.logDisk.get());
-    sys.run();
+    runTrace(sys, t);
     // Spin-up takes seconds; the deferred write waits for the full
     // flush to become durable before it is even submitted, so its
     // response time dominates the maximum.
@@ -268,9 +276,9 @@ TEST(StorageSystem, WtduLoggedVictimIsPersistedHome)
     // A third logged write evicts a logged block: its only fresh copy
     // outside the log must be written home.
     t.append({302.0, 0, 12, 1, true});
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg, nullptr,
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg, nullptr,
                       h.logDisk.get());
-    sys.run();
+    runTrace(sys, t);
     EXPECT_GE(sys.loggedEvictions(), 1u);
     // Home writes happened beyond the initial read.
     EXPECT_GE(sys.diskAccesses()[0], 2u);
@@ -283,8 +291,8 @@ TEST(StorageSystem, ReadMissResponseIncludesSpinUp)
     Trace t;
     t.append({1.0, 0, 1, 1, false});
     t.append({500.0, 0, 2, 1, false}); // disk in standby by now
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg);
-    sys.run();
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg);
+    runTrace(sys, t);
     EXPECT_GT(sys.responses().max(), 10.0); // spin-up dominated
 }
 
@@ -293,9 +301,9 @@ TEST(StorageSystem, RunTwicePanics)
     Harness h(64, 1, false, false);
     StorageConfig cfg;
     const Trace t = rwTrace();
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg);
-    sys.run();
-    EXPECT_ANY_THROW(sys.run());
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg);
+    runTrace(sys, t);
+    EXPECT_ANY_THROW(runTrace(sys, t));
 }
 
 TEST(StorageSystem, TotalEnergyIncludesLogServiceOnly)
@@ -306,9 +314,9 @@ TEST(StorageSystem, TotalEnergyIncludesLogServiceOnly)
     Trace t;
     t.append({1.0, 0, 1, 1, false});
     t.append({300.0, 0, 5, 1, true});
-    StorageSystem sys(t, h.eq, h.cache, h.disks, cfg, nullptr,
+    StorageSystem sys(h.eq, h.cache, h.disks, cfg, nullptr,
                       h.logDisk.get());
-    sys.run();
+    runTrace(sys, t);
     const Energy disks_only = h.disks.totalEnergy().total();
     EXPECT_NEAR(sys.totalEnergy(),
                 disks_only + h.logDisk->energy().serviceEnergy, 1e-9);
@@ -324,8 +332,8 @@ TEST(StorageSystem, IncrementalStepFinishMatchesRun)
     cfg.writePolicy = WritePolicy::WriteBack;
 
     Harness batch(64, 1, true, false);
-    StorageSystem ref(t, batch.eq, batch.cache, batch.disks, cfg);
-    ref.run();
+    StorageSystem ref(batch.eq, batch.cache, batch.disks, cfg);
+    runTrace(ref, t);
 
     // Driving the same accesses one step() at a time (the serve
     // stripe's mode) must land on identical statistics and energy.
@@ -345,13 +353,14 @@ TEST(StorageSystem, IncrementalStepFinishMatchesRun)
     EXPECT_EQ(sys.responses().sum(), ref.responses().sum());
 }
 
-TEST(StorageSystem, IncrementalRejectsOfflinePolicy)
+TEST(StorageSystem, RunRejectsUnpreparedOfflinePolicy)
 {
     Harness h(64, 1, false, false);
     StorageConfig cfg;
     BeladyPolicy offline;
     Cache cache(8, offline);
-    EXPECT_ANY_THROW(StorageSystem(h.eq, cache, h.disks, cfg));
+    StorageSystem sys(h.eq, cache, h.disks, cfg);
+    EXPECT_ANY_THROW(runTrace(sys, rwTrace()));
 }
 
 } // namespace

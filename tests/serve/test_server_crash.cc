@@ -10,14 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
-#include "cache/lru.hh"
 #include "core/fault.hh"
-#include "core/storage_system.hh"
-#include "disk/disk_array.hh"
-#include "disk/dpm.hh"
+#include "core/sim_stack.hh"
 #include "qa/crash.hh"
 #include "serve/server.hh"
 #include "trace/synthetic.hh"
@@ -51,37 +49,14 @@ wtduConfig()
     return cfg;
 }
 
-/** A single-threaded replay rig that exposes its WTDU log. */
-struct ReplayRig
+/** A single-threaded replay stack wired to @p inj (may be null). */
+std::unique_ptr<SimStack>
+replayStack(const Trace &trace, ExperimentConfig cfg, FaultInjector *inj)
 {
-    PowerModel pm;
-    ServiceModel sm;
-    EventQueue eq;
-    AlwaysOnDpm alwaysOn;
-    PracticalDpm practical;
-    LruPolicy policy;
-    Cache cache;
-    DiskArray disks;
-    Disk logDisk;
-    StorageSystem system;
-
-    ReplayRig(const Trace &trace, const ExperimentConfig &cfg,
-              std::size_t num_disks, FaultInjector *inj = nullptr)
-        : pm(cfg.spec), sm(cfg.spec, cfg.service), practical(pm),
-          cache(cfg.cacheBlocks, policy),
-          disks(num_disks, eq, pm, sm, practical, cfg.disk),
-          logDisk(static_cast<DiskId>(num_disks), eq, pm, sm, alwaysOn,
-                  DiskOptions{}),
-          system(trace, eq, cache, disks,
-                 [&] {
-                     StorageConfig scfg = cfg.storage;
-                     scfg.fault = inj;
-                     return scfg;
-                 }(),
-                 nullptr, &logDisk)
-    {
-    }
-};
+    cfg.storage.fault = inj;
+    return std::make_unique<SimStack>(cfg, trace.numDisks(),
+                                      cfg.cacheBlocks);
+}
 
 /** Run @p trace through a one-stripe serve server; @p inj may arm a
  *  Shutdown-site crash, in which case finish() throws. */
@@ -98,24 +73,6 @@ makeServer(const Trace &trace, const ExperimentConfig &cfg,
     sc.batch = 16;
     sc.numDisks = std::max<std::size_t>(trace.numDisks(), 1);
     return ServeServer(sc);
-}
-
-void
-driveTrace(ServeServer &server, const Trace &trace)
-{
-    server.start();
-    const std::vector<BlockAccess> accesses = expandTrace(trace);
-    ServeRequest req;
-    for (std::size_t i = 0; i < accesses.size(); ++i) {
-        const BlockAccess &acc = accesses[i];
-        req.time = acc.time;
-        req.block = acc.block;
-        req.write = acc.write;
-        req.traceIndex = acc.traceIndex;
-        req.idx = i;
-        req.submitNs = 0;
-        server.submit(req);
-    }
 }
 
 void
@@ -151,16 +108,17 @@ TEST(ServeCrash, CleanShutdownLogMatchesReplay)
     const Trace trace = writeHeavyTrace();
     const ExperimentConfig cfg = wtduConfig();
 
-    ReplayRig rig(trace, cfg, trace.numDisks());
-    rig.system.run();
-    ASSERT_NE(rig.system.wtduLog(), nullptr);
+    const auto rig = replayStack(trace, cfg, nullptr);
+    rig->run(trace);
+    ASSERT_NE(rig->system().wtduLog(), nullptr);
 
     ServeServer server = makeServer(trace, cfg, nullptr);
-    driveTrace(server, trace);
+    server.start();
+    server.submitTrace(trace);
     server.finish(trace.endTime());
 
     ASSERT_NE(server.shardWtduLog(0), nullptr);
-    expectSameLogImage(*server.shardWtduLog(0), *rig.system.wtduLog());
+    expectSameLogImage(*server.shardWtduLog(0), *rig->system().wtduLog());
 }
 
 TEST(ServeCrash, CrashAtShutdownFreezesLogIdenticallyToReplay)
@@ -175,13 +133,14 @@ TEST(ServeCrash, CrashAtShutdownFreezesLogIdenticallyToReplay)
     plan.surviveProb = 0.0;
 
     qa::CrashInjector replayInj(plan);
-    ReplayRig rig(trace, cfg, trace.numDisks(), &replayInj);
-    EXPECT_THROW(rig.system.run(), CrashException);
+    const auto rig = replayStack(trace, cfg, &replayInj);
+    EXPECT_THROW(rig->run(trace), CrashException);
     ASSERT_TRUE(replayInj.crashed());
 
     qa::CrashInjector serveInj(plan);
     ServeServer server = makeServer(trace, cfg, &serveInj);
-    driveTrace(server, trace);
+    server.start();
+    server.submitTrace(trace);
     EXPECT_THROW(server.finish(trace.endTime()), CrashException);
     ASSERT_TRUE(serveInj.crashed());
 
@@ -189,7 +148,7 @@ TEST(ServeCrash, CrashAtShutdownFreezesLogIdenticallyToReplay)
     // at one stripe they must be bit-identical, and recovery over
     // either must replay the same write sequence.
     const WtduLog *serveLog = server.shardWtduLog(0);
-    const WtduLog *replayLog = rig.system.wtduLog();
+    const WtduLog *replayLog = rig->system().wtduLog();
     ASSERT_NE(serveLog, nullptr);
     ASSERT_NE(replayLog, nullptr);
     expectSameLogImage(*serveLog, *replayLog);
@@ -207,8 +166,8 @@ TEST(ServeCrash, CrashAtShutdownDiffersFromCleanShutdown)
     const Trace trace = writeHeavyTrace(23);
     const ExperimentConfig cfg = wtduConfig();
 
-    ReplayRig clean(trace, cfg, trace.numDisks());
-    clean.system.run();
+    const auto clean = replayStack(trace, cfg, nullptr);
+    clean->run(trace);
 
     CrashPlan plan;
     plan.armed = true;
@@ -216,14 +175,14 @@ TEST(ServeCrash, CrashAtShutdownDiffersFromCleanShutdown)
     plan.occurrence = 0;
     plan.surviveProb = 0.0;
     qa::CrashInjector inj(plan);
-    ReplayRig crashed(trace, cfg, trace.numDisks(), &inj);
-    EXPECT_THROW(crashed.system.run(), CrashException);
+    const auto crashed = replayStack(trace, cfg, &inj);
+    EXPECT_THROW(crashed->run(trace), CrashException);
 
     // Whatever the trace shape, the crashed image can only carry at
     // least as many un-retired entries as the drained one; both
     // recover cleanly.
-    const WtduLog *a = crashed.system.wtduLog();
-    const WtduLog *b = clean.system.wtduLog();
+    const WtduLog *a = crashed->system().wtduLog();
+    const WtduLog *b = clean->system().wtduLog();
     std::size_t liveCrashed = 0, liveClean = 0;
     for (DiskId d = 0; d < a->numDisks(); ++d) {
         liveCrashed += a->recover(d).size();

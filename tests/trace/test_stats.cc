@@ -87,7 +87,8 @@ TEST(TraceStatsTest, StreamingOverloadMatchesMaterialized)
 
 TEST(TraceStatsTest, StreamingOverloadEmptySource)
 {
-    tracefmt::MemorySource src(Trace{});
+    const Trace empty;
+    tracefmt::MemorySource src(empty);
     const TraceStats s = characterize(src);
     EXPECT_EQ(s.requests, 0u);
     EXPECT_EQ(s.disks, 0u);

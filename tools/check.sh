@@ -2,7 +2,8 @@
 # Full pre-merge check: a Release build and an ASan+UBSan build, the
 # test suite under both, an observability smoke run whose output
 # files are validated by tools/check_obs_json.py, and a TSan build
-# exercising the parallel sweep runner.
+# exercising the parallel sweep runner and the sharded server (its
+# gtests, a multi-threaded smoke run and the replay differential).
 #
 # Test tiers (ctest labels): the Release build runs everything —
 # unit, property, integration, and fuzz-smoke (a short deterministic
@@ -247,11 +248,13 @@ cmake -B "$root/build-tsan" -S "$root" \
 cmake --build "$root/build-tsan" -j "$jobs" \
       --target pacache_tests pacache_fuzz pacache_serve
 
-step "TSan parallel sweep determinism"
+step "TSan parallel sweep and serve tests"
 # The work-stealing pool must produce byte-identical results at any
-# job count, with no data races while doing so.
+# job count, and the serve stripes (rings, stripe locks, per-stripe
+# SimStacks, crash-at-shutdown) must match replay, with no data races
+# while doing so.
 "$root/build-tsan/tests/pacache_tests" \
-    --gtest_filter='ThreadPool.*:SweepRunner.*'
+    --gtest_filter='ThreadPool.*:SweepRunner.*:ServeServer.*:ServeCrash.*:RequestRing.*'
 
 step "TSan fuzz campaign (threaded)"
 # The campaign driver shares the pool across batches; run it with
