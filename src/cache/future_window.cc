@@ -127,8 +127,11 @@ WindowedFuture::closeFd()
 void
 WindowedFuture::build(const std::string &pct_path)
 {
+    // No checksum pass: the replay source verifies the same file on
+    // open, and the backward pass decodes (and validates) every
+    // record anyway.
     tracefmt::PctReadOptions ropts;
-    ropts.verifyChecksum = opts.verifyChecksum;
+    ropts.verifyChecksum = false;
     tracefmt::PctMapping map(pct_path, ropts);
     const tracefmt::PctInfo &info = map.header();
     lastTime = info.endTime;

@@ -76,13 +76,6 @@ class WindowedFuture
          */
         bool pinTimes = true;
         /**
-         * Re-verify the .pct checksum while building. Off by
-         * default: the replay source already verified the same file
-         * on open, and the backward pass decodes (and validates)
-         * every record anyway.
-         */
-        bool verifyChecksum = false;
-        /**
          * Bound the pinned-times map. 0 = pin every in-flight index
          * (exact but O(unique blocks) memory, the historical
          * behavior). > 0 = pin only indices within a budget-derived

@@ -8,18 +8,17 @@
 namespace pacache
 {
 
-template <typename F, typename Store>
-BasicOpgPolicy<F, Store>::BasicOpgPolicy(const PowerModel &pm_,
-                                         DpmKind kind, Energy theta_,
-                                         std::size_t mem_budget)
+template <typename F>
+BasicOpgPolicy<F>::BasicOpgPolicy(const PowerModel &pm_, DpmKind kind,
+                                  Energy theta_, std::size_t mem_budget)
     : pm(&pm_), dpmKind(kind), theta(theta_), memBudget(mem_budget)
 {
     PACACHE_ASSERT(theta >= 0, "theta must be non-negative");
 }
 
-template <typename F, typename Store>
+template <typename F>
 void
-BasicOpgPolicy<F, Store>::finishPrepare(
+BasicOpgPolicy<F>::finishPrepare(
     std::size_t num_disks, Time last,
     const std::vector<std::pair<DiskId, std::size_t>> &cold)
 {
@@ -32,23 +31,20 @@ BasicOpgPolicy<F, Store>::finishPrepare(
     // the scan once instead of re-running it per gap endpoint.
     eBig = idleEnergy(bigTime);
 
-    if constexpr (Store::kSpilled) {
-        // Spillable sets hold pool-registered pages: destroy them
-        // against the old pool before replacing it, then attach the
-        // fresh ones (moves only happen while empty and unattached,
-        // so the resize from empty is safe).
-        detMiss.clear();
-        residentByNext.clear();
-        spillPool = std::make_unique<SpillPool>(memBudget);
-        detMiss.resize(num_disks);
-        residentByNext.resize(num_disks);
+    // Sets attached to the old pool return their pages before it
+    // goes; the fresh sets start empty, so resizing never moves an
+    // attached one.
+    detMiss.clear();
+    residentByNext.clear();
+    spillPool = memBudget > 0 ? std::make_unique<SpillPool>(memBudget)
+                              : nullptr;
+    detMiss.resize(num_disks);
+    residentByNext.resize(num_disks);
+    if (spillPool) {
         for (auto &s : detMiss)
             s.attach(*spillPool);
         for (auto &s : residentByNext)
             s.attach(*spillPool);
-    } else {
-        detMiss.assign(num_disks, {});
-        residentByNext.assign(num_disks, {});
     }
     handleOf.clear();
     evictOrder.clear();
@@ -59,16 +55,15 @@ BasicOpgPolicy<F, Store>::finishPrepare(
     ready = true;
 }
 
-template <typename F, typename Store>
+template <typename F>
 void
-BasicOpgPolicy<F, Store>::prepare(const std::vector<BlockAccess> &accs)
+BasicOpgPolicy<F>::prepare(const std::vector<BlockAccess> &accs)
 {
     if constexpr (F::kStreaming) {
         (void)accs;
         PACACHE_FATAL("windowed OPG cannot materialize an access "
                       "stream; feed it via prepareWindowed()");
     } else {
-        accesses = &accs;
         future = F::build(accs);
 
         // One pass over the 40-byte records: disk count, trace end,
@@ -91,9 +86,9 @@ BasicOpgPolicy<F, Store>::prepare(const std::vector<BlockAccess> &accs)
     }
 }
 
-template <typename F, typename Store>
+template <typename F>
 void
-BasicOpgPolicy<F, Store>::prepareWindowed(F &&fut)
+BasicOpgPolicy<F>::prepareWindowed(F &&fut)
 {
     if constexpr (!F::kStreaming) {
         (void)fut;
@@ -103,7 +98,6 @@ BasicOpgPolicy<F, Store>::prepareWindowed(F &&fut)
         PACACHE_ASSERT(fut.built(),
                        "prepareWindowed requires a built future");
         future = std::move(fut);
-        accesses = nullptr;
         std::vector<std::pair<DiskId, std::size_t>> cold;
         cold.reserve(future.coldSeeds().size());
         for (const auto &seed : future.coldSeeds())
@@ -112,9 +106,9 @@ BasicOpgPolicy<F, Store>::prepareWindowed(F &&fut)
     }
 }
 
-template <typename F, typename Store>
+template <typename F>
 Energy
-BasicOpgPolicy<F, Store>::computePenalty(DiskId disk,
+BasicOpgPolicy<F>::computePenalty(DiskId disk,
                                   std::size_t next_idx) const
 {
     if (next_idx == F::kNever)
@@ -136,9 +130,9 @@ BasicOpgPolicy<F, Store>::computePenalty(DiskId disk,
     return std::max<Energy>(penalty, 0.0);
 }
 
-template <typename F, typename Store>
+template <typename F>
 void
-BasicOpgPolicy<F, Store>::insertResident(const BlockId &block,
+BasicOpgPolicy<F>::insertResident(const BlockId &block,
                                   std::size_t next_idx)
 {
     const Energy penalty =
@@ -154,9 +148,9 @@ BasicOpgPolicy<F, Store>::insertResident(const BlockId &block,
     }
 }
 
-template <typename F, typename Store>
-typename BasicOpgPolicy<F, Store>::EvictKey
-BasicOpgPolicy<F, Store>::eraseResident(const BlockId &block)
+template <typename F>
+typename BasicOpgPolicy<F>::EvictKey
+BasicOpgPolicy<F>::eraseResident(const BlockId &block)
 {
     Handle *hp = handleOf.find(block.packed());
     PACACHE_ASSERT(hp, "OPG removal of unknown block");
@@ -172,9 +166,9 @@ BasicOpgPolicy<F, Store>::eraseResident(const BlockId &block)
     return key;
 }
 
-template <typename F, typename Store>
+template <typename F>
 void
-BasicOpgPolicy<F, Store>::repriceGap(DiskId disk, std::size_t lo, bool has_lo,
+BasicOpgPolicy<F>::repriceGap(DiskId disk, std::size_t lo, bool has_lo,
                               std::size_t hi, bool has_hi)
 {
     // Every resident with next access inside (lo, hi) shares the same
@@ -207,11 +201,11 @@ BasicOpgPolicy<F, Store>::repriceGap(DiskId disk, std::size_t lo, bool has_lo,
         });
 }
 
-template <typename F, typename Store>
+template <typename F>
 void
-BasicOpgPolicy<F, Store>::detInsert(DiskId disk, std::size_t idx)
+BasicOpgPolicy<F>::detInsert(DiskId disk, std::size_t idx)
 {
-    typename Store::DetSet::Neighbors nb;
+    typename DetSet::Neighbors nb;
     const bool fresh = detMiss[disk].insertWithNeighbors(idx, nb);
     PACACHE_ASSERT(fresh, "duplicate deterministic miss");
     // idx split its gap in two: residents below idx now follow it,
@@ -220,11 +214,11 @@ BasicOpgPolicy<F, Store>::detInsert(DiskId disk, std::size_t idx)
     repriceGap(disk, idx, true, nb.hasSucc ? nb.succ : 0, nb.hasSucc);
 }
 
-template <typename F, typename Store>
+template <typename F>
 void
-BasicOpgPolicy<F, Store>::detErase(DiskId disk, std::size_t idx)
+BasicOpgPolicy<F>::detErase(DiskId disk, std::size_t idx)
 {
-    typename Store::DetSet::Neighbors nb;
+    typename DetSet::Neighbors nb;
     const bool was = detMiss[disk].eraseWithNeighbors(idx, nb);
     PACACHE_ASSERT(was, "miss not in deterministic-miss set");
     // idx's two gaps merged into one spanning (pred, succ).
@@ -232,9 +226,9 @@ BasicOpgPolicy<F, Store>::detErase(DiskId disk, std::size_t idx)
                nb.hasSucc ? nb.succ : 0, nb.hasSucc);
 }
 
-template <typename F, typename Store>
+template <typename F>
 void
-BasicOpgPolicy<F, Store>::beforeMiss(const BlockId &block, Time,
+BasicOpgPolicy<F>::beforeMiss(const BlockId &block, Time,
                               std::size_t idx)
 {
     // The access happening now is, by definition, a deterministic
@@ -242,9 +236,9 @@ BasicOpgPolicy<F, Store>::beforeMiss(const BlockId &block, Time,
     detErase(block.disk, idx);
 }
 
-template <typename F, typename Store>
+template <typename F>
 void
-BasicOpgPolicy<F, Store>::onAccess(const BlockId &block, Time,
+BasicOpgPolicy<F>::onAccess(const BlockId &block, Time,
                             std::size_t idx, bool hit)
 {
     PACACHE_ASSERT(ready, "OPG requires prepare() before use");
@@ -272,9 +266,9 @@ BasicOpgPolicy<F, Store>::onAccess(const BlockId &block, Time,
     }
 }
 
-template <typename F, typename Store>
+template <typename F>
 void
-BasicOpgPolicy<F, Store>::onRemove(const BlockId &block)
+BasicOpgPolicy<F>::onRemove(const BlockId &block)
 {
     // External removal behaves like an eviction: the block's next
     // reference becomes a deterministic miss.
@@ -283,9 +277,9 @@ BasicOpgPolicy<F, Store>::onRemove(const BlockId &block)
         detInsert(block.disk, key.nextIdx);
 }
 
-template <typename F, typename Store>
+template <typename F>
 BlockId
-BasicOpgPolicy<F, Store>::evict(Time, std::size_t)
+BasicOpgPolicy<F>::evict(Time, std::size_t)
 {
     PACACHE_ASSERT(!evictOrder.empty(), "OPG evict on empty cache");
     // The victim is the heap top: no handle lookup needed, and pop()
@@ -306,25 +300,25 @@ BasicOpgPolicy<F, Store>::evict(Time, std::size_t)
     return victim;
 }
 
-template <typename F, typename Store>
+template <typename F>
 Energy
-BasicOpgPolicy<F, Store>::penaltyOf(const BlockId &block) const
+BasicOpgPolicy<F>::penaltyOf(const BlockId &block) const
 {
     const Handle *hp = handleOf.find(block.packed());
     PACACHE_ASSERT(hp, "penaltyOf unknown block");
     return evictOrder.key(*hp).penalty;
 }
 
-template <typename F, typename Store>
+template <typename F>
 std::size_t
-BasicOpgPolicy<F, Store>::deterministicMissCount(DiskId disk) const
+BasicOpgPolicy<F>::deterministicMissCount(DiskId disk) const
 {
     return disk < detMiss.size() ? detMiss[disk].size() : 0;
 }
 
-template <typename F, typename Store>
+template <typename F>
 void
-BasicOpgPolicy<F, Store>::validateInternalState(bool full) const
+BasicOpgPolicy<F>::validateInternalState(bool full) const
 {
     // Cheap size-drift invariants, always on.
     PACACHE_ASSERT(evictOrder.size() == handleOf.size(),
@@ -368,7 +362,5 @@ BasicOpgPolicy<F, Store>::validateInternalState(bool full) const
 
 template class BasicOpgPolicy<FutureKnowledge>;
 template class BasicOpgPolicy<WindowedFuture>;
-template class BasicOpgPolicy<FutureKnowledge, SpilledOracleStore>;
-template class BasicOpgPolicy<WindowedFuture, SpilledOracleStore>;
 
 } // namespace pacache

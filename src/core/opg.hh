@@ -54,15 +54,13 @@
  * resolution differs, and the windowed provider's pinned-times
  * discipline guarantees every index OPG queries is resident.
  *
- * A second template axis, Store, picks where the oracle's ordered
- * state lives. InMemoryOracleStore (the default) keeps the per-disk
- * deterministic-miss sets and next-use indexes in plain OrderedSets
- * — O(unique blocks) RAM, the historical behavior. SpilledOracleStore
- * swaps both for SpillableOrderedSets sharing one SpillPool sized by
- * the constructor's mem_budget: pages beyond the budget overflow to
- * an unlinked spill file and fault back on touch. Spilling moves
- * bytes, never values, so every instantiation replays bit-identically
- * — evictions, counters, and energy all match the in-memory oracle.
+ * The per-disk sets and indexes live in RAM unless the constructor's
+ * mem_budget is non-zero: then they all attach to one SpillPool of
+ * that many bytes, and chunks beyond the budget overflow to an
+ * unlinked spill file and fault back on touch (util/ordered_set.hh).
+ * Spilling moves bytes, never values, so a budgeted replay is
+ * bit-identical to an unbudgeted one — evictions, counters, and
+ * energy all match.
  */
 
 #ifndef PACACHE_CORE_OPG_HH
@@ -79,7 +77,6 @@
 #include "util/indexed_heap.hh"
 #include "util/ordered_set.hh"
 #include "util/spill_pool.hh"
-#include "util/spill_set.hh"
 
 namespace pacache
 {
@@ -91,26 +88,8 @@ enum class DpmKind
     Practical, //!< threshold-based DPM energy
 };
 
-/** Oracle state in plain OrderedSets (O(unique blocks) RAM). */
-struct InMemoryOracleStore
-{
-    static constexpr bool kSpilled = false;
-    using DetSet = OrderedSet<std::size_t>;
-    template <typename V>
-    using Map = OrderedSet<std::size_t, V>;
-};
-
-/** Oracle state in SpillableOrderedSets under one SpillPool. */
-struct SpilledOracleStore
-{
-    static constexpr bool kSpilled = true;
-    using DetSet = SpillableOrderedSet<std::size_t>;
-    template <typename V>
-    using Map = SpillableOrderedSet<std::size_t, V>;
-};
-
 /** The off-line power-aware greedy policy over future provider F. */
-template <typename F, typename Store = InMemoryOracleStore>
+template <typename F>
 class BasicOpgPolicy : public ReplacementPolicy
 {
   public:
@@ -119,8 +98,7 @@ class BasicOpgPolicy : public ReplacementPolicy
      * @param kind        which DPM the disks run (prices E)
      * @param theta       penalty floor in Joules (0 = pure OPG)
      * @param mem_budget  SpillPool budget in bytes for the oracle's
-     *                    ordered state (SpilledOracleStore only;
-     *                    ignored by the in-memory store)
+     *                    ordered state (0 = keep it all in RAM)
      */
     BasicOpgPolicy(const PowerModel &pm, DpmKind kind,
                    Energy theta = 0, std::size_t mem_budget = 0);
@@ -196,6 +174,7 @@ class BasicOpgPolicy : public ReplacementPolicy
 
     using EvictHeap = IndexedHeap<EvictKey>;
     using Handle = typename EvictHeap::Handle;
+    using DetSet = OrderedSet<std::size_t>;
 
     Energy
     idleEnergy(Time t) const
@@ -226,23 +205,22 @@ class BasicOpgPolicy : public ReplacementPolicy
     const PowerModel *pm;
     DpmKind dpmKind;
     Energy theta;
-    std::size_t memBudget; //!< SpillPool bytes (spilled store only)
+    std::size_t memBudget; //!< SpillPool bytes (0 = no pool)
 
-    const std::vector<BlockAccess> *accesses = nullptr;
     F future;
     bool ready = false;
     Time bigTime = 0;  //!< stands in for "no leader/follower"
     Energy eBig = 0;   //!< cached idleEnergy(bigTime)
 
     /**
-     * Declared before the spillable containers: members destruct in
-     * reverse order, so the sets (whose destructors return pages and
-     * slots to the pool) must go first.
+     * Declared before the sets: members destruct in reverse order, so
+     * attached sets (whose destructors return pages and slots to the
+     * pool) go first. Null when memBudget is 0.
      */
     std::unique_ptr<SpillPool> spillPool;
-    std::vector<typename Store::DetSet> detMiss; //!< per-disk S
+    std::vector<DetSet> detMiss; //!< per-disk S
     /** Per disk: finite next-access index -> victim-heap handle. */
-    std::vector<typename Store::template Map<Handle>> residentByNext;
+    std::vector<OrderedSet<std::size_t, Handle>> residentByNext;
     /** Packed 64-bit keys: 16-byte slots, one-word hash per probe. */
     FlatMap<std::uint64_t, Handle> handleOf;
     EvictHeap evictOrder;
@@ -253,21 +231,11 @@ class BasicOpgPolicy : public ReplacementPolicy
 // had (micro_opg's 2.5x floor is sensitive to this).
 extern template class BasicOpgPolicy<FutureKnowledge>;
 extern template class BasicOpgPolicy<WindowedFuture>;
-extern template class BasicOpgPolicy<FutureKnowledge,
-                                     SpilledOracleStore>;
-extern template class BasicOpgPolicy<WindowedFuture,
-                                     SpilledOracleStore>;
 
 /** The classic materialized oracle. */
 using OpgPolicy = BasicOpgPolicy<FutureKnowledge>;
 /** The exact out-of-core oracle (streaming replay only). */
 using WindowedOpgPolicy = BasicOpgPolicy<WindowedFuture>;
-/** The materialized oracle with budgeted (spillable) state. */
-using SpilledOpgPolicy =
-    BasicOpgPolicy<FutureKnowledge, SpilledOracleStore>;
-/** The out-of-core oracle with budgeted (spillable) state. */
-using SpilledWindowedOpgPolicy =
-    BasicOpgPolicy<WindowedFuture, SpilledOracleStore>;
 
 } // namespace pacache
 

@@ -62,19 +62,14 @@ makeWindowedPolicy(const ExperimentConfig &config, const PowerModel &pm,
     // policy's SpillPool (max() keeps a 1-byte budget — the fuzzer's
     // "tightest possible" probe — in budgeted mode).
     const std::size_t budget = config.oracleMemBudget;
-    if (wopts.pinTimes && budget > 0)
-        wopts.pinnedBudgetBytes = std::max<std::size_t>(budget / 2, 1);
+    const std::size_t half =
+        budget > 0 ? std::max<std::size_t>(budget / 2, 1) : 0;
+    if (wopts.pinTimes)
+        wopts.pinnedBudgetBytes = half;
     WindowedFuture fut(windowed.pctPath, wopts);
     if (config.policy == PolicyKind::OPG) {
-        if (budget > 0) {
-            auto opg = std::make_unique<SpilledWindowedOpgPolicy>(
-                pm, opgPricing(config), opgThetaOf(config, pm),
-                std::max<std::size_t>(budget / 2, 1));
-            opg->prepareWindowed(std::move(fut));
-            return opg;
-        }
         auto opg = std::make_unique<WindowedOpgPolicy>(
-            pm, opgPricing(config), opgThetaOf(config, pm));
+            pm, opgPricing(config), opgThetaOf(config, pm), half);
         opg->prepareWindowed(std::move(fut));
         return opg;
     }
@@ -111,11 +106,8 @@ makeReplacementPolicy(const ExperimentConfig &cfg, const PowerModel &pm,
       case PolicyKind::Belady:
         return std::make_unique<BeladyPolicy>();
       case PolicyKind::OPG:
-        if (cfg.oracleMemBudget > 0) {
-            return std::make_unique<SpilledOpgPolicy>(
-                pm, pricing, theta, cfg.oracleMemBudget);
-        }
-        return std::make_unique<OpgPolicy>(pm, pricing, theta);
+        return std::make_unique<OpgPolicy>(pm, pricing, theta,
+                                           cfg.oracleMemBudget);
       case PolicyKind::PALRU:
         PACACHE_ASSERT(classifier, "PA-LRU needs a classifier");
         return std::make_unique<PaLruPolicy>(*classifier);

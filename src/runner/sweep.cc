@@ -1,6 +1,9 @@
 #include "runner/sweep.hh"
 
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "obs/metrics.hh"
@@ -109,6 +112,21 @@ stringAxis(const JsonValue &v, const char *key)
     return out;
 }
 
+/**
+ * A JSON number that must be a whole count in [0, max]; casting a
+ * negative, fractional or oversized double to size_t instead would
+ * be undefined or silently wrong.
+ */
+std::size_t
+countValue(const JsonValue &v, const char *key, std::uint64_t max)
+{
+    const double d = v.asNumber();
+    if (!(d >= 0 && d <= static_cast<double>(max)) || d != std::floor(d))
+        PACACHE_FATAL("sweep key '", key, "' expects an integer in [0, ",
+                      max, "], got ", d);
+    return static_cast<std::size_t>(d);
+}
+
 Trace
 buildWorkload(const std::string &name, double duration)
 {
@@ -158,9 +176,10 @@ SweepSpec::fromJson(const JsonValue &doc)
                 spec.policies.push_back(parsePolicyKind(s));
         } else if (key == "cache_blocks") {
             spec.cacheBlocks.clear();
+            // 2^53: the largest count a JSON double holds exactly.
             for (const JsonValue &item : value.asArray())
-                spec.cacheBlocks.push_back(
-                    static_cast<std::size_t>(item.asNumber()));
+                spec.cacheBlocks.push_back(countValue(
+                    item, "cache_blocks", std::uint64_t{1} << 53));
             PACACHE_ASSERT(!spec.cacheBlocks.empty(),
                            "sweep axis 'cache_blocks' is empty");
         } else if (key == "dpms") {
@@ -175,8 +194,10 @@ SweepSpec::fromJson(const JsonValue &doc)
         } else if (key == "duration") {
             spec.duration = value.asNumber();
         } else if (key == "oracle_mem_budget_mb") {
+            // Capped so the MiB-to-byte shift cannot wrap.
             spec.oracleMemBudgetMb =
-                static_cast<std::size_t>(value.asNumber());
+                countValue(value, "oracle_mem_budget_mb",
+                           std::numeric_limits<std::size_t>::max() >> 20);
         } else {
             PACACHE_FATAL("unknown sweep spec key '", key, "'");
         }

@@ -34,9 +34,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/logging.hh"
 
 namespace pacache
 {
@@ -106,6 +109,10 @@ class FlatMap
     void
     reserve(std::size_t n)
     {
+        // Beyond this, n * 8 or the doubling below would wrap and
+        // the loop would never end.
+        PACACHE_ASSERT(n <= std::numeric_limits<std::size_t>::max() / 64,
+                       "FlatMap cannot reserve ", n, " elements");
         std::size_t want = kMinCapacity;
         // Grow until n fits under the load limit.
         while (want * 7 < n * 8)

@@ -2,7 +2,8 @@
  * @file
  * OrderedSet — a chunked sorted-vector ordered set/map for the
  * off-line oracle hot paths (OPG's deterministic-miss sets and its
- * resident-by-next-access index).
+ * resident-by-next-access index), with an optional spill tier that
+ * bounds its resident footprint.
  *
  * Oracle replay hammers these containers with three queries:
  * predecessor/successor around a probe key (gap pricing), ordered
@@ -24,10 +25,32 @@
  *
  * The optional Mapped parameter turns the set into an ordered map
  * with a parallel value array per chunk (used for next-index → heap
- * handle); Mapped = void stores no values. Values should be cheap to
- * move: erase may leave a moved-from copy in the dead prefix until
- * the chunk compacts. Keys must be less-comparable and are kept
- * unique.
+ * handle); Mapped = void stores no values. Keys must be
+ * less-comparable and are kept unique; keys and values must be
+ * trivially copyable (spilled chunks are memcpy'd through pool
+ * slots).
+ *
+ * Spill tier. A set lives purely in RAM until attach(pool). From then
+ * on each chunk is one page of a shared SpillPool: when the pool's
+ * byte budget overflows, the pool asks the set to spill its coldest
+ * chunks, whose live keys (and values) are written to a fixed-size
+ * slot of the pool's unlinked spill file and whose arrays go to a
+ * spare list; the next touch reads them back with one pread. The
+ * chunk maxima stay resident and a spilled chunk keeps its minimum
+ * in its header, so the locate, cross-chunk neighbors() answers, and
+ * the range-scan cut-off never fault a neighbor in. Spilling moves
+ * bytes, never values: an attached set answers every query exactly
+ * as an unattached one would. The spill bookkeeping (pool token,
+ * slot, dirty bit, minimum) sits in the chunk itself and is only read
+ * when a pool is attached, so the unattached path keeps its direct
+ * chunks[ci] layout.
+ *
+ * Attached-set contract: query methods stay const but may fault
+ * chunks in (and, through the pool, push other chunks out); a pointer
+ * returned by find() is valid only until the next operation on any
+ * container sharing the pool; range visitors must not mutate
+ * pool-sharing containers; the pool must outlive the set, and an
+ * attached set must not move (the pool holds its address).
  */
 
 #ifndef PACACHE_UTIL_ORDERED_SET_HH
@@ -35,11 +58,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "util/logging.hh"
+#include "util/spill_pool.hh"
 
 namespace pacache
 {
@@ -54,11 +80,14 @@ struct NoMapped
 
 /** Chunked sorted-vector ordered set/map; see the file comment. */
 template <typename Key, typename Mapped = void>
-class OrderedSet
+class OrderedSet final : public SpillClient
 {
     static constexpr bool kHasMapped = !std::is_void_v<Mapped>;
     using Value =
         std::conditional_t<kHasMapped, Mapped, detail::NoMapped>;
+    static_assert(std::is_trivially_copyable_v<Key> &&
+                      std::is_trivially_copyable_v<Value>,
+                  "spilled chunks are memcpy'd through pool slots");
 
   public:
     /** Predecessor/successor/membership answered by one locate. */
@@ -71,12 +100,48 @@ class OrderedSet
         Key succ{}; //!< smallest key > probe (valid if hasSucc)
     };
 
+    OrderedSet() = default;
+
+    ~OrderedSet() override
+    {
+        if (pool)
+            clear();
+    }
+
+    OrderedSet(const OrderedSet &) = delete;
+    OrderedSet &operator=(const OrderedSet &) = delete;
+
+    /** Only unattached sets move (vector growth during setup). */
+    OrderedSet(OrderedSet &&other) noexcept
+        : chunks(std::move(other.chunks)),
+          maxes(std::move(other.maxes)),
+          count(std::exchange(other.count, 0))
+    {
+        PACACHE_ASSERT(other.pool == nullptr,
+                       "cannot move an attached OrderedSet");
+    }
+
+    /** Page this (empty) set's chunks through @p p from now on. */
+    void
+    attach(SpillPool &p)
+    {
+        PACACHE_ASSERT(count == 0, "attach of a populated OrderedSet");
+        pool = &p;
+    }
+
     std::size_t size() const { return count; }
     bool empty() const { return count == 0; }
+    /** Spilled chunks read back so far (attached sets only). */
+    std::uint64_t faults() const { return faulted; }
 
+    /** Drop all elements; an attached set returns its pages and slots. */
     void
     clear()
     {
+        if (pool) {
+            for (const Chunk &c : chunks)
+                returnToPool(c);
+        }
         chunks.clear();
         maxes.clear();
         count = 0;
@@ -105,6 +170,7 @@ class OrderedSet
         const std::size_t ci = chunkFor(k);
         if (ci == chunks.size())
             return false;
+        makeResident(ci);
         Chunk &c = chunks[ci];
         const std::size_t pos = lowerBound(c, k);
         if (pos == c.keys.size() || c.keys[pos] != k)
@@ -127,10 +193,11 @@ class OrderedSet
         if (ci == chunks.size()) {
             if (!chunks.empty()) {
                 nb.hasPred = true;
-                nb.pred = chunks.back().keys.back();
+                nb.pred = maxes.back();
             }
             return false;
         }
+        makeResident(ci);
         const std::size_t pos = fillNeighbors(ci, k, nb);
         if (!nb.present)
             return false;
@@ -156,11 +223,13 @@ class OrderedSet
         std::size_t ci = chunkFor(k);
         if (ci == chunks.size()) {
             nb.hasPred = true;
-            nb.pred = chunks.back().keys.back();
+            nb.pred = maxes.back();
             --ci; // k beyond every chunk: append into the last one
+            makeResident(ci);
             insertAt(ci, chunks[ci].keys.size(), k, Value{});
             return true;
         }
+        makeResident(ci);
         const std::size_t pos = fillNeighbors(ci, k, nb);
         if (nb.present)
             return false;
@@ -174,6 +243,7 @@ class OrderedSet
         const std::size_t ci = chunkFor(k);
         if (ci == chunks.size())
             return false;
+        makeResident(ci);
         const Chunk &c = chunks[ci];
         const std::size_t pos = lowerBound(c, k);
         return pos < c.keys.size() && c.keys[pos] == k;
@@ -187,6 +257,7 @@ class OrderedSet
         const std::size_t ci = chunkFor(k);
         if (ci == chunks.size())
             return nullptr;
+        makeResident(ci);
         const Chunk &c = chunks[ci];
         const std::size_t pos = lowerBound(c, k);
         if (pos == c.keys.size() || c.keys[pos] != k)
@@ -206,6 +277,7 @@ class OrderedSet
         const std::size_t ci = chunkFor(k);
         if (ci == chunks.size())
             return false;
+        makeResident(ci);
         Chunk &c = chunks[ci];
         const std::size_t pos = lowerBound(c, k);
         if (pos == c.keys.size() || c.keys[pos] != k)
@@ -213,26 +285,6 @@ class OrderedSet
         out = std::move(c.vals[pos]);
         eraseAt(ci, pos);
         return true;
-    }
-
-    /** Largest key strictly less than @p k. */
-    bool
-    predecessor(const Key &k, Key &out) const
-    {
-        const Neighbors nb = neighbors(k);
-        if (nb.hasPred)
-            out = nb.pred;
-        return nb.hasPred;
-    }
-
-    /** Smallest key strictly greater than @p k. */
-    bool
-    successor(const Key &k, Key &out) const
-    {
-        const Neighbors nb = neighbors(k);
-        if (nb.hasSucc)
-            out = nb.succ;
-        return nb.hasSucc;
     }
 
     /** Predecessor, successor, and membership of @p k in one locate. */
@@ -245,9 +297,10 @@ class OrderedSet
         const std::size_t ci = chunkFor(k);
         if (ci == chunks.size()) {
             nb.hasPred = true;
-            nb.pred = chunks.back().keys.back();
+            nb.pred = maxes.back();
             return nb;
         }
+        makeResident(ci);
         fillNeighbors(ci, k, nb);
         return nb;
     }
@@ -265,6 +318,11 @@ class OrderedSet
         std::size_t ci = firstChunkAbove(lo);
         for (bool leading = true; ci < chunks.size(); ++ci,
                                   leading = false) {
+            // Chunk ranges ascend: a spilled chunk starting at or
+            // past hi ends the scan without being faulted in.
+            if (pool && !(lowest(chunks[ci]) < hi))
+                return;
+            makeResident(ci);
             const Chunk &c = chunks[ci];
             std::size_t pos = leading ? upperBound(c, lo) : c.start;
             for (; pos < c.keys.size(); ++pos) {
@@ -283,7 +341,9 @@ class OrderedSet
     void
     forEach(Fn &&fn) const
     {
-        for (const Chunk &c : chunks) {
+        for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
+            makeResident(ci);
+            const Chunk &c = chunks[ci];
             for (std::size_t pos = c.start; pos < c.keys.size();
                  ++pos) {
                 if constexpr (kHasMapped)
@@ -296,7 +356,8 @@ class OrderedSet
 
     /**
      * Test hook: verify chunk sortedness, inter-chunk ordering,
-     * parallel-array sizes, and the element count; panics on drift.
+     * parallel-array sizes, and the element count (faulting every
+     * chunk in); panics on drift.
      */
     void
     checkInvariants() const
@@ -305,7 +366,10 @@ class OrderedSet
         PACACHE_ASSERT(maxes.size() == chunks.size(),
                        "OrderedSet maxes array drift");
         for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
+            makeResident(ci);
             const Chunk &c = chunks[ci];
+            PACACHE_ASSERT(!pool || c.token != SpillPool::kNoToken,
+                           "OrderedSet chunk not resident after fault");
             PACACHE_ASSERT(c.start < c.keys.size(),
                            "empty OrderedSet chunk");
             PACACHE_ASSERT(c.start < kSplit,
@@ -320,28 +384,72 @@ class OrderedSet
             for (std::size_t i = c.start + 1; i < c.keys.size(); ++i)
                 PACACHE_ASSERT(c.keys[i - 1] < c.keys[i],
                                "OrderedSet chunk not strictly sorted");
+            // maxes, not the previous chunk: faulting this one in may
+            // have spilled it.
             if (ci > 0)
-                PACACHE_ASSERT(chunks[ci - 1].keys.back() < c.front(),
+                PACACHE_ASSERT(maxes[ci - 1] < c.front(),
                                "OrderedSet chunks out of order");
             seen += c.keys.size() - c.start;
         }
         PACACHE_ASSERT(seen == count, "OrderedSet count drift");
     }
 
+    /** SpillPool callback: write chunk @p page out, recycle its arrays. */
+    void
+    spillPage(std::uint32_t page) override
+    {
+        Chunk &c = chunks[page];
+        PACACHE_ASSERT(c.token != SpillPool::kNoToken,
+                       "spill of a non-resident OrderedSet chunk");
+        if (c.dirty || c.slot == SpillPool::kNoSlot) {
+            if (c.slot == SpillPool::kNoSlot)
+                c.slot = pool->allocSlot(slotBytes());
+            writeSlot(c);
+            c.dirty = false;
+        }
+        c.minKey = c.front();
+        c.start = 0;
+        c.token = SpillPool::kNoToken;
+        recycle(c);
+    }
+
   private:
     /** Chunk split threshold; 256 keys = 2 KiB of size_t per chunk. */
     static constexpr std::size_t kSplit = 256;
+    static constexpr std::size_t kValBytes =
+        kHasMapped ? sizeof(Value) : 0;
 
     struct Chunk
     {
-        std::vector<Key> keys; //!< sorted, unique in [start, size())
+        /** Sorted, unique in [start, size()); empty while spilled. */
+        std::vector<Key> keys;
         [[no_unique_address]] std::conditional_t<
             kHasMapped, std::vector<Value>, detail::NoMapped>
             vals;
         std::size_t start = 0; //!< dead-prefix length
 
+        // Spill tier, touched only while a pool is attached.
+        bool dirty = false; //!< resident keys differ from the slot
+        std::uint32_t token = SpillPool::kNoToken; //!< set if resident
+        std::uint64_t slot = SpillPool::kNoSlot; //!< spill-file copy
+        Key minKey{}; //!< lowest live key, kept while spilled
+
         const Key &front() const { return keys[start]; }
     };
+
+    /** Resident cost charged to the pool budget per chunk. */
+    static constexpr std::size_t
+    chunkBytes()
+    {
+        return kSplit * (sizeof(Key) + kValBytes) + sizeof(Chunk);
+    }
+
+    /** Fixed spill-slot size: live-count header + full arrays. */
+    static constexpr std::size_t
+    slotBytes()
+    {
+        return sizeof(std::uint64_t) + kSplit * (sizeof(Key) + kValBytes);
+    }
 
     /**
      * Branchless binary search: each step halves the range with a
@@ -385,6 +493,13 @@ class OrderedSet
             base);
     }
 
+    /** Lowest live key of a chunk, resident or spilled. */
+    static const Key &
+    lowest(const Chunk &c)
+    {
+        return c.keys.empty() ? c.minKey : c.front();
+    }
+
     /** Drop the dead prefix; amortized O(1) per front erase. */
     static void
     compact(Chunk &c)
@@ -417,6 +532,97 @@ class OrderedSet
             maxes.data());
     }
 
+    /**
+     * Make chunk @p ci resident before it is read or written; a no-op
+     * unless attached. Queries are logically const, so the fault's
+     * physical mutation casts constness away here, in one place.
+     */
+    void
+    makeResident(std::size_t ci) const
+    {
+        if (pool)
+            const_cast<OrderedSet *>(this)->touchOrFault(ci);
+    }
+
+    /** Refresh a resident chunk's recency, or read a spilled one back. */
+    void
+    touchOrFault(std::size_t ci)
+    {
+        Chunk &c = chunks[ci];
+        if (c.token != SpillPool::kNoToken) {
+            pool->touch(c.token);
+            return;
+        }
+        readSlot(c);
+        c.dirty = false;
+        ++faulted;
+        enroll(ci);
+    }
+
+    /**
+     * Register resident chunk @p ci with the pool. It is added pinned
+     * so the enforcement sweep inside add() spills other pages, never
+     * the one being handed out; it becomes evictable at the next add.
+     */
+    void
+    enroll(std::size_t ci)
+    {
+        Chunk &c = chunks[ci];
+        c.token = pool->add(this, static_cast<std::uint32_t>(ci),
+                            chunkBytes(), true);
+        pool->unpin(c.token);
+    }
+
+    /** Return a chunk's pool page and spill slot (it is being dropped). */
+    void
+    returnToPool(const Chunk &c)
+    {
+        if (c.token != SpillPool::kNoToken)
+            pool->remove(c.token);
+        if (c.slot != SpillPool::kNoSlot)
+            pool->freeSlot(c.slot, slotBytes());
+    }
+
+    /** Move a chunk's (emptied) arrays to the spare list. */
+    void
+    recycle(Chunk &c)
+    {
+        c.keys.clear();
+        if constexpr (kHasMapped)
+            c.vals.clear();
+        spares.emplace_back();
+        std::swap(spares.back().keys, c.keys);
+        if constexpr (kHasMapped)
+            std::swap(spares.back().vals, c.vals);
+    }
+
+    /** Give an array-less chunk recycled (or full-size) arrays. */
+    void
+    reuse(Chunk &c)
+    {
+        if (spares.empty()) {
+            c.keys.reserve(kSplit + 1);
+            if constexpr (kHasMapped)
+                c.vals.reserve(kSplit + 1);
+            return;
+        }
+        std::swap(spares.back().keys, c.keys);
+        if constexpr (kHasMapped)
+            std::swap(spares.back().vals, c.vals);
+        spares.pop_back();
+    }
+
+    /** Keep the pool's page ids equal to chunk indexes from @p first. */
+    void
+    renumberFrom(std::size_t first)
+    {
+        for (std::size_t ci = first; ci < chunks.size(); ++ci) {
+            if (chunks[ci].token != SpillPool::kNoToken)
+                pool->renumber(chunks[ci].token,
+                               static_cast<std::uint32_t>(ci));
+        }
+    }
+
     bool
     insertImpl(const Key &k, Value v)
     {
@@ -427,6 +633,8 @@ class OrderedSet
                 chunks.back().vals.push_back(std::move(v));
             maxes.push_back(k);
             count = 1;
+            if (pool)
+                enroll(0);
             return true;
         }
         // Ascending-insert fast path: a key above every stored key
@@ -434,10 +642,12 @@ class OrderedSet
         // appends to the last chunk with no locate and no shifting.
         if (maxes.back() < k) {
             const std::size_t last = chunks.size() - 1;
+            makeResident(last);
             Chunk &c = chunks[last];
             c.keys.push_back(k);
             if constexpr (kHasMapped)
                 c.vals.push_back(std::move(v));
+            c.dirty = true;
             maxes[last] = k;
             ++count;
             if (c.keys.size() - c.start > kSplit)
@@ -445,6 +655,7 @@ class OrderedSet
             return true;
         }
         const std::size_t ci = chunkFor(k);
+        makeResident(ci);
         const std::size_t pos = lowerBound(chunks[ci], k);
         if (pos < chunks[ci].keys.size() && chunks[ci].keys[pos] == k)
             return false;
@@ -453,8 +664,10 @@ class OrderedSet
     }
 
     /**
-     * Fill @p nb for probe @p k against chunk @p ci (which must
-     * satisfy back() >= k, so the locate lands strictly inside).
+     * Fill @p nb for probe @p k against resident chunk @p ci (which
+     * must satisfy back() >= k, so the locate lands strictly inside).
+     * Answers that cross into an adjacent chunk come from maxes and
+     * lowest(), never from a fault.
      * @return the absolute position of k's lower bound in the chunk.
      */
     std::size_t
@@ -468,7 +681,7 @@ class OrderedSet
             nb.pred = c.keys[pos - 1];
         } else if (ci > 0) {
             nb.hasPred = true;
-            nb.pred = chunks[ci - 1].keys.back();
+            nb.pred = maxes[ci - 1];
         }
         const std::size_t succ_pos = nb.present ? pos + 1 : pos;
         if (succ_pos < c.keys.size()) {
@@ -476,7 +689,7 @@ class OrderedSet
             nb.succ = c.keys[succ_pos];
         } else if (ci + 1 < chunks.size()) {
             nb.hasSucc = true;
-            nb.succ = chunks[ci + 1].front();
+            nb.succ = lowest(chunks[ci + 1]);
         }
         return pos;
     }
@@ -504,6 +717,7 @@ class OrderedSet
             if constexpr (kHasMapped)
                 c.vals.insert(c.vals.begin() + pos, std::move(v));
         }
+        c.dirty = true;
         if (maxes[ci] < k)
             maxes[ci] = k;
         ++count;
@@ -518,10 +732,17 @@ class OrderedSet
         Chunk &c = chunks[ci];
         --count;
         if (c.keys.size() - c.start == 1) {
+            if (pool) {
+                returnToPool(c);
+                recycle(c);
+            }
             chunks.erase(chunks.begin() + ci);
             maxes.erase(maxes.begin() + ci);
+            if (pool)
+                renumberFrom(ci);
             return;
         }
+        c.dirty = true;
         // Shift whichever side of pos is shorter. Erasing the chunk
         // minimum (OPG's deterministic-miss pattern) shifts nothing:
         // it just grows the dead prefix.
@@ -544,6 +765,7 @@ class OrderedSet
         }
     }
 
+    /** Split an over-full resident chunk; the new right half may spill. */
     void
     splitChunk(std::size_t ci)
     {
@@ -551,6 +773,8 @@ class OrderedSet
         Chunk &c = chunks[ci];
         const std::size_t half = c.keys.size() / 2;
         Chunk right;
+        if (pool)
+            reuse(right);
         right.keys.assign(c.keys.begin() + half, c.keys.end());
         c.keys.resize(half);
         if constexpr (kHasMapped) {
@@ -562,11 +786,69 @@ class OrderedSet
         maxes[ci] = c.keys.back();
         maxes.insert(maxes.begin() + ci + 1, right.keys.back());
         chunks.insert(chunks.begin() + ci + 1, std::move(right));
+        // Page ids must be current before add() can call spillPage().
+        if (pool) {
+            renumberFrom(ci + 2);
+            enroll(ci + 1);
+        }
+    }
+
+    /** Write a resident chunk's live entries to its slot. */
+    void
+    writeSlot(const Chunk &c)
+    {
+        scratch.assign(slotBytes(), 0);
+        const std::uint64_t live = c.keys.size() - c.start;
+        std::memcpy(scratch.data(), &live, sizeof(live));
+        std::memcpy(scratch.data() + sizeof(std::uint64_t),
+                    c.keys.data() + c.start, live * sizeof(Key));
+        if constexpr (kHasMapped)
+            std::memcpy(scratch.data() + sizeof(std::uint64_t) +
+                            kSplit * sizeof(Key),
+                        c.vals.data() + c.start,
+                        live * sizeof(Value));
+        pool->writeSlot(c.slot, scratch.data(), slotBytes());
+    }
+
+    /** Read a spilled chunk's entries back from its slot. */
+    void
+    readSlot(Chunk &c)
+    {
+        scratch.resize(slotBytes());
+        pool->readSlot(c.slot, scratch.data(), slotBytes());
+        std::uint64_t live = 0;
+        std::memcpy(&live, scratch.data(), sizeof(live));
+        PACACHE_ASSERT(live >= 1 && live <= kSplit,
+                       "corrupt spill slot header");
+        c.start = 0;
+        reuse(c);
+        c.keys.resize(static_cast<std::size_t>(live));
+        std::memcpy(c.keys.data(),
+                    scratch.data() + sizeof(std::uint64_t),
+                    live * sizeof(Key));
+        if constexpr (kHasMapped) {
+            c.vals.resize(static_cast<std::size_t>(live));
+            std::memcpy(c.vals.data(),
+                        scratch.data() + sizeof(std::uint64_t) +
+                            kSplit * sizeof(Key),
+                        live * sizeof(Value));
+        }
     }
 
     std::vector<Chunk> chunks;
-    std::vector<Key> maxes; //!< maxes[i] == chunks[i].keys.back()
+    std::vector<Key> maxes; //!< largest key of chunks[i], even spilled
     std::size_t count = 0;
+
+    SpillPool *pool = nullptr; //!< set by attach()
+    std::uint64_t faulted = 0;
+    std::vector<char> scratch; //!< slot staging buffer
+    /**
+     * Arrays of spilled and dropped chunks, reused by later faults
+     * and splits (attached sets only): steady paging then allocates
+     * nothing, and the arrays never outnumber the most chunks this
+     * set ever held resident at once.
+     */
+    std::vector<Chunk> spares;
 };
 
 } // namespace pacache

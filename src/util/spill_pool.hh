@@ -140,6 +140,15 @@ class SpillPool
         --nodes[token].pins;
     }
 
+    /** Re-key a resident page after its owner moved it to @p page. */
+    void
+    renumber(std::uint32_t token, std::uint32_t page)
+    {
+        PACACHE_ASSERT(token < nodes.size() && nodes[token].live,
+                       "SpillPool renumber of dead token");
+        nodes[token].page = page;
+    }
+
     /** Acquire a spill slot of exactly @p bytes (size-class reuse). */
     std::uint64_t allocSlot(std::size_t bytes);
     /** Return a slot to its size-class free list. */

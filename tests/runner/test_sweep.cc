@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,24 @@ TEST(SweepSpec, MissingAxesGetDefaults)
     EXPECT_EQ(spec.policies[0], PolicyKind::FIFO);
     EXPECT_EQ(spec.cacheBlocks, std::vector<std::size_t>{1024});
     EXPECT_EQ(spec.points(), 1u);
+}
+
+TEST(SweepSpec, NegativeFractionalOrHugeCountsAreFatal)
+{
+    for (const char *bad :
+         {R"({"cache_blocks": [-5]})", R"({"cache_blocks": [1.5]})",
+          R"({"cache_blocks": [1e30]})",
+          R"({"oracle_mem_budget_mb": -1})",
+          R"({"oracle_mem_budget_mb": 0.5})",
+          R"({"oracle_mem_budget_mb": 17592186044416})"}) {
+        EXPECT_THROW(SweepSpec::fromJsonText(bad), std::runtime_error)
+            << bad;
+    }
+    // The largest budget whose MiB-to-byte shift cannot wrap.
+    EXPECT_EQ(SweepSpec::fromJsonText(
+                  R"({"oracle_mem_budget_mb": 17592186044415})")
+                  .oracleMemBudgetMb,
+              (std::size_t{1} << 44) - 1);
 }
 
 TEST(SweepSpec, UnknownKeyIsFatal)

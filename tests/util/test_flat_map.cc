@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -141,6 +142,16 @@ TEST(FlatMap, ReservePreventsRehash)
     for (uint64_t k = 0; k < 5000; ++k)
         m.emplace(k, 1);
     EXPECT_EQ(m.capacity(), cap);
+}
+
+TEST(FlatMap, ReserveOverflowPanics)
+{
+    // A wrapped size (a negative count cast to size_t) must fail
+    // fast instead of spinning the sizing loop.
+    FlatMap<uint64_t, int> m;
+    EXPECT_THROW(m.reserve(static_cast<std::size_t>(-5)), std::logic_error);
+    EXPECT_THROW(m.reserve(std::size_t{1} << 60), std::logic_error);
+    EXPECT_EQ(m.capacity(), 0u);
 }
 
 TEST(FlatMap, MatchesUnorderedMapUnderRandomChurn)

@@ -1,9 +1,11 @@
 #!/bin/sh
 # Full pre-merge check: a Release build and an ASan+UBSan build, the
-# test suite under both, an observability smoke run whose output
-# files are validated by tools/check_obs_json.py, and a TSan build
-# exercising the parallel sweep runner and the sharded server (its
-# gtests, a multi-threaded smoke run and the replay differential).
+# test suite under both, a build and self-test of the repository
+# benchmark (perfbench/, which compiles against src/ headers such as
+# core/opg.hh), an observability smoke run whose output files are
+# validated by tools/check_obs_json.py, and a TSan build exercising
+# the parallel sweep runner and the sharded server (its gtests, a
+# multi-threaded smoke run and the replay differential).
 #
 # Test tiers (ctest labels): the Release build runs everything —
 # unit, property, integration, and fuzz-smoke (a short deterministic
@@ -178,6 +180,12 @@ cmp "$scale_dir/shard_j1.txt" "$scale_dir/shard_j8.txt"
     --cache-blocks 65536 > "$scale_dir/shard_unbudgeted.txt"
 cmp "$scale_dir/shard_j8.txt" "$scale_dir/shard_unbudgeted.txt"
 rm -rf "$scale_dir"
+
+step "benchmark build and self-test (perfbench)"
+# Builds perfbench into .bench_build/ and runs every workload in both
+# modes (untraced and traced) at a tiny size with every correctness
+# gate on, so an API change that breaks the benchmark fails here.
+python3 "$root/perfbench/run.py" --selftest
 
 step "ASan+UBSan build"
 cmake -B "$root/build-asan" -S "$root" \

@@ -1,5 +1,7 @@
 #include "cli.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 
@@ -68,11 +70,17 @@ Args::getUint(const std::string &key, uint64_t fallback) const
     auto it = values.find(key);
     if (it == values.end())
         return fallback;
+    // strtoull would accept a sign (negating in unsigned arithmetic)
+    // and saturate on overflow; both are errors here, not huge sizes.
+    const std::string &text = it->second;
     char *end = nullptr;
-    const auto v = std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-        PACACHE_FATAL("flag --", key, " expects an integer, got '",
-                      it->second, "'");
+    errno = 0;
+    const auto v = std::strtoull(text.c_str(), &end, 10);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE)
+        PACACHE_FATAL("flag --", key,
+                      " expects a non-negative integer below 2^64, got '",
+                      text, "'");
     return v;
 }
 

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <optional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -379,9 +380,11 @@ try {
         static_cast<std::size_t>(args.getUint("window", 0));
     cfg.oracleChunkAccesses =
         static_cast<std::size_t>(args.getUint("window-chunk", 0));
-    cfg.oracleMemBudget =
-        static_cast<std::size_t>(args.getUint("oracle-mem-budget", 0))
-        << 20;
+    const uint64_t budget_mb = args.getUint("oracle-mem-budget", 0);
+    if (budget_mb > (std::numeric_limits<std::size_t>::max() >> 20))
+        PACACHE_FATAL("--oracle-mem-budget ", budget_mb,
+                      " MiB does not fit in a byte count");
+    cfg.oracleMemBudget = static_cast<std::size_t>(budget_mb) << 20;
     if (cfg.oracleMemBudget > 0 && cfg.policy != PolicyKind::OPG)
         PACACHE_FATAL("--oracle-mem-budget applies to --policy opg "
                       "only (Belady keeps O(capacity) state)");
