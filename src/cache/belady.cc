@@ -51,7 +51,7 @@ BasicBeladyPolicy<F>::onAccess(const BlockId &block, Time,
 {
     PACACHE_ASSERT(prepared, "Belady requires prepare() before use");
     PACACHE_ASSERT(idx < future.size(), "access index out of range");
-    const std::size_t next = future.nextUse(idx);
+    const std::size_t next = future.nextUse(idx).idx;
     if (hit) {
         Handle *hp = handleOf.find(block.packed());
         PACACHE_ASSERT(hp, "Belady hit on unknown block");

@@ -20,7 +20,7 @@ ReferenceBeladyPolicy::onAccess(const BlockId &block, Time,
 {
     PACACHE_ASSERT(prepared, "Belady-ref requires prepare() before use");
     PACACHE_ASSERT(idx < future.size(), "access index out of range");
-    const std::size_t next = future.nextUse(idx);
+    const std::size_t next = future.nextUse(idx).idx;
     if (hit) {
         auto it = nextOf.find(block);
         PACACHE_ASSERT(it != nextOf.end(),

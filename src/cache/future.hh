@@ -4,10 +4,10 @@
  *
  * The storage cache operates on single blocks, so multi-block trace
  * requests are expanded into per-block accesses. Off-line policies
- * (Belady, OPG) additionally need, for every access, the index of the
- * *next* access to the same block and whether the access is the first
- * ever to its block (a cold miss); FutureKnowledge precomputes both
- * in O(n).
+ * (Belady, OPG) additionally need, for every access, the *next*
+ * access to the same block (its index, and for OPG's gap pricing its
+ * time) and whether the access is the first ever to its block (a cold
+ * miss); FutureKnowledge precomputes both in O(n).
  */
 
 #ifndef PACACHE_CACHE_FUTURE_HH
@@ -29,6 +29,21 @@ struct BlockAccess
     BlockId block;
     bool write = false;
     std::size_t traceIndex = 0; //!< index of the originating request
+};
+
+/**
+ * A future access as the off-line policies track it: its index in the
+ * block-access stream and its arrival time. Ordered and compared by
+ * index alone — an index has exactly one time, and times never
+ * decrease along the stream — so the time rides along as payload.
+ */
+struct FutureAccess
+{
+    std::size_t idx = 0;
+    Time time = 0;
+
+    bool operator<(const FutureAccess &o) const { return idx < o.idx; }
+    bool operator==(const FutureAccess &o) const { return idx == o.idx; }
 };
 
 /**
@@ -70,14 +85,20 @@ class FutureKnowledge
     static FutureKnowledge
     buildRef(const std::vector<BlockAccess> &accesses);
 
-    /** Index of the next access to the same block (kNever if none). */
-    std::size_t nextUse(std::size_t idx) const { return next[idx]; }
+    /**
+     * The next access to the same block and its time (idx kNever,
+     * time 0 if none). Callers that read only .idx pay no time load:
+     * the call inlines and the dead read folds away.
+     */
+    FutureAccess
+    nextUse(std::size_t idx) const
+    {
+        const std::size_t n = next[idx];
+        return {n, n == kNever ? 0.0 : times[n]};
+    }
 
     /** True if access idx is the first ever to its block. */
     bool isFirstReference(std::size_t idx) const { return first[idx]; }
-
-    /** Time of access idx (the SoA copy of BlockAccess::time). */
-    Time timeOf(std::size_t idx) const { return times[idx]; }
 
     std::size_t size() const { return next.size(); }
 

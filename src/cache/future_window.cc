@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "tracefmt/pct.hh"
+#include "util/flat_map.hh"
 #include "util/logging.hh"
 #include "util/temp_file.hh"
 
@@ -94,20 +95,15 @@ WindowedFuture::operator=(WindowedFuture &&other) noexcept
     closeFd();
     opts = other.opts;
     sidecarFd = std::exchange(other.sidecarFd, -1);
-    timesFd = std::exchange(other.timesFd, -1);
     total = other.total;
     diskCount = other.diskCount;
     lastTime = other.lastTime;
     ready = std::exchange(other.ready, false);
-    pinHorizon = other.pinHorizon;
     cold = std::move(other.cold);
-    pinned = std::move(other.pinned);
     window = std::move(other.window);
     winBase = other.winBase;
     winCount = other.winCount;
     cursor = other.cursor;
-    timePages = std::move(other.timePages);
-    timeReads = other.timeReads;
     return *this;
 }
 
@@ -117,10 +113,6 @@ WindowedFuture::closeFd()
     if (sidecarFd >= 0) {
         ::close(sidecarFd);
         sidecarFd = -1;
-    }
-    if (timesFd >= 0) {
-        ::close(timesFd);
-        timesFd = -1;
     }
 }
 
@@ -171,18 +163,6 @@ WindowedFuture::build(const std::string &pct_path)
             0)
         PACACHE_FATAL("cannot size sidecar file: ",
                       std::strerror(errno));
-    if (budgeted()) {
-        // Pin-map slots are 24 bytes at <= 7/8 load in a power-of-two
-        // table; 48 bytes/entry leaves headroom for both factors.
-        pinHorizon = std::max<std::size_t>(
-            opts.pinnedBudgetBytes / 48, kTimePageDoubles);
-        timesFd = makeUnlinkedTempFile("pacache-sidecar-");
-        if (total > 0 &&
-            ::ftruncate(timesFd, static_cast<off_t>(
-                                     access * sizeof(double))) != 0)
-            PACACHE_FATAL("cannot size times sidecar: ",
-                          std::strerror(errno));
-    }
 
     // Backward pass in reverse chunk order. The carry map holds, for
     // every block seen in the processed suffix, its earliest access
@@ -198,7 +178,6 @@ WindowedFuture::build(const std::string &pct_path)
     carry.reserve(std::size_t(1) << 16);
     std::vector<std::pair<std::uint64_t, double>> chunk_acc;
     std::vector<SideEntry> sidecar;
-    std::vector<double> times;
     for (std::size_t c = bounds.size(); c-- > 0;) {
         const uint64_t rec_begin = bounds[c].firstRecord;
         const uint64_t rec_end = c + 1 < bounds.size()
@@ -234,32 +213,15 @@ WindowedFuture::build(const std::string &pct_path)
         pwriteFully(sidecarFd, sidecar.data(),
                     count * sizeof(SideEntry),
                     acc_begin * sizeof(SideEntry));
-        if (budgeted()) {
-            times.resize(count);
-            for (std::size_t i = 0; i < count; ++i)
-                times[i] = chunk_acc[i].second;
-            pwriteFully(timesFd, times.data(),
-                        count * sizeof(double),
-                        acc_begin * sizeof(double));
-        }
         map.dropRange(rec_begin, rec_end - rec_begin);
     }
 
-    // Carry leftovers are each block's first reference. Budgeted
-    // mode pins only the seeds the replay cursor will reach within
-    // the horizon; farther ones are served by the times sidecar.
+    // Carry leftovers are each block's first reference.
     cold.reserve(carry.size());
-    if (opts.pinTimes)
-        pinned.reserve(budgeted() ? std::size_t(1) << 12
-                                  : carry.size() * 2 + 16);
     carry.forEach([&](std::uint64_t packed, const Prev &p) {
         cold.push_back(ColdSeed{BlockId::fromPacked(packed).disk,
-                                static_cast<std::size_t>(p.idx)});
-        if (opts.pinTimes &&
-            (!budgeted() || p.idx < pinHorizon)) {
-            const bool fresh = pinned.emplace(p.idx, p.time).second;
-            PACACHE_ASSERT(fresh, "duplicate cold pin");
-        }
+                                static_cast<std::size_t>(p.idx),
+                                p.time});
     });
     std::sort(cold.begin(), cold.end(),
               [](const ColdSeed &a, const ColdSeed &b) {
@@ -282,14 +244,9 @@ WindowedFuture::refill(std::size_t from)
     preadFully(sidecarFd, window.data(),
                winCount * sizeof(SideEntry),
                static_cast<uint64_t>(from) * sizeof(SideEntry));
-    // Window transition: the pinned map churns one erase + one
-    // insert per access, and its live count falls toward the trace
-    // tail (never-again blocks unpin without a successor). Rehash
-    // down when 4x oversized so the peak table never lingers.
-    pinned.shrink();
 }
 
-std::size_t
+FutureAccess
 WindowedFuture::nextUse(std::size_t idx)
 {
     PACACHE_ASSERT(ready, "WindowedFuture used before build");
@@ -300,56 +257,10 @@ WindowedFuture::nextUse(std::size_t idx)
     ++cursor;
     if (idx < winBase || idx >= winBase + winCount)
         refill(idx);
-    const SideEntry e = window[idx - winBase];
-    if (opts.pinTimes) {
-        // The pin moves down the block's access chain: this index is
-        // in the past now, its successor becomes queryable. Under a
-        // budget the consumed index may never have been pinned (it
-        // was beyond the horizon when its predecessor retired), and
-        // a far successor is left to the times sidecar.
-        const bool was = pinned.erase(idx);
-        PACACHE_ASSERT(was || budgeted(),
-                       "consumed index ", idx, " was not pinned");
-        if (e.next != kNever64 &&
-            (!budgeted() || e.next < cursor + pinHorizon)) {
-            const bool fresh = pinned.emplace(e.next, e.time).second;
-            PACACHE_ASSERT(fresh, "double pin of future index");
-        }
-    }
-    return e.next == kNever64 ? kNever
-                              : static_cast<std::size_t>(e.next);
-}
-
-Time
-WindowedFuture::timeOf(std::size_t idx) const
-{
-    const double *t = pinned.find(idx);
-    if (t)
-        return *t;
-    PACACHE_ASSERT(budgeted(), "timeOf(", idx,
-                   ") queried for an unpinned index");
-    return readTime(idx);
-}
-
-Time
-WindowedFuture::readTime(std::size_t idx) const
-{
-    PACACHE_ASSERT(idx < total, "timeOf index out of range");
-    const std::size_t page = idx / kTimePageDoubles;
-    if (timePages.empty())
-        timePages.resize(kTimePages);
-    TimePage &tp = timePages[page % kTimePages];
-    if (tp.base != page) {
-        const std::size_t n =
-            std::min(kTimePageDoubles, total - page * kTimePageDoubles);
-        tp.buf.resize(kTimePageDoubles);
-        preadFully(timesFd, tp.buf.data(), n * sizeof(double),
-                   static_cast<uint64_t>(page) * kTimePageDoubles *
-                       sizeof(double));
-        tp.base = page;
-        ++timeReads;
-    }
-    return tp.buf[idx - page * kTimePageDoubles];
+    const SideEntry &e = window[idx - winBase];
+    return {e.next == kNever64 ? kNever
+                               : static_cast<std::size_t>(e.next),
+            e.time};
 }
 
 } // namespace pacache

@@ -90,12 +90,12 @@ struct ExperimentConfig
     /**
      * Byte budget for the oracle's in-RAM replay state (OPG only).
      * 0 = unbounded (the historical in-memory containers). > 0 runs
-     * the spillable oracle tier: half the budget bounds the windowed
-     * future's pinned-times map, half bounds the SpillPool behind the
-     * deterministic-miss sets and next-use indexes, with overflow
-     * pages spilled to unlinked temporary files. Results are
-     * bit-identical to the unbounded path for any value. Belady keeps
-     * O(capacity) state and ignores the budget.
+     * the spillable oracle tier: the whole budget bounds the SpillPool
+     * behind the deterministic-miss sets and next-use indexes, on the
+     * materialized and the windowed path alike, with overflow pages
+     * spilled to unlinked temporary files. Results are bit-identical
+     * to the unbounded path for any value. Belady keeps O(capacity)
+     * state and ignores the budget.
      */
     std::size_t oracleMemBudget = 0;
 

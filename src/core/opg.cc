@@ -1,8 +1,10 @@
 #include "core/opg.hh"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
+#include "util/flat_map.hh"
 #include "util/logging.hh"
 
 namespace pacache
@@ -18,9 +20,7 @@ BasicOpgPolicy<F>::BasicOpgPolicy(const PowerModel &pm_, DpmKind kind,
 
 template <typename F>
 void
-BasicOpgPolicy<F>::finishPrepare(
-    std::size_t num_disks, Time last,
-    const std::vector<std::pair<DiskId, std::size_t>> &cold)
+BasicOpgPolicy<F>::resetState(std::size_t num_disks, Time last)
 {
     // "No leader/follower" sentinel: far enough out that every energy
     // function has reached its linear (deepest-mode) tail.
@@ -46,12 +46,7 @@ BasicOpgPolicy<F>::finishPrepare(
         for (auto &s : residentByNext)
             s.attach(*spillPool);
     }
-    handleOf.clear();
     evictOrder.clear();
-
-    // S starts as the set of all cold misses (first references).
-    for (const auto &[disk, i] : cold)
-        detMiss[disk].insert(i);
     ready = true;
 }
 
@@ -65,24 +60,19 @@ BasicOpgPolicy<F>::prepare(const std::vector<BlockAccess> &accs)
                       "stream; feed it via prepareWindowed()");
     } else {
         future = F::build(accs);
-
-        // One pass over the 40-byte records: disk count, trace end,
-        // and the cold-miss indices (each block's first reference)
-        // that seed S. The per-disk inserts are deferred until the
-        // disk count is known; cold[] holds one entry per unique
-        // block.
         std::size_t num_disks = 1;
         Time last = 0;
-        std::vector<std::pair<DiskId, std::size_t>> cold;
-        for (std::size_t i = 0; i < accs.size(); ++i) {
-            const auto &a = accs[i];
+        for (const auto &a : accs) {
             num_disks =
                 std::max<std::size_t>(num_disks, a.block.disk + 1);
             last = std::max(last, a.time);
-            if (future.isFirstReference(i))
-                cold.emplace_back(a.block.disk, i);
         }
-        finishPrepare(num_disks, last, cold);
+        resetState(num_disks, last);
+        // S starts as the set of all cold misses (first references).
+        for (std::size_t i = 0; i < accs.size(); ++i) {
+            if (future.isFirstReference(i))
+                detMiss[accs[i].block.disk].insert({i, accs[i].time});
+        }
     }
 }
 
@@ -98,29 +88,26 @@ BasicOpgPolicy<F>::prepareWindowed(F &&fut)
         PACACHE_ASSERT(fut.built(),
                        "prepareWindowed requires a built future");
         future = std::move(fut);
-        std::vector<std::pair<DiskId, std::size_t>> cold;
-        cold.reserve(future.coldSeeds().size());
+        resetState(future.numDisks(), future.endTime());
         for (const auto &seed : future.coldSeeds())
-            cold.emplace_back(seed.disk, seed.idx);
-        finishPrepare(future.numDisks(), future.endTime(), cold);
+            detMiss[seed.disk].insert({seed.idx, seed.time});
     }
 }
 
 template <typename F>
 Energy
-BasicOpgPolicy<F>::computePenalty(DiskId disk,
-                                  std::size_t next_idx) const
+BasicOpgPolicy<F>::computePenalty(DiskId disk, FutureAccess next) const
 {
-    if (next_idx == F::kNever)
+    if (next.idx == F::kNever)
         return 0.0; // never re-referenced: eviction costs nothing
 
-    const auto nb = detMiss[disk].neighbors(next_idx);
+    const auto nb = detMiss[disk].neighbors(next);
     PACACHE_ASSERT(!nb.present,
                    "resident block's next access is a deterministic miss");
 
-    const Time t_x = future.timeOf(next_idx);
-    const Time l = nb.hasPred ? t_x - future.timeOf(nb.pred) : bigTime;
-    const Time f = nb.hasSucc ? future.timeOf(nb.succ) - t_x : bigTime;
+    const Time t_x = next.time;
+    const Time l = nb.hasPred ? t_x - nb.pred.time : bigTime;
+    const Time f = nb.hasSucc ? nb.succ.time - t_x : bigTime;
 
     // eBig is the exact value idleEnergy(bigTime) returns, so the
     // substitution is bit-identical to pricing the missing end.
@@ -133,49 +120,44 @@ BasicOpgPolicy<F>::computePenalty(DiskId disk,
 template <typename F>
 void
 BasicOpgPolicy<F>::insertResident(const BlockId &block,
-                                  std::size_t next_idx)
+                                  FutureAccess next)
 {
     const Energy penalty =
-        std::max(computePenalty(block.disk, next_idx), theta);
+        std::max(computePenalty(block.disk, next), theta);
     const Handle h =
-        evictOrder.push(EvictKey{penalty, next_idx, block.packed()});
-    const bool inserted = handleOf.emplace(block.packed(), h).second;
-    PACACHE_ASSERT(inserted, "OPG double insert of resident block");
-    if (next_idx != F::kNever) {
-        const bool fresh =
-            residentByNext[block.disk].insert(next_idx, h);
+        evictOrder.push(EvictKey{penalty, next.idx, block.packed()});
+    if (next.idx != F::kNever) {
+        const bool fresh = residentByNext[block.disk].insert(
+            next.idx, NextEntry{next.time, h});
         PACACHE_ASSERT(fresh, "OPG next-use index collision");
     }
 }
 
 template <typename F>
-typename BasicOpgPolicy<F>::EvictKey
-BasicOpgPolicy<F>::eraseResident(const BlockId &block)
+FutureAccess
+BasicOpgPolicy<F>::unindex(const EvictKey &key)
 {
-    Handle *hp = handleOf.find(block.packed());
-    PACACHE_ASSERT(hp, "OPG removal of unknown block");
-    const Handle h = *hp;
-    const EvictKey key = evictOrder.key(h);
-    handleOf.erase(block.packed());
-    if (key.nextIdx != F::kNever) {
-        const bool erased =
-            residentByNext[block.disk].erase(key.nextIdx);
-        PACACHE_ASSERT(erased, "OPG residentByNext out of sync");
-    }
-    evictOrder.erase(h);
-    return key;
+    if (key.nextIdx == F::kNever)
+        return {F::kNever, 0};
+    NextEntry e{};
+    const bool indexed =
+        residentByNext[BlockId::fromPacked(key.block).disk].take(
+            key.nextIdx, e);
+    PACACHE_ASSERT(indexed, "OPG residentByNext out of sync");
+    return {key.nextIdx, e.time};
 }
 
 template <typename F>
 void
-BasicOpgPolicy<F>::repriceGap(DiskId disk, std::size_t lo, bool has_lo,
-                              std::size_t hi, bool has_hi)
+BasicOpgPolicy<F>::repriceGap(DiskId disk, FutureAccess lo, bool has_lo,
+                              FutureAccess hi, bool has_hi)
 {
     // Every resident with next access inside (lo, hi) shares the same
     // leader (lo) and follower (hi) — no per-block detMiss queries.
-    const Time t_lo = has_lo ? future.timeOf(lo) : 0;
-    const Time t_hi = has_hi ? future.timeOf(hi) : 0;
-    const std::size_t hi_key = has_hi ? hi : F::kNever;
+    const Time t_lo = lo.time;
+    const Time t_hi = hi.time;
+    const std::size_t lo_key = has_lo ? lo.idx : 0;
+    const std::size_t hi_key = has_hi ? hi.idx : F::kNever;
     // A missing end always prices as the cached E(bigTime), exactly
     // what computePenalty substitutes. The whole-gap term is NOT
     // hoisted as E(t_hi - t_lo) even though l + f is mathematically
@@ -185,33 +167,33 @@ BasicOpgPolicy<F>::repriceGap(DiskId disk, std::size_t lo, bool has_lo,
     // the per-block form computePenalty (and the reference policy)
     // evaluates.
     residentByNext[disk].forEachInRange(
-        lo, hi_key, [&](std::size_t next_idx, Handle h) {
-            const Time t_x = future.timeOf(next_idx);
-            const Time l = has_lo ? t_x - t_lo : bigTime;
-            const Time f = has_hi ? t_hi - t_x : bigTime;
+        lo_key, hi_key, [&](std::size_t next_idx, const NextEntry &e) {
+            const Time l = has_lo ? e.time - t_lo : bigTime;
+            const Time f = has_hi ? t_hi - e.time : bigTime;
             const Energy e_l = has_lo ? idleEnergy(l) : eBig;
             const Energy e_f = has_hi ? idleEnergy(f) : eBig;
             const Energy penalty = e_l + e_f - idleEnergy(l + f);
             const Energy fresh =
                 std::max(std::max<Energy>(penalty, 0.0), theta);
-            const EvictKey &key = evictOrder.key(h);
+            const EvictKey &key = evictOrder.key(e.handle);
             if (fresh == key.penalty)
                 return;
-            evictOrder.update(h, EvictKey{fresh, next_idx, key.block});
+            evictOrder.update(e.handle,
+                              EvictKey{fresh, next_idx, key.block});
         });
 }
 
 template <typename F>
 void
-BasicOpgPolicy<F>::detInsert(DiskId disk, std::size_t idx)
+BasicOpgPolicy<F>::detInsert(DiskId disk, FutureAccess miss)
 {
     typename DetSet::Neighbors nb;
-    const bool fresh = detMiss[disk].insertWithNeighbors(idx, nb);
+    const bool fresh = detMiss[disk].insertWithNeighbors(miss, nb);
     PACACHE_ASSERT(fresh, "duplicate deterministic miss");
-    // idx split its gap in two: residents below idx now follow it,
+    // miss split its gap in two: residents below it now follow it,
     // residents above now lead from it.
-    repriceGap(disk, nb.hasPred ? nb.pred : 0, nb.hasPred, idx, true);
-    repriceGap(disk, idx, true, nb.hasSucc ? nb.succ : 0, nb.hasSucc);
+    repriceGap(disk, nb.pred, nb.hasPred, miss, true);
+    repriceGap(disk, miss, true, nb.succ, nb.hasSucc);
 }
 
 template <typename F>
@@ -219,11 +201,11 @@ void
 BasicOpgPolicy<F>::detErase(DiskId disk, std::size_t idx)
 {
     typename DetSet::Neighbors nb;
-    const bool was = detMiss[disk].eraseWithNeighbors(idx, nb);
+    // Entries compare by index alone, so the probe needs no time.
+    const bool was = detMiss[disk].eraseWithNeighbors({idx, 0}, nb);
     PACACHE_ASSERT(was, "miss not in deterministic-miss set");
     // idx's two gaps merged into one spanning (pred, succ).
-    repriceGap(disk, nb.hasPred ? nb.pred : 0, nb.hasPred,
-               nb.hasSucc ? nb.succ : 0, nb.hasSucc);
+    repriceGap(disk, nb.pred, nb.hasPred, nb.succ, nb.hasSucc);
 }
 
 template <typename F>
@@ -242,7 +224,7 @@ BasicOpgPolicy<F>::onAccess(const BlockId &block, Time,
                             std::size_t idx, bool hit)
 {
     PACACHE_ASSERT(ready, "OPG requires prepare() before use");
-    const std::size_t next = future.nextUse(idx);
+    const FutureAccess next = future.nextUse(idx);
     if (!hit) {
         insertResident(block, next);
         return;
@@ -252,16 +234,19 @@ BasicOpgPolicy<F>::onAccess(const BlockId &block, Time,
     // the next-use index entry. The hit itself is the block's
     // recorded next access, so taking idx out of the next-use index
     // yields the heap handle with no block-keyed hash probe.
-    Handle h{};
-    const bool unindexed = residentByNext[block.disk].take(idx, h);
+    NextEntry e{};
+    const bool unindexed = residentByNext[block.disk].take(idx, e);
     PACACHE_ASSERT(unindexed, "OPG hit on unindexed block");
-    PACACHE_ASSERT(evictOrder.key(h).nextIdx == idx,
+    PACACHE_ASSERT(evictOrder.key(e.handle).nextIdx == idx &&
+                       evictOrder.key(e.handle).block == block.packed(),
                    "stale next-use index on hit");
     const Energy penalty =
         std::max(computePenalty(block.disk, next), theta);
-    evictOrder.update(h, EvictKey{penalty, next, block.packed()});
-    if (next != F::kNever) {
-        const bool fresh = residentByNext[block.disk].insert(next, h);
+    evictOrder.update(e.handle,
+                      EvictKey{penalty, next.idx, block.packed()});
+    if (next.idx != F::kNever) {
+        const bool fresh = residentByNext[block.disk].insert(
+            next.idx, NextEntry{next.time, e.handle});
         PACACHE_ASSERT(fresh, "OPG next-use index collision");
     }
 }
@@ -272,9 +257,11 @@ BasicOpgPolicy<F>::onRemove(const BlockId &block)
 {
     // External removal behaves like an eviction: the block's next
     // reference becomes a deterministic miss.
-    const EvictKey key = eraseResident(block);
-    if (key.nextIdx != F::kNever)
-        detInsert(block.disk, key.nextIdx);
+    const Handle h = findResident(block);
+    const FutureAccess next = unindex(evictOrder.key(h));
+    evictOrder.erase(h);
+    if (next.idx != F::kNever)
+        detInsert(block.disk, next);
 }
 
 template <typename F>
@@ -284,29 +271,33 @@ BasicOpgPolicy<F>::evict(Time, std::size_t)
     PACACHE_ASSERT(!evictOrder.empty(), "OPG evict on empty cache");
     // The victim is the heap top: no handle lookup needed, and pop()
     // is cheaper than erase(handle) from an arbitrary slot.
-    const Handle h = evictOrder.topHandle();
-    const EvictKey key = evictOrder.key(h);
+    const EvictKey key = evictOrder.key(evictOrder.topHandle());
     const BlockId victim = BlockId::fromPacked(key.block);
-    const bool known = handleOf.erase(key.block);
-    PACACHE_ASSERT(known, "OPG evicting unknown block");
-    if (key.nextIdx != F::kNever) {
-        const bool erased =
-            residentByNext[victim.disk].erase(key.nextIdx);
-        PACACHE_ASSERT(erased, "OPG residentByNext out of sync");
-    }
+    const FutureAccess next = unindex(key);
     evictOrder.pop();
-    if (key.nextIdx != F::kNever)
-        detInsert(victim.disk, key.nextIdx);
+    if (next.idx != F::kNever)
+        detInsert(victim.disk, next);
     return victim;
+}
+
+template <typename F>
+typename BasicOpgPolicy<F>::Handle
+BasicOpgPolicy<F>::findResident(const BlockId &block) const
+{
+    std::optional<Handle> found;
+    evictOrder.forEach([&](Handle h, const EvictKey &key) {
+        if (key.block == block.packed())
+            found = h;
+    });
+    PACACHE_ASSERT(found, "OPG block not resident");
+    return *found;
 }
 
 template <typename F>
 Energy
 BasicOpgPolicy<F>::penaltyOf(const BlockId &block) const
 {
-    const Handle *hp = handleOf.find(block.packed());
-    PACACHE_ASSERT(hp, "penaltyOf unknown block");
-    return evictOrder.key(*hp).penalty;
+    return evictOrder.key(findResident(block)).penalty;
 }
 
 template <typename F>
@@ -320,13 +311,11 @@ template <typename F>
 void
 BasicOpgPolicy<F>::validateInternalState(bool full) const
 {
-    // Cheap size-drift invariants, always on.
-    PACACHE_ASSERT(evictOrder.size() == handleOf.size(),
-                   "evict order / handle index size drift");
+    // Cheap size-drift invariant, always on.
     std::size_t indexed = 0;
     for (const auto &byNext : residentByNext)
         indexed += byNext.size();
-    PACACHE_ASSERT(indexed <= handleOf.size(),
+    PACACHE_ASSERT(indexed <= evictOrder.size(),
                    "next-use index size drift");
     if (!full)
         return;
@@ -337,24 +326,27 @@ BasicOpgPolicy<F>::validateInternalState(bool full) const
     for (const auto &s : detMiss)
         s.checkInvariants();
     std::size_t finite = 0;
-    handleOf.forEach([&](std::uint64_t packed, Handle h) {
-        const EvictKey &key = evictOrder.key(h);
-        PACACHE_ASSERT(key.block == packed,
-                       "victim-heap handle points at wrong block");
-        const BlockId block = BlockId::fromPacked(packed);
+    FlatMap<std::uint64_t, bool> seen;
+    evictOrder.forEach([&](Handle h, const EvictKey &key) {
+        PACACHE_ASSERT(seen.emplace(key.block, true).second,
+                       "block resident twice in the victim heap");
+        const BlockId block = BlockId::fromPacked(key.block);
+        FutureAccess next{key.nextIdx, 0};
+        if (key.nextIdx != F::kNever) {
+            ++finite;
+            // Copied out: pricing below may page the chunk away.
+            const NextEntry *e =
+                residentByNext[block.disk].find(key.nextIdx);
+            PACACHE_ASSERT(e && e->handle == h,
+                           "missing next-use index entry");
+            next.time = e->time;
+        }
         const Energy freshPenalty =
-            std::max(computePenalty(block.disk, key.nextIdx), theta);
+            std::max(computePenalty(block.disk, next), theta);
         PACACHE_ASSERT(freshPenalty == key.penalty,
                        "stale penalty for disk ", block.disk,
                        " block ", block.block, ": cached ",
                        key.penalty, " fresh ", freshPenalty);
-        if (key.nextIdx == F::kNever)
-            return;
-        ++finite;
-        const Handle *indexedHandle =
-            residentByNext[block.disk].find(key.nextIdx);
-        PACACHE_ASSERT(indexedHandle && *indexedHandle == h,
-                       "missing next-use index entry");
     });
     PACACHE_ASSERT(indexed == finite,
                    "next-use index holds stale entries");

@@ -30,29 +30,36 @@
  * Implementation (the oracle fast path; ReferenceOpgPolicy in
  * core/opg_ref.hh is the retained node-based original):
  *
- *  - per disk, S is a chunked sorted-vector OrderedSet whose
- *    neighbors() query answers leader/follower/membership in one
- *    locate;
+ *  - per disk, S is a chunked sorted-vector OrderedSet of (index,
+ *    time) entries ordered by index, whose neighbors() query answers
+ *    leader/follower/membership in one locate and hands back both
+ *    gap endpoints' times with them;
  *  - resident blocks with a finite next access live in a per-disk
- *    OrderedSet map from next-access index to victim-heap handle, so
- *    gap-scoped repricing is a contiguous range scan with no hash
- *    lookups (blocks that are never re-referenced have nothing to
- *    reprice and stay out of the index);
+ *    OrderedSet map from next-access index to (that access's time,
+ *    victim-heap handle), so gap-scoped repricing is a contiguous
+ *    range scan with no lookups at all (blocks that are never
+ *    re-referenced have nothing to reprice and stay out of the
+ *    index);
  *  - the victim order is an addressable 4-ary IndexedHeap keyed by
  *    (penalty, furthest next access, block); repricing updates keys
- *    in place through stable handles;
+ *    in place through stable handles. It is also the only
+ *    block-keyed record of the residents: a victim comes off its top
+ *    and a hit reaches its entry through the next-use index, so no
+ *    miss pays for a block -> handle hash map (onRemove(), which the
+ *    cache never calls, scans the heap instead);
  *  - gap pricing inlines the power model's precomputed fast paths
  *    (flat line-table min-scan for Oracle, closed-form segment table
  *    for Practical), bit-identical to the legacy per-call scans.
  *
- * The policy is a template over its future-knowledge provider F:
- * FutureKnowledge (materialized arrays; OpgPolicy, the classic
- * fits-in-RAM fast path) or WindowedFuture (exact out-of-core
- * next-use streaming over a .pct sidecar; WindowedOpgPolicy, fed by
- * prepareWindowed() instead of prepare()). All instantiations live
- * in opg.cc — the replay loops are identical, only nextUse/timeOf
- * resolution differs, and the windowed provider's pinned-times
- * discipline guarantees every index OPG queries is resident.
+ * Every time OPG prices with is stored beside the index it belongs
+ * to: the future provider returns it with nextUse() and with the cold
+ * seeds, and it travels with the index into S and the next-use index.
+ * The policy is a template over that provider F: FutureKnowledge
+ * (materialized arrays; OpgPolicy, the classic fits-in-RAM fast path)
+ * or WindowedFuture (exact out-of-core next-use streaming over a .pct
+ * sidecar; WindowedOpgPolicy, fed by prepareWindowed() instead of
+ * prepare()). Both instantiations live in opg.cc — the replay loops
+ * are identical, only where nextUse() reads from differs.
  *
  * The per-disk sets and indexes live in RAM unless the constructor's
  * mem_budget is non-zero: then they all attach to one SpillPool of
@@ -73,7 +80,6 @@
 #include "cache/future_window.hh"
 #include "cache/policy.hh"
 #include "disk/power_model.hh"
-#include "util/flat_map.hh"
 #include "util/indexed_heap.hh"
 #include "util/ordered_set.hh"
 #include "util/spill_pool.hh"
@@ -124,7 +130,7 @@ class BasicOpgPolicy : public ReplacementPolicy
     bool isOffline() const override { return true; }
     bool streamReady() const override { return ready; }
 
-    /** Energy penalty currently assigned to a resident block. */
+    /** Energy penalty of a resident block (test hook; O(n) scan). */
     Energy penaltyOf(const BlockId &block) const;
 
     /** Number of deterministic misses currently tracked for a disk. */
@@ -174,7 +180,14 @@ class BasicOpgPolicy : public ReplacementPolicy
 
     using EvictHeap = IndexedHeap<EvictKey>;
     using Handle = typename EvictHeap::Handle;
-    using DetSet = OrderedSet<std::size_t>;
+    using DetSet = OrderedSet<FutureAccess>;
+
+    /** A resident's next access: its time and the victim-heap handle. */
+    struct NextEntry
+    {
+        Time time;
+        Handle handle;
+    };
 
     Energy
     idleEnergy(Time t) const
@@ -182,24 +195,28 @@ class BasicOpgPolicy : public ReplacementPolicy
         return dpmKind == DpmKind::Oracle ? pm->envelope(t)
                                           : pm->practicalEnergy(t);
     }
-    Energy computePenalty(DiskId disk, std::size_t next_idx) const;
+    Energy computePenalty(DiskId disk, FutureAccess next) const;
 
-    /** Shared tail of both prepares: sentinel, tables, cold seeds. */
-    void finishPrepare(
-        std::size_t num_disks, Time last,
-        const std::vector<std::pair<DiskId, std::size_t>> &cold);
+    /** Shared part of both prepares: sentinel, empty tables, ready. */
+    void resetState(std::size_t num_disks, Time last);
 
-    void insertResident(const BlockId &block, std::size_t next_idx);
-    /** Drop a resident from every index; @return its evict key. */
-    EvictKey eraseResident(const BlockId &block);
+    void insertResident(const BlockId &block, FutureAccess next);
     /**
-     * Re-price resident blocks with next access in (lo, hi), where lo
-     * and hi (when present) are known to be the gap's deterministic
-     * misses — their leader and follower.
+     * Drop a leaving resident from the next-use index (the caller
+     * drops it from the heap). @return its next access, with the time
+     * the index stored.
      */
-    void repriceGap(DiskId disk, std::size_t lo, bool has_lo,
-                    std::size_t hi, bool has_hi);
-    void detInsert(DiskId disk, std::size_t idx);
+    FutureAccess unindex(const EvictKey &key);
+    /** Heap handle of a resident block: an O(n) scan of the heap. */
+    Handle findResident(const BlockId &block) const;
+    /**
+     * Re-price resident blocks with next access strictly between lo
+     * and hi, which (when present) are known to be the gap's
+     * deterministic misses — their leader and follower.
+     */
+    void repriceGap(DiskId disk, FutureAccess lo, bool has_lo,
+                    FutureAccess hi, bool has_hi);
+    void detInsert(DiskId disk, FutureAccess miss);
     void detErase(DiskId disk, std::size_t idx);
 
     const PowerModel *pm;
@@ -219,11 +236,9 @@ class BasicOpgPolicy : public ReplacementPolicy
      */
     std::unique_ptr<SpillPool> spillPool;
     std::vector<DetSet> detMiss; //!< per-disk S
-    /** Per disk: finite next-access index -> victim-heap handle. */
-    std::vector<OrderedSet<std::size_t, Handle>> residentByNext;
-    /** Packed 64-bit keys: 16-byte slots, one-word hash per probe. */
-    FlatMap<std::uint64_t, Handle> handleOf;
-    EvictHeap evictOrder;
+    /** Per disk: finite next-access index -> time and heap handle. */
+    std::vector<OrderedSet<std::size_t, NextEntry>> residentByNext;
+    EvictHeap evictOrder; //!< every resident, keyed for eviction
 };
 
 // All instantiations are compiled once, in opg.cc, so the hot replay

@@ -183,7 +183,7 @@ ReferenceOpgPolicy::onAccess(const BlockId &block, Time,
                              std::size_t idx, bool hit)
 {
     PACACHE_ASSERT(accesses, "OPG-ref requires prepare() before use");
-    const std::size_t next = future.nextUse(idx);
+    const std::size_t next = future.nextUse(idx).idx;
     if (hit) {
         auto it = info.find(block);
         PACACHE_ASSERT(it != info.end(), "OPG-ref hit on unknown block");

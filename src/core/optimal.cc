@@ -123,7 +123,7 @@ class OptimalSolver
             const std::size_t pos =
                 static_cast<std::size_t>(it - resident.begin());
             const std::size_t saved = resident[pos].nextUse;
-            resident[pos].nextUse = future.nextUse(idx);
+            resident[pos].nextUse = future.nextUse(idx).idx;
             dfs(idx + 1, cost, misses);
             resident[pos].nextUse = saved;
             return;
@@ -138,7 +138,7 @@ class OptimalSolver
         lastMiss[d] = acc.time;
 
         if (resident.size() < cap) {
-            resident.push_back({acc.block, future.nextUse(idx)});
+            resident.push_back({acc.block, future.nextUse(idx).idx});
             dfs(idx + 1, new_cost, misses + 1);
             resident.pop_back();
         } else {
@@ -151,13 +151,13 @@ class OptimalSolver
                 });
             if (dead != resident.end()) {
                 const Resident saved = *dead;
-                *dead = {acc.block, future.nextUse(idx)};
+                *dead = {acc.block, future.nextUse(idx).idx};
                 dfs(idx + 1, new_cost, misses + 1);
                 *dead = saved;
             } else {
                 for (std::size_t v = 0; v < resident.size(); ++v) {
                     const Resident saved = resident[v];
-                    resident[v] = {acc.block, future.nextUse(idx)};
+                    resident[v] = {acc.block, future.nextUse(idx).idx};
                     dfs(idx + 1, new_cost, misses + 1);
                     resident[v] = saved;
                 }

@@ -1,7 +1,5 @@
 #include "core/sim_stack.hh"
 
-#include <algorithm>
-
 #include "cache/arc.hh"
 #include "cache/belady.hh"
 #include "cache/clock.hh"
@@ -57,19 +55,13 @@ makeWindowedPolicy(const ExperimentConfig &config, const PowerModel &pm,
     wopts.windowEntries = windowed.windowEntries;
     if (windowed.chunkAccesses > 0)
         wopts.chunkAccesses = windowed.chunkAccesses;
-    wopts.pinTimes = config.policy == PolicyKind::OPG;
-    // Budgeted oracle: half bounds the pinned-times map, half the
-    // policy's SpillPool (max() keeps a 1-byte budget — the fuzzer's
-    // "tightest possible" probe — in budgeted mode).
-    const std::size_t budget = config.oracleMemBudget;
-    const std::size_t half =
-        budget > 0 ? std::max<std::size_t>(budget / 2, 1) : 0;
-    if (wopts.pinTimes)
-        wopts.pinnedBudgetBytes = half;
     WindowedFuture fut(windowed.pctPath, wopts);
     if (config.policy == PolicyKind::OPG) {
+        // The whole budget goes to the policy's SpillPool, as on the
+        // materialized path: the future itself keeps no per-block map.
         auto opg = std::make_unique<WindowedOpgPolicy>(
-            pm, opgPricing(config), opgThetaOf(config, pm), half);
+            pm, opgPricing(config), opgThetaOf(config, pm),
+            config.oracleMemBudget);
         opg->prepareWindowed(std::move(fut));
         return opg;
     }

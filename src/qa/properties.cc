@@ -343,9 +343,9 @@ propSpilledOracleEquivalence(const FuzzCase &c)
                            diff);
     }
 
-    // The windowed oracle under a budget additionally spills
-    // far-future pinned entries and rereads arrival times from the
-    // sidecar; fuzz the window geometry along with the budget.
+    // The windowed oracle takes its times from the sidecar entries
+    // rather than the materialized arrays, so fuzz the window
+    // geometry along with the budget.
     ExperimentConfig wcfg = cfg;
     const std::size_t accesses =
         std::max<std::size_t>(c.trace.numBlockAccesses(), 1);

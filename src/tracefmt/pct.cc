@@ -82,7 +82,8 @@ encodeRecord(unsigned char *p, const TraceRecord &rec)
 
 void
 decodeRecord(const unsigned char *p, TraceRecord &rec,
-             const std::string &path, uint64_t index, Time last_time)
+             const std::string &path, uint64_t index, Time last_time,
+             uint32_t num_disks)
 {
     rec.time = std::bit_cast<Time>(getLe64(p));
     rec.block = getLe64(p + 8);
@@ -93,6 +94,12 @@ decodeRecord(const unsigned char *p, TraceRecord &rec,
     if (rec.numBlocks == 0 || !(rec.time >= last_time)) {
         PACACHE_FATAL("corrupt .pct record ", index, " in '", path,
                       "' (zero length or out-of-order time)");
+    }
+    // Consumers size their disk arrays from the header's count.
+    if (rec.disk >= num_disks) {
+        PACACHE_FATAL("corrupt .pct record ", index, " in '", path,
+                      "': disk ", rec.disk, " but the header declares ",
+                      num_disks, " disks");
     }
 }
 
@@ -123,12 +130,14 @@ decodeHeader(const unsigned char *p, const std::string &path,
     info.records = getLe64(p + 16);
     info.checksum = getLe64(p + 24);
     info.endTime = std::bit_cast<Time>(getLe64(p + 32));
-    const uint64_t want =
-        kPctHeaderBytes + info.records * kPctRecordBytes;
-    if (file_size != want) {
+    // Bound the count before multiplying: records * kPctRecordBytes
+    // wraps, and a count near 2^61 would wrap onto the real size.
+    const uint64_t room = (file_size - kPctHeaderBytes) / kPctRecordBytes;
+    if (info.records > room ||
+        file_size != kPctHeaderBytes + info.records * kPctRecordBytes) {
         PACACHE_FATAL("'", path, "' is truncated or oversized: header "
-                      "promises ", info.records, " records (",
-                      want, " bytes), file has ", file_size, " bytes");
+                      "promises ", info.records, " records, file has ",
+                      file_size, " bytes (room for ", room, ")");
     }
     return info;
 }
@@ -384,7 +393,7 @@ PctBufferedSource::next(TraceRecord &out)
             return false;
     }
     decodeRecord(buf.data() + bufPos * kPctRecordBytes, out, path,
-                 consumed, lastTime);
+                 consumed, lastTime, info.numDisks);
     lastTime = out.time;
     ++bufPos;
     ++consumed;
@@ -457,7 +466,7 @@ PctMmapSource::next(TraceRecord &out)
     if (pos >= info.records)
         return false;
     decodeRecord(records + pos * kPctRecordBytes, out, path, pos,
-                 lastTime);
+                 lastTime, info.numDisks);
     lastTime = out.time;
     ++pos;
     const uint64_t cadence =
@@ -515,7 +524,7 @@ PctMapping::record(uint64_t index, TraceRecord &out) const
     // by the sequential readers (times are never negative, so a
     // floor of 0 keeps the corruption check for length/NaN alive).
     decodeRecord(records + index * kPctRecordBytes, out, path, index,
-                 0);
+                 0, info.numDisks);
 }
 
 void

@@ -141,6 +141,15 @@ class IndexedHeap
             siftDown(pos);
     }
 
+    /** Visit every live element as fn(handle, key), in heap order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const Handle h : order)
+            fn(h, slots[h].key);
+    }
+
     /**
      * Test hook: check position back-pointers and the heap property;
      * panics on violation. O(n).

@@ -40,12 +40,16 @@ TEST(FutureKnowledgeTest, NextUseChains)
     // A B A C B A
     const auto accs = stream({1, 2, 1, 3, 2, 1});
     const auto fk = FutureKnowledge::build(accs);
-    EXPECT_EQ(fk.nextUse(0), 2u);
-    EXPECT_EQ(fk.nextUse(1), 4u);
-    EXPECT_EQ(fk.nextUse(2), 5u);
-    EXPECT_EQ(fk.nextUse(3), FutureKnowledge::kNever);
-    EXPECT_EQ(fk.nextUse(4), FutureKnowledge::kNever);
-    EXPECT_EQ(fk.nextUse(5), FutureKnowledge::kNever);
+    EXPECT_EQ(fk.nextUse(0).idx, 2u);
+    EXPECT_EQ(fk.nextUse(1).idx, 4u);
+    EXPECT_EQ(fk.nextUse(2).idx, 5u);
+    EXPECT_EQ(fk.nextUse(3).idx, FutureKnowledge::kNever);
+    EXPECT_EQ(fk.nextUse(4).idx, FutureKnowledge::kNever);
+    EXPECT_EQ(fk.nextUse(5).idx, FutureKnowledge::kNever);
+    // The next access's time rides along (access i arrives at i s).
+    EXPECT_EQ(fk.nextUse(0).time, 2.0);
+    EXPECT_EQ(fk.nextUse(1).time, 4.0);
+    EXPECT_EQ(fk.nextUse(2).time, 5.0);
 }
 
 TEST(FutureKnowledgeTest, FirstReferences)
@@ -67,8 +71,8 @@ TEST(FutureKnowledgeTest, DisksAreDistinct)
     accs.push_back({1.0, BlockId{1, 5}, false, 1}); // same block, other disk
     accs.push_back({2.0, BlockId{0, 5}, false, 2});
     const auto fk = FutureKnowledge::build(accs);
-    EXPECT_EQ(fk.nextUse(0), 2u);
-    EXPECT_EQ(fk.nextUse(1), FutureKnowledge::kNever);
+    EXPECT_EQ(fk.nextUse(0).idx, 2u);
+    EXPECT_EQ(fk.nextUse(1).idx, FutureKnowledge::kNever);
     EXPECT_TRUE(fk.isFirstReference(1));
 }
 

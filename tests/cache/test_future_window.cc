@@ -66,12 +66,11 @@ writeTracePct(const Trace &t, const std::string &name)
 
 /**
  * Drive @p fut through the whole access stream in consumption order
- * and compare every next-use index (and, when pinned, every pinned
- * time) against the materialized reference.
+ * and compare every cold seed and every next use — index and time —
+ * against the materialized reference.
  */
 void
-expectMatchesReference(const Trace &t, WindowedFuture &fut,
-                       bool pinned)
+expectMatchesReference(const Trace &t, WindowedFuture &fut)
 {
     const std::vector<BlockAccess> accesses = expandTrace(t);
     const FutureKnowledge ref = FutureKnowledge::build(accesses);
@@ -80,27 +79,28 @@ expectMatchesReference(const Trace &t, WindowedFuture &fut,
     EXPECT_EQ(fut.numDisks(), t.numDisks());
     EXPECT_EQ(fut.endTime(), t.endTime());
 
-    // Cold seeds are exactly the first-reference accesses, ascending.
+    // Cold seeds are exactly the first-reference accesses, ascending,
+    // each with its own arrival time.
     std::size_t seed_at = 0;
     for (std::size_t i = 0; i < ref.size(); ++i) {
         if (!ref.isFirstReference(i))
             continue;
         ASSERT_LT(seed_at, fut.coldSeeds().size());
-        EXPECT_EQ(fut.coldSeeds()[seed_at].idx, i);
-        EXPECT_EQ(fut.coldSeeds()[seed_at].disk,
-                  accesses[i].block.disk);
+        const WindowedFuture::ColdSeed &seed = fut.coldSeeds()[seed_at];
+        EXPECT_EQ(seed.idx, i);
+        EXPECT_EQ(seed.disk, accesses[i].block.disk);
+        EXPECT_EQ(seed.time, accesses[i].time) << "cold " << i;
         ++seed_at;
     }
     EXPECT_EQ(seed_at, fut.coldSeeds().size());
 
     for (std::size_t i = 0; i < ref.size(); ++i) {
-        if (pinned && ref.isFirstReference(i))
-            EXPECT_EQ(fut.timeOf(i), ref.timeOf(i)) << "cold " << i;
-        const std::size_t next = fut.nextUse(i);
-        EXPECT_EQ(next, ref.nextUse(i)) << "idx " << i;
-        if (pinned && next != WindowedFuture::kNever)
-            EXPECT_EQ(fut.timeOf(next), ref.timeOf(next))
+        const FutureAccess next = fut.nextUse(i);
+        EXPECT_EQ(next.idx, ref.nextUse(i).idx) << "idx " << i;
+        if (next.idx != WindowedFuture::kNever) {
+            EXPECT_EQ(next.time, accesses[next.idx].time)
                 << "successor of " << i;
+        }
     }
 }
 
@@ -108,17 +108,24 @@ TEST(WindowedFuture, ExactForEveryWindowAndChunkSize)
 {
     const Trace t = workload();
     const std::string pct = writeTracePct(t, "winfut_sizes.pct");
-    const std::size_t chunk = 64;
-    // The satellite matrix: 1, chunk-1, chunk, chunk+1, "infinite".
-    const std::size_t windows[] = {1, chunk - 1, chunk, chunk + 1,
-                                   std::size_t(1) << 20};
-    for (const std::size_t w : windows) {
+    struct Geometry
+    {
+        std::size_t window;
+        std::size_t chunk;
+    };
+    // Windows 1, chunk-1, chunk, chunk+1 and "infinite" at chunk 64,
+    // plus window 32 over chunk 100.
+    const Geometry geometries[] = {
+        {1, 64}, {63, 64}, {64, 64}, {65, 64},
+        {std::size_t(1) << 20, 64}, {32, 100}};
+    for (const Geometry &g : geometries) {
         WindowedFuture::Options opts;
-        opts.windowEntries = w;
-        opts.chunkAccesses = chunk;
+        opts.windowEntries = g.window;
+        opts.chunkAccesses = g.chunk;
         WindowedFuture fut(pct, opts);
-        SCOPED_TRACE("window " + std::to_string(w));
-        expectMatchesReference(t, fut, /*pinned=*/true);
+        SCOPED_TRACE("window " + std::to_string(g.window) + " chunk " +
+                     std::to_string(g.chunk));
+        expectMatchesReference(t, fut);
     }
 }
 
@@ -135,20 +142,8 @@ TEST(WindowedFuture, ChunkBoundariesInsideMultiBlockRequests)
         opts.chunkAccesses = chunk;
         WindowedFuture fut(pct, opts);
         SCOPED_TRACE("chunk " + std::to_string(chunk));
-        expectMatchesReference(t, fut, /*pinned=*/true);
+        expectMatchesReference(t, fut);
     }
-}
-
-TEST(WindowedFuture, BeladyModeSkipsPinning)
-{
-    const Trace t = workload(9);
-    const std::string pct = writeTracePct(t, "winfut_nopin.pct");
-    WindowedFuture::Options opts;
-    opts.windowEntries = 32;
-    opts.chunkAccesses = 100;
-    opts.pinTimes = false;
-    WindowedFuture fut(pct, opts);
-    expectMatchesReference(t, fut, /*pinned=*/false);
 }
 
 TEST(WindowedFuture, MoveTransfersTheStream)
@@ -165,10 +160,10 @@ TEST(WindowedFuture, MoveTransfersTheStream)
     // Consume a prefix, move, and continue on the target.
     const std::size_t half = ref.size() / 2;
     for (std::size_t i = 0; i < half; ++i)
-        ASSERT_EQ(a.nextUse(i), ref.nextUse(i));
+        ASSERT_EQ(a.nextUse(i).idx, ref.nextUse(i).idx);
     WindowedFuture b(std::move(a));
     for (std::size_t i = half; i < ref.size(); ++i)
-        ASSERT_EQ(b.nextUse(i), ref.nextUse(i));
+        ASSERT_EQ(b.nextUse(i).idx, ref.nextUse(i).idx);
 }
 
 } // namespace

@@ -40,7 +40,7 @@ class NearestNextPolicy : public ReplacementPolicy
              bool hit) override
     {
         PACACHE_ASSERT(prepared, "prepare() required");
-        const std::size_t next = future.nextUse(idx);
+        const std::size_t next = future.nextUse(idx).idx;
         if (hit) {
             auto it = nextOf.find(block);
             PACACHE_ASSERT(it != nextOf.end(), "hit on unknown block");

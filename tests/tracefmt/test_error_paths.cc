@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -61,11 +62,14 @@ putF64(std::vector<unsigned char> &out, double v)
 /**
  * Assemble a syntactically valid .pct image (magic, version, correct
  * FNV-1a64 checksum) from arbitrary records — including ones the
- * writer itself would refuse, like non-monotone timestamps.
+ * writer itself would refuse, like non-monotone timestamps — with
+ * optionally forged header disk and record counts.
  */
 std::string
 writeRawPct(const std::string &name,
-            const std::vector<RawRecord> &records)
+            const std::vector<RawRecord> &records,
+            std::optional<uint32_t> forged_disks = {},
+            std::optional<uint64_t> forged_records = {})
 {
     std::vector<unsigned char> body;
     uint32_t numDisks = 0;
@@ -87,8 +91,8 @@ writeRawPct(const std::string &name,
     image.insert(image.end(), tracefmt::kPctMagic,
                  tracefmt::kPctMagic + 8);
     putLe32(image, tracefmt::kPctVersion);
-    putLe32(image, numDisks);
-    putLe64(image, records.size());
+    putLe32(image, forged_disks.value_or(numDisks));
+    putLe64(image, forged_records.value_or(records.size()));
     putLe64(image, fnv);
     putF64(image, records.empty() ? 0.0 : records.back().time);
     image.insert(image.end(), body.begin(), body.end());
@@ -167,6 +171,65 @@ TEST(PctErrors, NonMonotoneTimestampsAreFatalInBothReaders)
     const std::string mappedMsg = messageOf([&] { mapped.next(rec); });
     EXPECT_NE(mappedMsg.find("out-of-order time"), std::string::npos)
         << mappedMsg;
+}
+
+/** Each record reader's error on reading every record of @p path. */
+std::vector<std::string>
+recordReaderErrors(const std::string &path)
+{
+    TraceRecord rec;
+    return {messageOf([&] {
+                tracefmt::PctBufferedSource src(path);
+                while (src.next(rec)) {
+                }
+            }),
+            messageOf([&] {
+                tracefmt::PctMmapSource src(path);
+                while (src.next(rec)) {
+                }
+            }),
+            messageOf([&] {
+                tracefmt::PctMapping map(path);
+                for (uint64_t r = 0; r < map.header().records; ++r)
+                    map.record(r, rec);
+            })};
+}
+
+TEST(PctErrors, RecordCountThatWrapsTheSizeCheckIsFatal)
+{
+    // 40 + (2^61 + 1) * 24 wraps to 64, the size of this one-record
+    // file: the count must be bounded before it is multiplied, or the
+    // readers walk 2^61 records past the end of the mapping.
+    const uint64_t wrapping = (uint64_t(1) << 61) + 1;
+    const std::string path = writeRawPct(
+        "wrapping_count.pct", {{0.0, 1, 0, 1, false}}, {}, wrapping);
+    std::vector<std::string> msgs = recordReaderErrors(path);
+    msgs.push_back(messageOf([&] { tracefmt::readPctInfo(path); }));
+    EXPECT_NE(msgs.back().find(std::to_string(wrapping)),
+              std::string::npos);
+    for (const std::string &msg : msgs)
+        EXPECT_NE(msg.find("truncated or oversized"), std::string::npos)
+            << msg;
+}
+
+TEST(PctErrors, RecordDiskBeyondHeaderCountIsFatal)
+{
+    // Consumers size their disk arrays from the header, so a record
+    // on disk 5 of a "1-disk" trace must be an input error, located
+    // at the record, in every reader that decodes records
+    // (readPctInfo decodes only the header, which is well formed).
+    const std::string path = writeRawPct(
+        "disk_beyond_header.pct",
+        {{0.0, 1, 0, 1, false}, {1.0, 2, 5, 1, false},
+         {2.0, 3, 5, 1, true}},
+        1u);
+    EXPECT_EQ(tracefmt::readPctInfo(path).numDisks, 1u);
+    for (const std::string &msg : recordReaderErrors(path)) {
+        EXPECT_NE(msg.find("record 1 in '" + path + "': disk 5 but "
+                           "the header declares 1 disks"),
+                  std::string::npos)
+            << msg;
+    }
 }
 
 TEST(SpcErrors, SectorBeyondPackedKeyLimitIsFatal)

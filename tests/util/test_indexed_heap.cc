@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <set>
 #include <unordered_map>
@@ -96,6 +97,23 @@ TEST(IndexedHeap, FreeListRecyclesSlots)
     EXPECT_EQ(heap.push(3), b);
     EXPECT_EQ(heap.push(4), a);
     heap.validate();
+}
+
+TEST(IndexedHeap, ForEachVisitsExactlyTheLiveElements)
+{
+    IndexedHeap<int> heap;
+    std::map<IndexedHeap<int>::Handle, int> live, seen;
+    for (int k : {5, 1, 8, 3, 9, 2})
+        live[heap.push(k)] = k;
+    live.erase(heap.topHandle());
+    heap.pop();
+    std::size_t visits = 0;
+    heap.forEach([&](IndexedHeap<int>::Handle h, int k) {
+        seen[h] = k;
+        ++visits;
+    });
+    EXPECT_EQ(seen, live);
+    EXPECT_EQ(visits, live.size());
 }
 
 TEST(IndexedHeap, MaxHeapViaComparator)

@@ -157,9 +157,9 @@ step "sharded streaming determinism smoke (Release)"
 # 1e7-record x 64-disk scaled OLTP trace to .pct (never
 # materialized), then replay it disk-sharded with the windowed OPG
 # oracle under a tight oracle memory budget (64 MiB across 8 shards
-# — every tier spills: deterministic-miss pages, pinned times, and
-# the cold-miss bitmap) at --jobs 1 and --jobs 8, plus once
-# unbudgeted. All three reports must be byte-identical: worker count
+# — every tier spills: the deterministic-miss sets, the next-use
+# indexes and the cold-miss bitmap) at --jobs 1 and --jobs 8, plus
+# once unbudgeted. All three reports must be byte-identical: worker count
 # only changes scheduling, and spilling only changes where oracle
 # bytes live — never statistics.
 scale_dir=$(mktemp -d)
@@ -201,6 +201,17 @@ step "ASan+UBSan mini fuzz campaign"
 # A handful of cases is enough to drag generated workloads through
 # every experiment layer under ASan/UBSan.
 "$root/build-asan/tools/pacache_fuzz" --cases 8 --seed 2
+
+step "ASan+UBSan oracle campaign"
+# The mini campaign above rarely reaches OPG's incremental
+# bookkeeping; 300 cases of the four oracle properties drag the
+# deterministic-miss sets, the next-use index and their spill tier
+# (budgeted, windowed, materialized and reference replays) through
+# ASan/UBSan.
+oracle_props=windowed_oracle_equivalence,spilled_oracle_equivalence
+oracle_props=$oracle_props,opg_matches_ref,opg_incremental_consistent
+"$root/build-asan/tools/pacache_fuzz" --cases 300 --seed 4 \
+    --jobs "$jobs" --property "$oracle_props"
 
 step "ASan+UBSan mini crash campaign"
 # The crash properties throw and unwind through the whole write path

@@ -66,11 +66,11 @@ workload selection (one of):
   --window-chunk N       backward-pass chunk size in accesses
                          (default: 4Mi; smaller = less build memory)
   --oracle-mem-budget M  with opg: cap the oracle's in-RAM replay
-                         state (deterministic-miss sets, next-use
-                         indexes, pinned times) at M MiB, spilling
-                         overflow pages to unlinked temporary files;
-                         results stay bit-identical to the unbounded
-                         oracle (0 = unbounded, the default)
+                         state (deterministic-miss sets and next-use
+                         indexes) at M MiB, spilling overflow pages
+                         to unlinked temporary files; results stay
+                         bit-identical to the unbounded oracle
+                         (0 = unbounded, the default)
   --shards N             partition the trace by disk (shard = disk id
                          mod N) and replay every shard on its own
                          simulation stack in parallel (requires
