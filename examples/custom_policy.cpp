@@ -34,8 +34,11 @@ class PinnedDisksLru : public ReplacementPolicy
 
     const char *name() const override { return "PinnedDisksLRU"; }
 
+    // LruStack is keyed by block, so this policy ignores the cache
+    // slot; built-in LRU and PA-LRU index their lists by it instead.
     void
-    onAccess(const BlockId &block, Time, std::size_t, bool hit) override
+    onAccess(const BlockId &block, CacheSlot, Time, std::size_t,
+             bool hit) override
     {
         if (hit) {
             regular.remove(block);
@@ -48,7 +51,7 @@ class PinnedDisksLru : public ReplacementPolicy
     }
 
     void
-    onRemove(const BlockId &block) override
+    onRemove(const BlockId &block, CacheSlot) override
     {
         if (!regular.remove(block))
             pinned.remove(block);
@@ -122,8 +125,10 @@ main()
 
     t.print(std::cout);
 
-    std::cout << "\nImplementing ReplacementPolicy takes four "
-                 "methods; the Cache, DiskArray and StorageSystem\n"
+    std::cout << "\nImplementing ReplacementPolicy takes name(), "
+                 "onAccess(block, slot, now, idx, hit),\n"
+                 "onRemove(block, slot) and evict(now, idx); the "
+                 "Cache, DiskArray and StorageSystem\n"
                  "pieces compose around any policy — PA-LRU itself is "
                  "built exactly this way.\n";
     return 0;

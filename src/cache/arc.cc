@@ -39,7 +39,8 @@ ArcPolicy::beforeMiss(const BlockId &block, Time, std::size_t)
 }
 
 void
-ArcPolicy::onAccess(const BlockId &block, Time, std::size_t, bool hit)
+ArcPolicy::onAccess(const BlockId &block, CacheSlot, Time, std::size_t,
+                    bool hit)
 {
     if (hit) {
         // T1 or T2 hit promotes to T2 MRU.
@@ -57,7 +58,7 @@ ArcPolicy::onAccess(const BlockId &block, Time, std::size_t, bool hit)
 }
 
 void
-ArcPolicy::onRemove(const BlockId &block)
+ArcPolicy::onRemove(const BlockId &block, CacheSlot)
 {
     // External removal leaves no ghost (the block is gone for reasons
     // unrelated to replacement).

@@ -31,9 +31,9 @@ class ArcPolicy : public ReplacementPolicy
 
     void beforeMiss(const BlockId &block, Time now,
                     std::size_t idx) override;
-    void onAccess(const BlockId &block, Time now, std::size_t idx,
-                  bool hit) override;
-    void onRemove(const BlockId &block) override;
+    void onAccess(const BlockId &block, CacheSlot slot, Time now,
+                  std::size_t idx, bool hit) override;
+    void onRemove(const BlockId &block, CacheSlot slot) override;
     BlockId evict(Time now, std::size_t idx) override;
 
     /** Current adaptation target for |T1| (test hook). */

@@ -46,7 +46,7 @@ BasicBeladyPolicy<F>::prepareWindowed(F &&fut)
 
 template <typename F>
 void
-BasicBeladyPolicy<F>::onAccess(const BlockId &block, Time,
+BasicBeladyPolicy<F>::onAccess(const BlockId &block, CacheSlot, Time,
                                std::size_t idx, bool hit)
 {
     PACACHE_ASSERT(prepared, "Belady requires prepare() before use");
@@ -66,7 +66,7 @@ BasicBeladyPolicy<F>::onAccess(const BlockId &block, Time,
 
 template <typename F>
 void
-BasicBeladyPolicy<F>::onRemove(const BlockId &block)
+BasicBeladyPolicy<F>::onRemove(const BlockId &block, CacheSlot)
 {
     Handle *hp = handleOf.find(block.packed());
     PACACHE_ASSERT(hp, "Belady removal of unknown block");

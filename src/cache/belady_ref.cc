@@ -15,7 +15,7 @@ ReferenceBeladyPolicy::prepare(const std::vector<BlockAccess> &accesses)
 }
 
 void
-ReferenceBeladyPolicy::onAccess(const BlockId &block, Time,
+ReferenceBeladyPolicy::onAccess(const BlockId &block, CacheSlot, Time,
                                 std::size_t idx, bool hit)
 {
     PACACHE_ASSERT(prepared, "Belady-ref requires prepare() before use");
@@ -34,7 +34,7 @@ ReferenceBeladyPolicy::onAccess(const BlockId &block, Time,
 }
 
 void
-ReferenceBeladyPolicy::onRemove(const BlockId &block)
+ReferenceBeladyPolicy::onRemove(const BlockId &block, CacheSlot)
 {
     auto it = nextOf.find(block);
     PACACHE_ASSERT(it != nextOf.end(),

@@ -31,9 +31,9 @@ class ReferenceBeladyPolicy : public ReplacementPolicy
 
     void prepare(const std::vector<BlockAccess> &accesses) override;
 
-    void onAccess(const BlockId &block, Time now, std::size_t idx,
-                  bool hit) override;
-    void onRemove(const BlockId &block) override;
+    void onAccess(const BlockId &block, CacheSlot slot, Time now,
+                  std::size_t idx, bool hit) override;
+    void onRemove(const BlockId &block, CacheSlot slot) override;
     BlockId evict(Time now, std::size_t idx) override;
     bool supportsPrefetch() const override { return false; }
     bool isOffline() const override { return true; }

@@ -2,6 +2,7 @@
 
 #include "obs/observer.hh"
 #include "util/logging.hh"
+#include "util/slot_list.hh"
 
 namespace pacache
 {
@@ -10,8 +11,17 @@ Cache::Cache(std::size_t capacity_blocks, ReplacementPolicy &policy)
     : capacityBlocks(capacity_blocks), repl(&policy)
 {
     PACACHE_ASSERT(capacity_blocks > 0, "cache needs positive capacity");
+    // Slot lists reserve their top indices as sentinels.
+    if (capacity_blocks > std::size_t{SlotList::kMaxIndex} + 1) {
+        PACACHE_FATAL("cache capacity of ", capacity_blocks,
+                      " blocks does not fit the 32-bit cache slot index"
+                      " (at most ", std::size_t{SlotList::kMaxIndex} + 1,
+                      " blocks)");
+    }
     // The resident table reaches exactly capacity entries; sizing it
-    // now keeps the steady-state churn rehash-free.
+    // now keeps the steady-state churn rehash-free. The per-slot
+    // entries grow on demand instead: an infinite cache's capacity is
+    // the whole trace's block volume.
     resident.reserve(capacity_blocks);
 }
 
@@ -32,13 +42,34 @@ Cache::recordFirstSeen(const BlockId &block)
     return first;
 }
 
-void
-Cache::dropFlags(const BlockId &block, const Flags &flags)
+CacheSlot
+Cache::slotOf(const BlockId &block, const char *what) const
 {
-    if (flags.dirty && block.disk < dirtyPerDisk.size())
-        dirtyPerDisk[block.disk].erase(block.block);
-    if (flags.logged && block.disk < loggedPerDisk.size())
-        loggedPerDisk[block.disk].erase(block.block);
+    const CacheSlot *slot = resident.find(block.packed());
+    PACACHE_ASSERT(slot, what, " on non-resident block");
+    return *slot;
+}
+
+void
+Cache::addTo(SlotSets &sets, uint32_t Entry::*pos, DiskId disk,
+             CacheSlot slot)
+{
+    std::vector<CacheSlot> &set = growAt(sets, disk);
+    entries[slot].*pos = static_cast<uint32_t>(set.size());
+    set.push_back(slot);
+}
+
+void
+Cache::removeFrom(SlotSets &sets, uint32_t Entry::*pos, DiskId disk,
+                  CacheSlot slot)
+{
+    std::vector<CacheSlot> &set = sets[disk];
+    const uint32_t at = entries[slot].*pos;
+    const CacheSlot moved = set.back();
+    set[at] = moved;
+    entries[moved].*pos = at;
+    set.pop_back();
+    entries[slot].*pos = kNotInSet;
 }
 
 CacheResult
@@ -46,7 +77,7 @@ Cache::access(const BlockId &block, Time now, std::size_t idx)
 {
     CacheResult result;
     ++counters.accesses;
-    if (resident.find(block.packed())) {
+    if (const CacheSlot *slot = resident.find(block.packed())) {
         ++counters.hits;
         result.hit = true;
         // coldMisses counts first-ever demand accesses. Without
@@ -55,7 +86,7 @@ Cache::access(const BlockId &block, Time now, std::size_t idx)
         // block's first access can hit and the probe is needed.
         if (counters.prefetchInserts && recordFirstSeen(block))
             ++counters.coldMisses;
-        repl->onAccess(block, now, idx, true);
+        repl->onAccess(block, *slot, now, idx, true);
         if (obs)
             obs->cacheAccess(true);
         return result;
@@ -90,115 +121,108 @@ void
 Cache::bringIn(const BlockId &block, Time now, std::size_t idx,
                CacheResult &result)
 {
+    // Nothing leaves the cache without a replacement, so until it is
+    // full the resident count is the next unused slot.
+    CacheSlot slot = static_cast<CacheSlot>(resident.size());
     if (resident.size() >= capacityBlocks) {
         const BlockId victim = repl->evict(now, idx);
-        Flags flags;
-        const bool wasResident = resident.take(victim.packed(), flags);
+        const bool wasResident = resident.take(victim.packed(), slot);
         PACACHE_ASSERT(wasResident,
                        "policy evicted a non-resident block");
+        Entry &gone = entries[slot];
         result.evicted = true;
         result.victim = victim;
-        result.victimDirty = flags.dirty;
-        result.victimLogged = flags.logged;
-        dropFlags(victim, flags);
+        result.victimDirty = gone.dirtyPos != kNotInSet;
+        result.victimLogged = gone.loggedPos != kNotInSet;
+        if (result.victimDirty)
+            removeFrom(dirtySlots, &Entry::dirtyPos, victim.disk, slot);
+        if (result.victimLogged)
+            removeFrom(loggedSlots, &Entry::loggedPos, victim.disk, slot);
         ++counters.evictions;
         if (obs)
             obs->cacheEviction(victim, result.victimDirty);
     }
 
-    resident.emplace(block.packed(), Flags{});
-    repl->onAccess(block, now, idx, false);
+    const uint64_t key = block.packed();
+    growAt(entries, slot) = Entry{key, kNotInSet, kNotInSet};
+    resident.emplace(key, slot);
+    repl->onAccess(block, slot, now, idx, false);
 }
 
 void
 Cache::markDirty(const BlockId &block)
 {
-    Flags *flags = resident.find(block.packed());
-    PACACHE_ASSERT(flags, "markDirty on non-resident block");
-    if (flags->dirty)
-        return;
-    flags->dirty = true;
-    if (block.disk >= dirtyPerDisk.size())
-        dirtyPerDisk.resize(block.disk + 1);
-    dirtyPerDisk[block.disk].insert(block.block);
+    const CacheSlot slot = slotOf(block, "markDirty");
+    if (entries[slot].dirtyPos == kNotInSet)
+        addTo(dirtySlots, &Entry::dirtyPos, block.disk, slot);
 }
 
 void
 Cache::markClean(const BlockId &block)
 {
-    Flags *flags = resident.find(block.packed());
-    PACACHE_ASSERT(flags, "markClean on non-resident block");
-    if (!flags->dirty)
-        return;
-    flags->dirty = false;
-    dirtyPerDisk[block.disk].erase(block.block);
+    const CacheSlot slot = slotOf(block, "markClean");
+    if (entries[slot].dirtyPos != kNotInSet)
+        removeFrom(dirtySlots, &Entry::dirtyPos, block.disk, slot);
 }
 
 bool
 Cache::isDirty(const BlockId &block) const
 {
-    const Flags *flags = resident.find(block.packed());
-    return flags && flags->dirty;
+    const CacheSlot *slot = resident.find(block.packed());
+    return slot && entries[*slot].dirtyPos != kNotInSet;
 }
 
 void
 Cache::markLogged(const BlockId &block)
 {
-    Flags *flags = resident.find(block.packed());
-    PACACHE_ASSERT(flags, "markLogged on non-resident block");
-    if (flags->logged)
-        return;
-    flags->logged = true;
-    if (block.disk >= loggedPerDisk.size())
-        loggedPerDisk.resize(block.disk + 1);
-    loggedPerDisk[block.disk].insert(block.block);
+    const CacheSlot slot = slotOf(block, "markLogged");
+    if (entries[slot].loggedPos == kNotInSet)
+        addTo(loggedSlots, &Entry::loggedPos, block.disk, slot);
 }
 
 void
 Cache::clearLogged(const BlockId &block)
 {
-    Flags *flags = resident.find(block.packed());
-    if (!flags || !flags->logged)
-        return;
-    flags->logged = false;
-    loggedPerDisk[block.disk].erase(block.block);
+    const CacheSlot *slot = resident.find(block.packed());
+    if (slot && entries[*slot].loggedPos != kNotInSet)
+        removeFrom(loggedSlots, &Entry::loggedPos, block.disk, *slot);
 }
 
 bool
 Cache::isLogged(const BlockId &block) const
 {
-    const Flags *flags = resident.find(block.packed());
-    return flags && flags->logged;
+    const CacheSlot *slot = resident.find(block.packed());
+    return slot && entries[*slot].loggedPos != kNotInSet;
+}
+
+std::vector<BlockId>
+Cache::blocksIn(const SlotSets &sets, DiskId disk) const
+{
+    std::vector<BlockId> out;
+    if (disk < sets.size()) {
+        out.reserve(sets[disk].size());
+        for (const CacheSlot slot : sets[disk])
+            out.push_back(BlockId::fromPacked(entries[slot].key));
+    }
+    return out;
 }
 
 std::vector<BlockId>
 Cache::dirtyBlocksOf(DiskId disk) const
 {
-    std::vector<BlockId> out;
-    if (disk < dirtyPerDisk.size()) {
-        out.reserve(dirtyPerDisk[disk].size());
-        for (BlockNum b : dirtyPerDisk[disk])
-            out.push_back(BlockId{disk, b});
-    }
-    return out;
+    return blocksIn(dirtySlots, disk);
 }
 
 std::vector<BlockId>
 Cache::loggedBlocksOf(DiskId disk) const
 {
-    std::vector<BlockId> out;
-    if (disk < loggedPerDisk.size()) {
-        out.reserve(loggedPerDisk[disk].size());
-        for (BlockNum b : loggedPerDisk[disk])
-            out.push_back(BlockId{disk, b});
-    }
-    return out;
+    return blocksIn(loggedSlots, disk);
 }
 
 std::size_t
 Cache::dirtyCount(DiskId disk) const
 {
-    return disk < dirtyPerDisk.size() ? dirtyPerDisk[disk].size() : 0;
+    return disk < dirtySlots.size() ? dirtySlots[disk].size() : 0;
 }
 
 } // namespace pacache

@@ -3,14 +3,18 @@
  * The storage cache: block-granular, demand-filled, with pluggable
  * replacement (paper's "CacheSim"). Tracks per-block dirty and
  * "logged" flags (the latter for the WTDU write policy) and per-disk
- * dirty-block sets so write policies can flush efficiently.
+ * dirty and logged sets so write policies can flush efficiently.
+ *
+ * Every resident block holds a dense slot in [0, capacity) (the slot
+ * contract in cache/policy.hh). One hash probe per access maps the
+ * block to its slot; the slot indexes everything else: the block's
+ * flags here, and the replacement policy's own order.
  */
 
 #ifndef PACACHE_CACHE_CACHE_HH
 #define PACACHE_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/policy.hh"
@@ -63,7 +67,8 @@ class Cache
 {
   public:
     /**
-     * @param capacity_blocks  cache size in blocks (> 0)
+     * @param capacity_blocks  cache size in blocks (> 0); a capacity
+     *                         beyond the 32-bit slot index is fatal
      * @param policy           replacement policy (not owned)
      */
     Cache(std::size_t capacity_blocks, ReplacementPolicy &policy);
@@ -124,13 +129,37 @@ class Cache
     void setObserver(obs::SimObserver *observer) { obs = observer; }
 
   private:
-    struct Flags
+    //! position of a slot that is in no per-disk set
+    static constexpr uint32_t kNotInSet = UINT32_MAX;
+
+    /**
+     * One resident block: its packed id, and its position in its
+     * disk's dirty and logged slot vectors (kNotInSet = clean or
+     * unlogged). Keeping the positions lets a set drop any member in
+     * O(1) by swapping the last member into its place.
+     */
+    struct Entry
     {
-        bool dirty = false;
-        bool logged = false;
+        uint64_t key = 0;
+        uint32_t dirtyPos = kNotInSet;
+        uint32_t loggedPos = kNotInSet;
     };
 
-    void dropFlags(const BlockId &block, const Flags &flags);
+    /** Per-disk slot sets (dirty or logged), indexed by disk. */
+    using SlotSets = std::vector<std::vector<CacheSlot>>;
+
+    /** Slot of a resident block; panics with @p what otherwise. */
+    CacheSlot slotOf(const BlockId &block, const char *what) const;
+
+    /** Add @p slot to @p disk's set, recording its position. */
+    void addTo(SlotSets &sets, uint32_t Entry::*pos, DiskId disk,
+               CacheSlot slot);
+
+    /** Drop @p slot from @p disk's set by swap-remove. */
+    void removeFrom(SlotSets &sets, uint32_t Entry::*pos, DiskId disk,
+                    CacheSlot slot);
+
+    std::vector<BlockId> blocksIn(const SlotSets &sets, DiskId disk) const;
 
     /** Shared miss/prefetch insertion path (evict + insert). */
     void bringIn(const BlockId &block, Time now, std::size_t idx,
@@ -139,13 +168,15 @@ class Cache
     std::size_t capacityBlocks;
     ReplacementPolicy *repl;
     /**
-     * Residency keyed on packed 64-bit block ids: 16-byte slots keep
-     * the table inside L1 at fig6 cache sizes, and the per-access
-     * probe hashes one word instead of a struct.
+     * Residency: packed 64-bit block id -> slot. 16-byte table slots
+     * keep the table inside L1 at fig6 cache sizes, and the
+     * per-access probe hashes one word instead of a struct.
      */
-    FlatMap<uint64_t, Flags> resident;
-    std::vector<std::unordered_set<BlockNum>> dirtyPerDisk;
-    std::vector<std::unordered_set<BlockNum>> loggedPerDisk;
+    FlatMap<uint64_t, CacheSlot> resident;
+    /** Per slot; grows with the resident count, up to capacity. */
+    std::vector<Entry> entries;
+    SlotSets dirtySlots;
+    SlotSets loggedSlots;
 
     /**
      * Exact cold-miss detection, probed once per miss. Block numbers

@@ -6,48 +6,50 @@ namespace pacache
 {
 
 void
-ClockPolicy::onAccess(const BlockId &block, Time, std::size_t, bool hit)
+ClockPolicy::onAccess(const BlockId &block, CacheSlot slot, Time,
+                      std::size_t, bool hit)
 {
     if (hit) {
-        Ring::Node **node = index.find(block);
-        PACACHE_ASSERT(node, "CLOCK hit on unknown block");
-        (*node)->value.referenced = true;
+        PACACHE_ASSERT(ring.contains(slot), "CLOCK hit on unknown block");
+        referenced[slot] = 1;
         return;
     }
+    growAt(blocks, slot) = block;
+    growAt(referenced, slot) = 0;
     // Insert just before the hand (i.e. at the "oldest" position the
     // hand will reach last).
-    Ring::Node *n = ring.insertBefore(hand, Entry{block, false});
-    index.emplace(block, n);
-    if (!hand)
-        hand = n;
+    ring.insertBefore(hand, slot);
+    if (hand == SlotList::kNil)
+        hand = slot;
 }
 
 void
-ClockPolicy::onRemove(const BlockId &block)
+ClockPolicy::unlink(CacheSlot slot)
 {
-    Ring::Node **found = index.find(block);
-    PACACHE_ASSERT(found, "CLOCK removal of unknown block");
-    Ring::Node *node = *found;
-    if (node == hand)
-        hand = ring.size() == 1 ? nullptr : after(node);
-    ring.unlink(node);
-    index.erase(block);
+    if (slot == hand)
+        hand = ring.size() == 1 ? SlotList::kNil : after(slot);
+    ring.unlink(slot);
+}
+
+void
+ClockPolicy::onRemove(const BlockId &block, CacheSlot slot)
+{
+    PACACHE_ASSERT(ring.contains(slot) && blocks[slot] == block,
+                   "CLOCK removal of unknown block");
+    unlink(slot);
 }
 
 BlockId
 ClockPolicy::evict(Time, std::size_t)
 {
     PACACHE_ASSERT(!ring.empty(), "CLOCK evict on empty cache");
-    while (hand->value.referenced) {
-        hand->value.referenced = false;
+    while (referenced[hand]) {
+        referenced[hand] = 0;
         hand = after(hand);
     }
-    const BlockId victim = hand->value.block;
-    Ring::Node *dead = hand;
-    hand = ring.size() == 1 ? nullptr : after(dead);
-    ring.unlink(dead);
-    index.erase(victim);
-    return victim;
+    const CacheSlot victim = hand;
+    unlink(victim);
+    return blocks[victim];
 }
 
 } // namespace pacache

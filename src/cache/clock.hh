@@ -7,42 +7,42 @@
 #ifndef PACACHE_CACHE_CLOCK_HH
 #define PACACHE_CACHE_CLOCK_HH
 
+#include <cstdint>
+#include <vector>
+
 #include "cache/policy.hh"
-#include "util/flat_map.hh"
-#include "util/intrusive_list.hh"
+#include "util/slot_list.hh"
 
 namespace pacache
 {
 
-/** CLOCK replacement policy. */
+/** CLOCK replacement policy; the ring and reference bits are per slot. */
 class ClockPolicy : public ReplacementPolicy
 {
   public:
     const char *name() const override { return "CLOCK"; }
 
-    void onAccess(const BlockId &block, Time now, std::size_t idx,
-                  bool hit) override;
-    void onRemove(const BlockId &block) override;
+    void onAccess(const BlockId &block, CacheSlot slot, Time now,
+                  std::size_t idx, bool hit) override;
+    void onRemove(const BlockId &block, CacheSlot slot) override;
     BlockId evict(Time now, std::size_t idx) override;
 
   private:
-    struct Entry
+    /** Hand successor with wrap-around (kNil only when empty). */
+    CacheSlot
+    after(CacheSlot slot) const
     {
-        BlockId block;
-        bool referenced = false;
-    };
-
-    using Ring = ArenaList<Entry>;
-
-    /** Hand successor with wrap-around (null only when empty). */
-    Ring::Node *after(Ring::Node *n)
-    {
-        return n->next ? n->next : ring.front();
+        const CacheSlot next = ring.next(slot);
+        return next != SlotList::kNil ? next : ring.front();
     }
 
-    Ring ring;                  //!< linear storage, wrapped manually
-    Ring::Node *hand = nullptr; //!< null iff the ring is empty
-    FlatMap<BlockId, Ring::Node *> index;
+    /** Take @p slot out of the ring, moving the hand off it first. */
+    void unlink(CacheSlot slot);
+
+    SlotList ring;                   //!< linear storage, wrapped manually
+    CacheSlot hand = SlotList::kNil; //!< kNil iff the ring is empty
+    std::vector<BlockId> blocks;     //!< per slot
+    std::vector<uint8_t> referenced; //!< per slot
 };
 
 } // namespace pacache

@@ -6,29 +6,28 @@ namespace pacache
 {
 
 void
-FifoPolicy::onAccess(const BlockId &block, Time, std::size_t, bool hit)
+FifoPolicy::onAccess(const BlockId &block, CacheSlot slot, Time,
+                     std::size_t, bool hit)
 {
     if (hit)
         return; // FIFO ignores re-references
-    index.emplace(block, order.pushBack(block));
+    growAt(blocks, slot) = block;
+    order.pushBack(slot);
 }
 
 void
-FifoPolicy::onRemove(const BlockId &block)
+FifoPolicy::onRemove(const BlockId &block, CacheSlot slot)
 {
-    Order::Node **node = index.find(block);
-    PACACHE_ASSERT(node, "FIFO removal of unknown block");
-    order.unlink(*node);
-    index.erase(block);
+    PACACHE_ASSERT(order.contains(slot) && blocks[slot] == block,
+                   "FIFO removal of unknown block");
+    order.unlink(slot);
 }
 
 BlockId
 FifoPolicy::evict(Time, std::size_t)
 {
     PACACHE_ASSERT(!order.empty(), "FIFO evict on empty cache");
-    const BlockId victim = order.popFront();
-    index.erase(victim);
-    return victim;
+    return blocks[order.popFront()];
 }
 
 } // namespace pacache

@@ -114,7 +114,8 @@ LirsPolicy::trimGhosts()
 }
 
 void
-LirsPolicy::onAccess(const BlockId &block, Time, std::size_t, bool hit)
+LirsPolicy::onAccess(const BlockId &block, CacheSlot, Time, std::size_t,
+                     bool hit)
 {
     if (hit) {
         Entry &e = table.at(block);
@@ -186,7 +187,7 @@ LirsPolicy::onAccess(const BlockId &block, Time, std::size_t, bool hit)
 }
 
 void
-LirsPolicy::onRemove(const BlockId &block)
+LirsPolicy::onRemove(const BlockId &block, CacheSlot)
 {
     auto it = table.find(block);
     PACACHE_ASSERT(it != table.end() &&

@@ -42,9 +42,9 @@ class LirsPolicy : public ReplacementPolicy
 
     const char *name() const override { return "LIRS"; }
 
-    void onAccess(const BlockId &block, Time now, std::size_t idx,
-                  bool hit) override;
-    void onRemove(const BlockId &block) override;
+    void onAccess(const BlockId &block, CacheSlot slot, Time now,
+                  std::size_t idx, bool hit) override;
+    void onRemove(const BlockId &block, CacheSlot slot) override;
     BlockId evict(Time now, std::size_t idx) override;
 
     std::size_t lirCount() const { return numLir; }

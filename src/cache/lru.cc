@@ -8,21 +8,37 @@ namespace pacache
 void
 LruStack::touch(const BlockId &block)
 {
-    if (Order::Node **node = index.find(block)) {
-        order.moveToFront(*node);
+    if (const Index *i = index.find(block)) {
+        order.moveToFront(*i);
         return;
     }
-    index.emplace(block, order.pushFront(block));
+    Index i;
+    if (freeIndices.empty()) {
+        i = static_cast<Index>(blocks.size());
+        blocks.push_back(block);
+    } else {
+        i = freeIndices.back();
+        freeIndices.pop_back();
+        blocks[i] = block;
+    }
+    index.emplace(block, i);
+    order.pushFront(i);
+}
+
+void
+LruStack::release(Index i)
+{
+    order.unlink(i);
+    freeIndices.push_back(i);
 }
 
 bool
 LruStack::remove(const BlockId &block)
 {
-    Order::Node **node = index.find(block);
-    if (!node)
+    Index i;
+    if (!index.take(block, i))
         return false;
-    order.unlink(*node);
-    index.erase(block);
+    release(i);
     return true;
 }
 
@@ -30,22 +46,38 @@ BlockId
 LruStack::popLru()
 {
     PACACHE_ASSERT(!order.empty(), "popLru on empty stack");
-    const BlockId victim = order.popBack();
+    const Index i = order.back();
+    const BlockId victim = blocks[i];
     index.erase(victim);
+    release(i);
     return victim;
 }
 
 void
-LruPolicy::onRemove(const BlockId &block)
+LruPolicy::onAccess(const BlockId &block, CacheSlot slot, Time,
+                    std::size_t, bool hit)
 {
-    const bool present = stack.remove(block);
-    PACACHE_ASSERT(present, "LRU removal of unknown block");
+    if (hit) {
+        order.moveToFront(slot);
+        return;
+    }
+    growAt(blocks, slot) = block;
+    order.pushFront(slot);
+}
+
+void
+LruPolicy::onRemove(const BlockId &block, CacheSlot slot)
+{
+    PACACHE_ASSERT(order.contains(slot) && blocks[slot] == block,
+                   "LRU removal of unknown block");
+    order.unlink(slot);
 }
 
 BlockId
 LruPolicy::evict(Time, std::size_t)
 {
-    return stack.popLru();
+    PACACHE_ASSERT(!order.empty(), "LRU evict on empty cache");
+    return blocks[order.popBack()];
 }
 
 } // namespace pacache

@@ -6,18 +6,21 @@
 #ifndef PACACHE_CACHE_LRU_HH
 #define PACACHE_CACHE_LRU_HH
 
+#include <vector>
+
 #include "cache/policy.hh"
 #include "util/flat_map.hh"
-#include "util/intrusive_list.hh"
+#include "util/slot_list.hh"
 
 namespace pacache
 {
 
 /**
- * An LRU stack usable both as a standalone policy and as a building
- * block (PA-LRU maintains two of them). Backed by an arena list plus
- * an open-addressing index, so steady-state touch/evict churn does no
- * per-node heap allocation.
+ * A block-keyed LRU stack, for users without cache slots: ARC's
+ * resident and ghost lists, and custom policies. An index map finds
+ * a block's entry, a SlotList keeps the order, and freed entries are
+ * recycled through a free list, so steady-state touch/evict churn
+ * does no per-block heap allocation.
  */
 class LruStack
 {
@@ -40,30 +43,30 @@ class LruStack
     std::size_t size() const { return order.size(); }
 
   private:
-    using Order = ArenaList<BlockId>;
+    using Index = SlotList::Index;
 
-    Order order; //!< front = MRU, back = LRU
-    FlatMap<BlockId, Order::Node *> index;
+    void release(Index i);
+
+    SlotList order; //!< front = MRU, back = LRU
+    FlatMap<BlockId, Index> index;
+    std::vector<BlockId> blocks; //!< per entry index
+    std::vector<Index> freeIndices;
 };
 
-/** Plain LRU replacement policy. */
+/** Plain LRU replacement policy, ordered over cache slots. */
 class LruPolicy : public ReplacementPolicy
 {
   public:
     const char *name() const override { return "LRU"; }
 
-    void
-    onAccess(const BlockId &block, Time, std::size_t, bool) override
-    {
-        stack.touch(block);
-    }
-
-    void onRemove(const BlockId &block) override;
-
-    BlockId evict(Time, std::size_t) override;
+    void onAccess(const BlockId &block, CacheSlot slot, Time now,
+                  std::size_t idx, bool hit) override;
+    void onRemove(const BlockId &block, CacheSlot slot) override;
+    BlockId evict(Time now, std::size_t idx) override;
 
   private:
-    LruStack stack;
+    SlotList order;              //!< front = MRU, back = LRU
+    std::vector<BlockId> blocks; //!< per slot
 };
 
 } // namespace pacache

@@ -80,7 +80,8 @@ MqPolicy::beforeMiss(const BlockId &block, Time, std::size_t)
 }
 
 void
-MqPolicy::onAccess(const BlockId &block, Time, std::size_t, bool hit)
+MqPolicy::onAccess(const BlockId &block, CacheSlot, Time, std::size_t,
+                   bool hit)
 {
     ++clock;
     if (hit) {
@@ -101,7 +102,7 @@ MqPolicy::onAccess(const BlockId &block, Time, std::size_t, bool hit)
 }
 
 void
-MqPolicy::onRemove(const BlockId &block)
+MqPolicy::onRemove(const BlockId &block, CacheSlot)
 {
     auto it = index.find(block);
     PACACHE_ASSERT(it != index.end(), "MQ removal of unknown block");

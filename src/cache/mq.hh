@@ -42,9 +42,9 @@ class MqPolicy : public ReplacementPolicy
 
     void beforeMiss(const BlockId &block, Time now,
                     std::size_t idx) override;
-    void onAccess(const BlockId &block, Time now, std::size_t idx,
-                  bool hit) override;
-    void onRemove(const BlockId &block) override;
+    void onAccess(const BlockId &block, CacheSlot slot, Time now,
+                  std::size_t idx, bool hit) override;
+    void onRemove(const BlockId &block, CacheSlot slot) override;
     BlockId evict(Time now, std::size_t idx) override;
 
     /** Queue index a reference count maps to (test hook). */

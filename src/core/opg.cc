@@ -220,7 +220,7 @@ BasicOpgPolicy<F>::beforeMiss(const BlockId &block, Time,
 
 template <typename F>
 void
-BasicOpgPolicy<F>::onAccess(const BlockId &block, Time,
+BasicOpgPolicy<F>::onAccess(const BlockId &block, CacheSlot, Time,
                             std::size_t idx, bool hit)
 {
     PACACHE_ASSERT(ready, "OPG requires prepare() before use");
@@ -253,7 +253,7 @@ BasicOpgPolicy<F>::onAccess(const BlockId &block, Time,
 
 template <typename F>
 void
-BasicOpgPolicy<F>::onRemove(const BlockId &block)
+BasicOpgPolicy<F>::onRemove(const BlockId &block, CacheSlot)
 {
     // External removal behaves like an eviction: the block's next
     // reference becomes a deterministic miss.

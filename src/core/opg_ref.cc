@@ -179,7 +179,7 @@ ReferenceOpgPolicy::beforeMiss(const BlockId &block, Time,
 }
 
 void
-ReferenceOpgPolicy::onAccess(const BlockId &block, Time,
+ReferenceOpgPolicy::onAccess(const BlockId &block, CacheSlot, Time,
                              std::size_t idx, bool hit)
 {
     PACACHE_ASSERT(accesses, "OPG-ref requires prepare() before use");
@@ -195,7 +195,7 @@ ReferenceOpgPolicy::onAccess(const BlockId &block, Time,
 }
 
 void
-ReferenceOpgPolicy::onRemove(const BlockId &block)
+ReferenceOpgPolicy::onRemove(const BlockId &block, CacheSlot)
 {
     // External removal behaves like an eviction: the block's next
     // reference becomes a deterministic miss.

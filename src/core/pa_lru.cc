@@ -6,35 +6,43 @@ namespace pacache
 {
 
 void
-PaLruPolicy::onAccess(const BlockId &block, Time, std::size_t, bool hit)
+PaLruPolicy::onAccess(const BlockId &block, CacheSlot slot, Time,
+                      std::size_t, bool hit)
 {
+    const uint8_t want = cls->isPriority(block.disk) ? 1 : 0;
     if (hit) {
-        // The disk's class may have changed since insertion; migrate.
-        lru0.remove(block);
-        lru1.remove(block);
+        uint8_t &have = stackOf[slot];
+        if (have == want) {
+            stacks[want].moveToFront(slot);
+            return;
+        }
+        // The disk's class changed since insertion; migrate.
+        stacks[have].unlink(slot);
+        stacks[want].pushFront(slot);
+        have = want;
+        return;
     }
-    if (cls->isPriority(block.disk))
-        lru1.touch(block);
-    else
-        lru0.touch(block);
+    growAt(blocks, slot) = block;
+    growAt(stackOf, slot) = want;
+    stacks[want].pushFront(slot);
 }
 
 void
-PaLruPolicy::onRemove(const BlockId &block)
+PaLruPolicy::onRemove(const BlockId &block, CacheSlot slot)
 {
-    if (!lru0.remove(block)) {
-        const bool present = lru1.remove(block);
-        PACACHE_ASSERT(present, "PA-LRU removal of unknown block");
-    }
+    PACACHE_ASSERT(slot < stackOf.size() &&
+                       stacks[stackOf[slot]].contains(slot) &&
+                       blocks[slot] == block,
+                   "PA-LRU removal of unknown block");
+    stacks[stackOf[slot]].unlink(slot);
 }
 
 BlockId
 PaLruPolicy::evict(Time, std::size_t)
 {
-    if (!lru0.empty())
-        return lru0.popLru();
-    PACACHE_ASSERT(!lru1.empty(), "PA-LRU evict on empty cache");
-    return lru1.popLru();
+    SlotList &from = stacks[0].empty() ? stacks[1] : stacks[0];
+    PACACHE_ASSERT(!from.empty(), "PA-LRU evict on empty cache");
+    return blocks[from.popBack()];
 }
 
 PaDualPolicy::PaDualPolicy(const PaClassifier &classifier,
@@ -56,39 +64,38 @@ PaDualPolicy::beforeMiss(const BlockId &block, Time now, std::size_t idx)
 }
 
 void
-PaDualPolicy::onAccess(const BlockId &block, Time now, std::size_t idx,
-                       bool hit)
+PaDualPolicy::onAccess(const BlockId &block, CacheSlot slot, Time now,
+                       std::size_t idx, bool hit)
 {
     const uint8_t want = cls->isPriority(block.disk) ? 1 : 0;
-    uint8_t *have = home.find(block);
     if (hit) {
-        PACACHE_ASSERT(have, "PA wrapper hit on unknown block");
-        if (*have == want) {
-            sub[want]->onAccess(block, now, idx, true);
+        PACACHE_ASSERT(slot < home.size(), "PA wrapper hit on unknown block");
+        uint8_t &have = home[slot];
+        if (have == want) {
+            sub[want]->onAccess(block, slot, now, idx, true);
             return;
         }
         // Classification changed: migrate between sub-policies.
-        sub[*have]->onRemove(block);
-        --counts[*have];
-        sub[want]->onAccess(block, now, idx, false);
+        sub[have]->onRemove(block, slot);
+        --counts[have];
+        sub[want]->onAccess(block, slot, now, idx, false);
         ++counts[want];
-        *have = want;
+        have = want;
         return;
     }
-    PACACHE_ASSERT(!have, "PA wrapper double insert");
-    sub[want]->onAccess(block, now, idx, false);
+    sub[want]->onAccess(block, slot, now, idx, false);
     ++counts[want];
-    home.emplace(block, want);
+    growAt(home, slot) = want;
 }
 
 void
-PaDualPolicy::onRemove(const BlockId &block)
+PaDualPolicy::onRemove(const BlockId &block, CacheSlot slot)
 {
-    const uint8_t *which = home.find(block);
-    PACACHE_ASSERT(which, "PA wrapper removal of unknown block");
-    sub[*which]->onRemove(block);
-    --counts[*which];
-    home.erase(block);
+    PACACHE_ASSERT(slot < home.size(),
+                   "PA wrapper removal of unknown block");
+    const uint8_t which = home[slot];
+    sub[which]->onRemove(block, slot);
+    --counts[which];
 }
 
 BlockId
@@ -98,7 +105,6 @@ PaDualPolicy::evict(Time now, std::size_t idx)
     PACACHE_ASSERT(counts[which] > 0, "PA wrapper evict on empty cache");
     const BlockId victim = sub[which]->evict(now, idx);
     --counts[which];
-    home.erase(victim);
     return victim;
 }
 

@@ -9,18 +9,23 @@
  * PaClassifier). Eviction always takes the bottom of LRU0 unless it
  * is empty, so priority disks' blocks survive longer, their miss
  * streams thin out, and the disks can sleep.
+ *
+ * Both stacks are ordered over the cache's slots (cache/policy.hh),
+ * and each slot records which stack holds it, so a hit whose disk
+ * changed class moves to the other stack without a lookup.
  */
 
 #ifndef PACACHE_CORE_PA_LRU_HH
 #define PACACHE_CORE_PA_LRU_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
-#include "cache/lru.hh"
 #include "cache/policy.hh"
 #include "core/pa_classifier.hh"
-#include "util/flat_map.hh"
+#include "util/slot_list.hh"
 
 namespace pacache
 {
@@ -35,18 +40,19 @@ class PaLruPolicy : public ReplacementPolicy
 
     const char *name() const override { return "PA-LRU"; }
 
-    void onAccess(const BlockId &block, Time now, std::size_t idx,
-                  bool hit) override;
-    void onRemove(const BlockId &block) override;
+    void onAccess(const BlockId &block, CacheSlot slot, Time now,
+                  std::size_t idx, bool hit) override;
+    void onRemove(const BlockId &block, CacheSlot slot) override;
     BlockId evict(Time now, std::size_t idx) override;
 
-    std::size_t regularSize() const { return lru0.size(); }
-    std::size_t prioritySize() const { return lru1.size(); }
+    std::size_t regularSize() const { return stacks[0].size(); }
+    std::size_t prioritySize() const { return stacks[1].size(); }
 
   private:
     const PaClassifier *cls;
-    LruStack lru0; //!< regular disks
-    LruStack lru1; //!< priority disks
+    SlotList stacks[2];           //!< [0] regular, [1] priority; front = MRU
+    std::vector<BlockId> blocks;  //!< per slot
+    std::vector<uint8_t> stackOf; //!< per slot: which stack holds it
 };
 
 /**
@@ -74,9 +80,9 @@ class PaDualPolicy : public ReplacementPolicy
 
     void beforeMiss(const BlockId &block, Time now,
                     std::size_t idx) override;
-    void onAccess(const BlockId &block, Time now, std::size_t idx,
-                  bool hit) override;
-    void onRemove(const BlockId &block) override;
+    void onAccess(const BlockId &block, CacheSlot slot, Time now,
+                  std::size_t idx, bool hit) override;
+    void onRemove(const BlockId &block, CacheSlot slot) override;
     BlockId evict(Time now, std::size_t idx) override;
 
     std::size_t regularSize() const { return counts[0]; }
@@ -86,7 +92,9 @@ class PaDualPolicy : public ReplacementPolicy
     const PaClassifier *cls;
     std::unique_ptr<ReplacementPolicy> sub[2]; //!< [0]=regular
     std::size_t counts[2] = {0, 0};
-    FlatMap<BlockId, uint8_t> home; //!< which sub holds it
+    //! Per slot: which sub holds it. A victim's entry goes stale
+    //! until the slot's next miss overwrites it.
+    std::vector<uint8_t> home;
     std::string label;
 };
 

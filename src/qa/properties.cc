@@ -68,10 +68,10 @@ class RecordingPolicy : public ReplacementPolicy
     }
 
     void
-    onAccess(const BlockId &block, Time now, std::size_t idx,
-             bool hit) override
+    onAccess(const BlockId &block, CacheSlot slot, Time now,
+             std::size_t idx, bool hit) override
     {
-        inner->onAccess(block, now, idx, hit);
+        inner->onAccess(block, slot, now, idx, hit);
     }
 
     void
@@ -80,7 +80,11 @@ class RecordingPolicy : public ReplacementPolicy
         inner->beforeMiss(block, now, idx);
     }
 
-    void onRemove(const BlockId &block) override { inner->onRemove(block); }
+    void
+    onRemove(const BlockId &block, CacheSlot slot) override
+    {
+        inner->onRemove(block, slot);
+    }
 
     BlockId
     evict(Time now, std::size_t idx) override

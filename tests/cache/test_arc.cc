@@ -91,8 +91,8 @@ TEST(ArcPolicyTest, RemoveLeavesConsistentState)
     for (BlockNum n = 1; n <= 4; ++n)
         c.access(b(n), 0, idx++);
     c.access(b(2), 0, idx++); // promote 2 to T2
-    p.onRemove(b(2));
-    p.onRemove(b(1));
+    p.onRemove(b(2), 1); // block n missed into slot n - 1
+    p.onRemove(b(1), 0);
     // Evictions still produce distinct remaining blocks.
     const BlockId v1 = p.evict(0, 0);
     const BlockId v2 = p.evict(0, 0);
@@ -102,7 +102,7 @@ TEST(ArcPolicyTest, RemoveLeavesConsistentState)
 TEST(ArcPolicyTest, RemoveUnknownPanics)
 {
     ArcPolicy p(2);
-    EXPECT_ANY_THROW(p.onRemove(b(5)));
+    EXPECT_ANY_THROW(p.onRemove(b(5), 0));
 }
 
 TEST(ArcPolicyTest, LongRandomRunStaysConsistent)

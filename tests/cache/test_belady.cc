@@ -61,7 +61,7 @@ TEST(BeladyTest, EvictsFurthestNextUse)
 TEST(BeladyTest, RequiresPrepare)
 {
     BeladyPolicy p;
-    EXPECT_ANY_THROW(p.onAccess(BlockId{0, 1}, 0, 0, false));
+    EXPECT_ANY_THROW(p.onAccess(BlockId{0, 1}, 0, 0, 0, false));
 }
 
 TEST(BeladyTest, NeverWorseThanLruOnRandomTraces)

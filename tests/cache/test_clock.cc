@@ -65,8 +65,8 @@ TEST(ClockPolicyTest, SurvivesManyRemovals)
     std::size_t idx = 0;
     for (BlockNum n = 0; n < 4; ++n)
         c.access(b(n), 0, idx++);
-    p.onRemove(b(2));
-    p.onRemove(b(0));
+    p.onRemove(b(2), 2); // block n missed into slot n
+    p.onRemove(b(0), 0);
     // The ring still evicts the remaining blocks without tripping.
     const BlockId v1 = p.evict(0, 0);
     const BlockId v2 = p.evict(0, 0);

@@ -46,7 +46,7 @@ TEST(FifoPolicyTest, RemoveMaintainsOrder)
     c.access(b(1), 0, 0);
     c.access(b(2), 0, 1);
     c.access(b(3), 0, 2);
-    p.onRemove(b(1));
+    p.onRemove(b(1), 0); // first miss: slot 0
     // Cache is unaware of the external removal; verify policy order
     // directly via evict.
     EXPECT_EQ(p.evict(0, 0), b(2));
@@ -62,7 +62,7 @@ TEST(FifoPolicyTest, EvictEmptyPanics)
 TEST(FifoPolicyTest, RemoveUnknownPanics)
 {
     FifoPolicy p;
-    EXPECT_ANY_THROW(p.onRemove(b(9)));
+    EXPECT_ANY_THROW(p.onRemove(b(9), 0));
 }
 
 } // namespace

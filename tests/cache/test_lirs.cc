@@ -113,9 +113,9 @@ TEST(LirsPolicyTest, RemoveKeepsStructuresConsistent)
     std::size_t idx = 0;
     for (BlockNum n = 0; n < 6; ++n)
         c.access(b(n), 0, idx++);
-    p.onRemove(b(0)); // a LIR block
+    p.onRemove(b(0), 0); // a LIR block; block n missed into slot n
     p.validate();
-    p.onRemove(b(5)); // likely HIR
+    p.onRemove(b(5), 5); // likely HIR
     p.validate();
     // Policy can still evict the remaining blocks.
     const BlockId v = p.evict(0, 0);
@@ -127,7 +127,7 @@ TEST(LirsPolicyTest, RemoveKeepsStructuresConsistent)
 TEST(LirsPolicyTest, RemoveUnknownPanics)
 {
     LirsPolicy p(4);
-    EXPECT_ANY_THROW(p.onRemove(b(1)));
+    EXPECT_ANY_THROW(p.onRemove(b(1), 0));
 }
 
 TEST(LirsPolicyTest, LongRandomRunStaysConsistent)

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "cache/lru.hh"
+#include "util/random.hh"
 
 namespace pacache
 {
@@ -51,6 +55,42 @@ TEST(LruStackTest, PopEmptyPanics)
     EXPECT_ANY_THROW(s.popLru());
 }
 
+TEST(LruStackTest, ChurnMatchesAReferenceList)
+{
+    // Touch, remove and pop at random against a plain vector kept in
+    // MRU-first order: recycled entry indices must never leak order.
+    LruStack s;
+    std::vector<BlockId> model;
+    Rng rng(17);
+    for (int step = 0; step < 20000; ++step) {
+        const BlockId blk = b(rng.below(48));
+        const auto it = std::find(model.begin(), model.end(), blk);
+        const uint64_t op = rng.below(10);
+        if (op < 6) {
+            s.touch(blk);
+            if (it != model.end())
+                model.erase(it);
+            model.insert(model.begin(), blk);
+        } else if (op < 8) {
+            EXPECT_EQ(s.remove(blk), it != model.end());
+            if (it != model.end())
+                model.erase(it);
+        } else if (!model.empty()) {
+            ASSERT_EQ(s.popLru(), model.back());
+            model.pop_back();
+        }
+        ASSERT_EQ(s.size(), model.size());
+        ASSERT_EQ(s.contains(blk),
+                  std::find(model.begin(), model.end(), blk) !=
+                      model.end());
+    }
+    while (!model.empty()) {
+        ASSERT_EQ(s.popLru(), model.back());
+        model.pop_back();
+    }
+    EXPECT_TRUE(s.empty());
+}
+
 TEST(LruPolicyTest, EvictsLeastRecentlyUsed)
 {
     LruPolicy p;
@@ -78,7 +118,13 @@ TEST(LruPolicyTest, SequentialScanEvictsInOrder)
 TEST(LruPolicyTest, OnRemoveUnknownPanics)
 {
     LruPolicy p;
-    EXPECT_ANY_THROW(p.onRemove(b(1)));
+    EXPECT_ANY_THROW(p.onRemove(b(1), 0));
+    Cache c(2, p);
+    c.access(b(1), 0, 0); // slot 0
+    EXPECT_ANY_THROW(p.onRemove(b(2), 0)); // slot 0 holds another block
+    EXPECT_ANY_THROW(p.onRemove(b(1), 1)); // slot 1 is unused
+    p.onRemove(b(1), 0);
+    EXPECT_ANY_THROW(p.evict(0, 0));
 }
 
 TEST(LruPolicyTest, LoopLargerThanCacheAlwaysMisses)

@@ -82,7 +82,7 @@ TEST(MqPolicyTest, LifetimeDemotesIdleBlocks)
 TEST(MqPolicyTest, RemoveUnknownPanics)
 {
     MqPolicy p;
-    EXPECT_ANY_THROW(p.onRemove(b(1)));
+    EXPECT_ANY_THROW(p.onRemove(b(1), 0));
 }
 
 TEST(MqPolicyTest, EvictEmptyPanics)

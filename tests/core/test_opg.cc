@@ -243,7 +243,7 @@ TEST(Opg, RemoveBehavesLikeEviction)
     p.prepare(accs);
     c.access(accs[0].block, 0, 0);
     const std::size_t before = p.deterministicMissCount(0);
-    p.onRemove(accs[0].block);
+    p.onRemove(accs[0].block, 0); // the first miss took slot 0
     EXPECT_EQ(p.deterministicMissCount(0), before + 1);
 }
 

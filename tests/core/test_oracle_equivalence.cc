@@ -47,10 +47,10 @@ class RecordingPolicy : public ReplacementPolicy
     }
 
     void
-    onAccess(const BlockId &block, Time now, std::size_t idx,
-             bool hit) override
+    onAccess(const BlockId &block, CacheSlot slot, Time now,
+             std::size_t idx, bool hit) override
     {
-        inner->onAccess(block, now, idx, hit);
+        inner->onAccess(block, slot, now, idx, hit);
     }
 
     void
@@ -59,9 +59,9 @@ class RecordingPolicy : public ReplacementPolicy
         inner->beforeMiss(block, now, idx);
     }
 
-    void onRemove(const BlockId &block) override
+    void onRemove(const BlockId &block, CacheSlot slot) override
     {
-        inner->onRemove(block);
+        inner->onRemove(block, slot);
     }
 
     BlockId

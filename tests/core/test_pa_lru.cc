@@ -3,6 +3,7 @@
 #include "cache/arc.hh"
 #include "cache/cache.hh"
 #include "core/pa_lru.hh"
+#include "util/random.hh"
 
 namespace pacache
 {
@@ -111,7 +112,7 @@ TEST(PaLru, RemoveUnknownPanics)
 {
     PaClassifier cls(1, fastParams());
     PaLruPolicy p(cls);
-    EXPECT_ANY_THROW(p.onRemove(BlockId{0, 1}));
+    EXPECT_ANY_THROW(p.onRemove(BlockId{0, 1}, 0));
 }
 
 TEST(PaDual, BehavesLikePaLruWithLruBases)
@@ -128,6 +129,57 @@ TEST(PaDual, BehavesLikePaLruWithLruBases)
     const auto r = c.access(BlockId{0, 21}, 0, idx++);
     EXPECT_EQ(r.victim, (BlockId{0, 20}));
     EXPECT_EQ(std::string(p.name()), "PA-LRU(dual)");
+
+    // Differential run: one classifier with short epochs drives both
+    // policies through a long random stream in lockstep. Every 150 s
+    // the busy and the quiet disks trade places, so classes flip both
+    // ways and hits migrate between stacks (PaLruPolicy) and between
+    // sub-policies (PaDualPolicy) over the same slots.
+    PaParams params;
+    params.epochLength = 50.0;
+    params.intervalThreshold = 5.0;
+    PaClassifier shared(4, params);
+    PaDualPolicy dual(shared, std::make_unique<LruPolicy>(),
+                      std::make_unique<LruPolicy>(), "PA-LRU(dual)");
+    PaLruPolicy direct(shared);
+    Cache dual_cache(24, dual);
+    Cache direct_cache(24, direct);
+    Rng rng(7);
+    std::size_t evictions = 0, to_priority = 0, to_regular = 0;
+    Time t = 0;
+    for (std::size_t i = 0; i < 40000; ++i) {
+        t += 0.2;
+        // Disks {0, 1} or {2, 3} take 95% of the requests.
+        const uint64_t busy = (static_cast<uint64_t>(t / 150.0) % 2) * 2;
+        const uint64_t pick = rng.below(20) == 0
+                                  ? (busy + 2 + rng.below(2)) % 4
+                                  : busy + rng.below(2);
+        const DiskId disk = static_cast<DiskId>(pick);
+        const BlockId blk{disk, rng.below(16)};
+        bool before[4];
+        for (DiskId d = 0; d < 4; ++d)
+            before[d] = shared.isPriority(d);
+        shared.onRequest(disk, blk, t);
+        for (DiskId d = 0; d < 4; ++d) {
+            to_priority += !before[d] && shared.isPriority(d);
+            to_regular += before[d] && !shared.isPriority(d);
+        }
+        const CacheResult a = dual_cache.access(blk, t, i);
+        const CacheResult b = direct_cache.access(blk, t, i);
+        ASSERT_EQ(a.hit, b.hit) << "access " << i;
+        ASSERT_EQ(a.evicted, b.evicted) << "access " << i;
+        if (a.evicted) {
+            ASSERT_EQ(a.victim, b.victim) << "eviction " << evictions;
+            ++evictions;
+        }
+        if (!a.hit)
+            shared.onDiskAccess(disk, t);
+        ASSERT_EQ(dual.regularSize(), direct.regularSize()) << i;
+        ASSERT_EQ(dual.prioritySize(), direct.prioritySize()) << i;
+    }
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_GT(to_priority, 0u);
+    EXPECT_GT(to_regular, 0u);
 }
 
 TEST(PaDual, WrapsArc)

@@ -36,7 +36,7 @@ class NearestNextPolicy : public ReplacementPolicy
     }
 
     void
-    onAccess(const BlockId &block, Time, std::size_t idx,
+    onAccess(const BlockId &block, CacheSlot, Time, std::size_t idx,
              bool hit) override
     {
         PACACHE_ASSERT(prepared, "prepare() required");
@@ -53,7 +53,7 @@ class NearestNextPolicy : public ReplacementPolicy
     }
 
     void
-    onRemove(const BlockId &block) override
+    onRemove(const BlockId &block, CacheSlot) override
     {
         auto it = nextOf.find(block);
         PACACHE_ASSERT(it != nextOf.end(), "removal of unknown block");
