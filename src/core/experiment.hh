@@ -109,8 +109,7 @@ struct ExperimentConfig
 
     /**
      * Scoped wall-clock profiler; null disables phase timing. SimStack
-     * times the oracle precompute, replay, drain and oracle re-pricing
-     * phases with it.
+     * times the oracle precompute, replay and drain phases with it.
      */
     obs::Profiler *profiler = nullptr;
 };

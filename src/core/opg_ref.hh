@@ -2,8 +2,7 @@
  * @file
  * ReferenceOpgPolicy — the node-based OPG implementation that
  * predated the indexed-heap/ordered-set fast path, retained verbatim
- * so the rewrite stays equivalence-testable forever (the std::list
- * baseline pattern from micro_cache, promoted to a library class
+ * so the rewrite stays equivalence-testable forever (a library class
  * because the golden-equivalence suite and micro_opg both replay it).
  *
  * Semantics are identical to OpgPolicy (see core/opg.hh for the

@@ -9,7 +9,6 @@
 #include "cache/mq.hh"
 #include "core/opg.hh"
 #include "core/pa_lru.hh"
-#include "disk/oracle_dpm.hh"
 #include "obs/observer.hh"
 #include "obs/profiler.hh"
 #include "tracefmt/trace_source.hh"
@@ -120,7 +119,8 @@ makeReplacementPolicy(const ExperimentConfig &cfg, const PowerModel &pm,
 SimStack::SimStack(const ExperimentConfig &config, std::size_t num_disks,
                    std::size_t capacity, const WindowedOracle *windowed)
     : cfg(config), numDisks(num_disks), pm(config.spec),
-      sm(config.spec, config.service), practical(pm), adaptive(pm)
+      sm(config.spec, config.service), practical(pm), adaptive(pm),
+      oracle(pm)
 {
     if (policyNeedsClassifier(cfg.policy)) {
         classifier = std::make_unique<PaClassifier>(
@@ -153,11 +153,13 @@ SimStack::SimStack(const ExperimentConfig &config, std::size_t num_disks,
         }
     }
 
-    Dpm *dpm = &alwaysOn; // also the Oracle choice: priced off-line
+    Dpm *dpm = &alwaysOn;
     if (cfg.dpm == DpmChoice::Practical)
         dpm = &practical;
     else if (cfg.dpm == DpmChoice::Adaptive)
         dpm = &adaptive;
+    else if (cfg.dpm == DpmChoice::Oracle)
+        dpm = &oracle;
     disks = std::make_unique<DiskArray>(numDisks, eq, pm, sm, *dpm,
                                         disk_opts);
     if (wtdu) {
@@ -178,7 +180,7 @@ SimStack::SimStack(const ExperimentConfig &config, std::size_t num_disks,
             s.missesPerDisk = storage->diskAccesses();
             EnergyStats agg(pm.numModes());
             for (DiskId d = 0; d < numDisks; ++d)
-                agg += disks->disk(d).energy();
+                agg += diskEnergy(d);
             s.idleEnergyPerMode = agg.idleEnergyPerMode;
             s.serviceEnergy = agg.serviceEnergy;
             s.spinUpEnergy = agg.spinUpEnergy;
@@ -224,6 +226,14 @@ SimStack::run(tracefmt::TraceSource &source)
     storage->run(source);
 }
 
+EnergyStats
+SimStack::diskEnergy(DiskId d) const
+{
+    const EnergyStats &measured = disks->disk(d).energy();
+    return cfg.dpm == DpmChoice::Oracle ? oracle.energy(d, measured)
+                                        : measured;
+}
+
 ExperimentResult
 SimStack::collect() const
 {
@@ -238,20 +248,12 @@ SimStack::collect() const
 
     result.energy = EnergyStats(pm.numModes());
     result.perDisk.reserve(numDisks);
-    const bool oracle_dpm = cfg.dpm == DpmChoice::Oracle;
-    const OracleAnalyzer oracle(pm);
-    {
-        obs::ProfileScope pricing_scope(
-            oracle_dpm ? cfg.profiler : nullptr, "oracle_pricing");
-        for (DiskId d = 0; d < numDisks; ++d) {
-            const Disk &disk = disks->disk(d);
-            EnergyStats stats =
-                oracle_dpm ? oracle.priceDisk(disk).stats : disk.energy();
-            result.energy += stats;
-            result.perDisk.push_back(std::move(stats));
-            result.diskMeanInterArrival.push_back(
-                disk.meanInterArrival());
-        }
+    for (DiskId d = 0; d < numDisks; ++d) {
+        EnergyStats stats = diskEnergy(d);
+        result.energy += stats;
+        result.perDisk.push_back(std::move(stats));
+        result.diskMeanInterArrival.push_back(
+            disks->disk(d).meanInterArrival());
     }
     if (logDisk)
         result.logServiceEnergy = logDisk->energy().serviceEnergy;

@@ -19,6 +19,7 @@
 
 #include "core/experiment.hh"
 #include "disk/dpm.hh"
+#include "disk/oracle_dpm.hh"
 #include "sim/event_queue.hh"
 
 namespace pacache
@@ -57,13 +58,15 @@ class SimStack
     StorageSystem &system() { return *storage; }
 
     /**
-     * Statistics of a finished run over every disk of the array, with
-     * Oracle DPM energies priced here; also sets the observer's final
-     * summary gauges.
+     * Statistics of a finished run over every disk of the array; also
+     * sets the observer's final summary gauges.
      */
     ExperimentResult collect() const;
 
   private:
+    /** Disk @p d's energy so far under the configured DPM. */
+    EnergyStats diskEnergy(DiskId d) const;
+
     ExperimentConfig cfg;
     std::size_t numDisks;
     PowerModel pm;
@@ -75,6 +78,7 @@ class SimStack
     AlwaysOnDpm alwaysOn;
     PracticalDpm practical;
     AdaptiveDpm adaptive;
+    OracleDpm oracle;
     std::unique_ptr<DiskArray> disks;
     std::unique_ptr<Disk> logDisk;
     std::unique_ptr<StorageSystem> storage;

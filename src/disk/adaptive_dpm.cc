@@ -47,7 +47,7 @@ AdaptiveDpm::nextDemotion(DiskId disk, std::size_t current_mode,
 
 void
 AdaptiveDpm::onIdleEnd(DiskId disk, std::size_t mode_at_wake,
-                       Time idle_length)
+                       Time idle_length, WakeCause)
 {
     Time &timeout = slot(disk);
     const Time break_even = powerModel->breakEvenTime(targetMode);

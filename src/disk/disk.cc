@@ -58,10 +58,8 @@ Disk::submit(DiskRequest req)
     lastArrival = now;
 
     if (idleOpen) {
-        gaps.push_back(now - idleStart);
-        gapCauses.push_back(req.cause);
         idleOpen = false;
-        dpm->onIdleEnd(diskId, curMode, now - idleStart);
+        dpm->onIdleEnd(diskId, curMode, now - idleStart, req.cause);
     }
 
     pending.push_back(std::move(req));
@@ -274,8 +272,8 @@ Disk::finalize(Time end)
     accrueParked(end);
     queue.cancel(demotionTimer);
     if (idleOpen) {
-        gaps.push_back(end - idleStart);
         idleOpen = false;
+        dpm->onTrailingIdle(diskId, end - idleStart);
     }
     finalized = true;
 }

@@ -3,7 +3,8 @@
  * Event-driven model of one multi-speed disk with an FCFS request
  * queue, a power state machine (parked-at-mode / busy / spinning
  * down / spinning up), per-mode energy accounting, and an attached
- * on-line DPM policy that schedules demotions while the disk idles.
+ * DPM policy that schedules demotions while the disk idles and hears
+ * of every idle period as it ends.
  *
  * Behavioural rules (paper Section 2):
  *  - Requests are serviced only at full speed.
@@ -22,7 +23,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <vector>
 
 #include "disk/dpm.hh"
 #include "disk/power_model.hh"
@@ -115,9 +115,9 @@ class Disk
 
     /**
      * Close accounting at the end of the simulation: accrue parked
-     * energy up to @p end and record the trailing idle gap. The
-     * trailing gap is *not* charged a spin-up (no further request
-     * arrives).
+     * energy up to @p end and report the trailing idle gap to the DPM
+     * (Dpm::onTrailingIdle). The trailing gap is *not* charged a
+     * spin-up (no further request arrives).
      */
     void finalize(Time end);
 
@@ -140,25 +140,6 @@ class Disk
 
     /** Response-time statistics. */
     const ResponseStats &responses() const { return respStats; }
-
-    /**
-     * Idle-gap lengths (seconds) observed so far: the time from each
-     * service-queue drain to the next request arrival. Used by the
-     * Oracle DPM analyzer and by workload characterization.
-     */
-    const std::vector<Time> &idleGaps() const { return gaps; }
-
-    /**
-     * Cause of the request that closed each idle gap, parallel to
-     * idleGaps() — except for a trailing gap still open at
-     * finalize(), which no request closed (so after finalize this
-     * holds either idleGaps().size() or one fewer entries). Lets the
-     * offline Oracle re-pricer attribute the spin-ups it charges.
-     */
-    const std::vector<WakeCause> &gapCloseCauses() const
-    {
-        return gapCauses;
-    }
 
     /** Mean inter-arrival time of submitted requests. */
     double meanInterArrival() const;
@@ -228,8 +209,6 @@ class Disk
 
     EnergyStats stats;
     ResponseStats respStats;
-    std::vector<Time> gaps;
-    std::vector<WakeCause> gapCauses;
 
     uint64_t numArrivals = 0;
     Time firstArrival = 0;

@@ -1,6 +1,6 @@
 /**
  * @file
- * On-line disk power management (DPM) policy interface.
+ * Disk power management (DPM) policy interface.
  *
  * A DPM policy decides, while a disk idles, when to demote it to a
  * deeper power mode. The disk state machine asks the policy for the
@@ -8,8 +8,10 @@
  * policy answers with a target mode and the idle age (time since the
  * idle period began) at which the demotion should start.
  *
- * Oracle DPM is not an on-line policy (it needs the future) and is
- * implemented as an off-line analyzer in oracle_dpm.hh.
+ * The disk reports every idle period back as it closes, and the one
+ * still open when the run ends at finalize. Oracle DPM
+ * (oracle_dpm.hh) never demotes and prices each period from these
+ * reports alone.
  */
 
 #ifndef PACACHE_DISK_DPM_HH
@@ -21,6 +23,7 @@
 
 #include "disk/power_model.hh"
 #include "sim/types.hh"
+#include "stats/energy_stats.hh"
 
 namespace pacache
 {
@@ -32,7 +35,7 @@ struct Demotion
     Time atIdleAge;
 };
 
-/** Interface for on-line demotion policies. */
+/** Interface for demotion policies. */
 class Dpm
 {
   public:
@@ -50,14 +53,21 @@ class Dpm
                  Time idle_age) const = 0;
 
     /**
-     * Feedback: an idle period of @p idle_length ended (a request
-     * arrived) while the disk was parked in (or demoting toward)
-     * @p mode_at_wake. Adaptive policies learn from this.
+     * Feedback: an idle period of @p idle_length ended because a
+     * request of cause @p cause arrived while the disk was parked in
+     * (or demoting toward) @p mode_at_wake. Adaptive policies learn
+     * from this; Oracle DPM prices the period.
      */
     virtual void onIdleEnd(DiskId, std::size_t /*mode_at_wake*/,
-                           Time /*idle_length*/)
+                           Time /*idle_length*/, WakeCause /*cause*/)
     {
     }
+
+    /**
+     * The run ended with an idle period of @p idle_length still open.
+     * No request closes it, so no spin-up follows it.
+     */
+    virtual void onTrailingIdle(DiskId, Time /*idle_length*/) {}
 
     /** Human-readable policy name. */
     virtual const char *name() const = 0;
@@ -165,7 +175,7 @@ class AdaptiveDpm : public Dpm
                  Time idle_age) const override;
 
     void onIdleEnd(DiskId disk, std::size_t mode_at_wake,
-                   Time idle_length) override;
+                   Time idle_length, WakeCause) override;
 
     const char *name() const override { return "adaptive"; }
 

@@ -2,91 +2,78 @@
 
 #include <algorithm>
 
-#include "util/logging.hh"
-
 namespace pacache
 {
 
-OracleResult
-OracleAnalyzer::price(const std::vector<Time> &gaps,
-                      const EnergyStats &service,
-                      bool last_gap_open,
-                      const std::vector<WakeCause> *gap_causes) const
+EnergyStats &
+OracleDpm::books(DiskId disk)
 {
-    const PowerModel &pm = *powerModel;
-    if (gap_causes) {
-        const std::size_t closed =
-            gaps.size() - (last_gap_open && !gaps.empty() ? 1 : 0);
-        PACACHE_ASSERT(gap_causes->size() >= closed,
-                       "fewer gap causes than closed gaps");
-    }
-    OracleResult result;
-    result.stats = EnergyStats(pm.numModes());
-    result.stats.serviceEnergy = service.serviceEnergy;
-    result.stats.busyTime = service.busyTime;
-    result.stats.requests = service.requests;
-
-    for (std::size_t g = 0; g < gaps.size(); ++g) {
-        const Time gap = gaps[g];
-        const bool open = last_gap_open && g + 1 == gaps.size();
-
-        if (!open) {
-            // Closed gap: pay the full round trip of the best mode
-            // (the paper's E_i(t) = P_i t + TE_i pricing).
-            const std::size_t m = pm.bestMode(gap);
-            const PowerMode &mode = pm.mode(m);
-            result.stats.idleEnergyPerMode[m] += mode.idlePower * gap;
-            result.stats.timePerMode[m] +=
-                std::max<Time>(0.0, gap - mode.transitionTime());
-            if (m != 0) {
-                result.stats.spinDownEnergy += mode.spinDownEnergy;
-                result.stats.spinDownTime +=
-                    std::min(mode.spinDownTime, gap);
-                result.stats.spinUpEnergy += mode.spinUpEnergy;
-                result.stats.spinUpTime += std::min(mode.spinUpTime, gap);
-                ++result.stats.spinDowns;
-                ++result.stats.spinUps;
-                result.stats.attributeSpinUp(
-                    gap_causes && g < gap_causes->size()
-                        ? (*gap_causes)[g]
-                        : WakeCause::DemandColdMiss,
-                    mode.spinUpEnergy);
-            }
-        } else {
-            // Trailing gap: no further request, so no spin-up is ever
-            // paid; pick the mode minimizing park + spin-down energy.
-            std::size_t best = 0;
-            Energy best_e = pm.mode(0).idlePower * gap;
-            for (std::size_t i = 1; i < pm.numModes(); ++i) {
-                const Energy e = pm.mode(i).idlePower * gap +
-                                 pm.mode(i).spinDownEnergy;
-                if (e < best_e) {
-                    best_e = e;
-                    best = i;
-                }
-            }
-            const PowerMode &mode = pm.mode(best);
-            result.stats.idleEnergyPerMode[best] += mode.idlePower * gap;
-            result.stats.timePerMode[best] +=
-                std::max<Time>(0.0, gap - mode.spinDownTime);
-            if (best != 0) {
-                result.stats.spinDownEnergy += mode.spinDownEnergy;
-                result.stats.spinDownTime +=
-                    std::min(mode.spinDownTime, gap);
-                ++result.stats.spinDowns;
-            }
-        }
-    }
-
-    result.totalEnergy = result.stats.total();
-    return result;
+    if (disk >= priced.size())
+        priced.resize(disk + 1, EnergyStats(powerModel->numModes()));
+    return priced[disk];
 }
 
-OracleResult
-OracleAnalyzer::priceDisk(const Disk &disk) const
+void
+OracleDpm::onIdleEnd(DiskId disk, std::size_t, Time gap, WakeCause cause)
 {
-    return price(disk.idleGaps(), disk.energy(), true,
-                 &disk.gapCloseCauses());
+    // Closed gap: pay the full round trip of the best mode (the
+    // paper's E_i(t) = P_i t + TE_i pricing).
+    const PowerModel &pm = *powerModel;
+    EnergyStats &stats = books(disk);
+    const std::size_t m = pm.bestMode(gap);
+    const PowerMode &mode = pm.mode(m);
+    stats.idleEnergyPerMode[m] += mode.idlePower * gap;
+    stats.timePerMode[m] +=
+        std::max<Time>(0.0, gap - mode.transitionTime());
+    if (m != 0) {
+        stats.spinDownEnergy += mode.spinDownEnergy;
+        stats.spinDownTime += std::min(mode.spinDownTime, gap);
+        stats.spinUpEnergy += mode.spinUpEnergy;
+        stats.spinUpTime += std::min(mode.spinUpTime, gap);
+        ++stats.spinDowns;
+        ++stats.spinUps;
+        stats.attributeSpinUp(cause, mode.spinUpEnergy);
+    }
+}
+
+void
+OracleDpm::onTrailingIdle(DiskId disk, Time gap)
+{
+    // Trailing gap: no further request, so no spin-up is ever paid;
+    // pick the mode minimizing park + spin-down energy.
+    const PowerModel &pm = *powerModel;
+    EnergyStats &stats = books(disk);
+    std::size_t best = 0;
+    Energy best_e = pm.mode(0).idlePower * gap;
+    for (std::size_t i = 1; i < pm.numModes(); ++i) {
+        const Energy e =
+            pm.mode(i).idlePower * gap + pm.mode(i).spinDownEnergy;
+        if (e < best_e) {
+            best_e = e;
+            best = i;
+        }
+    }
+    const PowerMode &mode = pm.mode(best);
+    stats.idleEnergyPerMode[best] += mode.idlePower * gap;
+    stats.timePerMode[best] +=
+        std::max<Time>(0.0, gap - mode.spinDownTime);
+    if (best != 0) {
+        stats.spinDownEnergy += mode.spinDownEnergy;
+        stats.spinDownTime += std::min(mode.spinDownTime, gap);
+        ++stats.spinDowns;
+    }
+}
+
+EnergyStats
+OracleDpm::energy(DiskId disk, const EnergyStats &measured) const
+{
+    EnergyStats stats = disk < priced.size()
+        ? priced[disk]
+        : EnergyStats(powerModel->numModes());
+    stats.serviceEnergy = measured.serviceEnergy;
+    stats.busyTime = measured.busyTime;
+    stats.requests = measured.requests;
+    return stats;
 }
 
 } // namespace pacache

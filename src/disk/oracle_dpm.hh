@@ -1,19 +1,18 @@
 /**
  * @file
- * Oracle disk power management (paper Section 2.2), implemented as an
- * off-line analyzer.
+ * Oracle disk power management (paper Section 2.2).
  *
  * Oracle DPM knows the length of every idle gap in advance: after
  * each request it parks the disk in the mode minimizing E_i(gap) (the
  * lower envelope of the energy lines) and spins the disk up *just in
  * time* for the next request, so response times are unaffected.
  *
- * Because the trace-driven arrival times do not depend on disk
- * latency, the idle gaps a disk sees are exactly those observed in a
- * run with an always-on policy. The analyzer therefore takes a disk
- * that was simulated with AlwaysOnDpm and re-prices its idle gaps
- * with the envelope, yielding the Oracle energy for the same request
- * sequence.
+ * Because trace-driven arrival times do not depend on disk latency, a
+ * gap's length is final the moment the request that ends it arrives.
+ * OracleDpm therefore never demotes — the disk it drives stays at
+ * full speed, so it sees exactly the gaps and service times of an
+ * always-on run — and prices each gap with the envelope when the disk
+ * reports it closed. The only per-disk state is one EnergyStats.
  */
 
 #ifndef PACACHE_DISK_ORACLE_DPM_HH
@@ -21,59 +20,53 @@
 
 #include <vector>
 
-#include "disk/disk.hh"
+#include "disk/dpm.hh"
 #include "disk/power_model.hh"
 #include "stats/energy_stats.hh"
 
 namespace pacache
 {
 
-/** Result of pricing one disk's timeline under Oracle DPM. */
-struct OracleResult
-{
-    EnergyStats stats;  //!< full breakdown (per-mode idle, service,
-                        //!< transitions)
-    Energy totalEnergy = 0;
-};
-
-/** Off-line analyzer computing Oracle-DPM energy. */
-class OracleAnalyzer
+/** Oracle DPM: no demotions, envelope pricing per closed gap. */
+class OracleDpm : public Dpm
 {
   public:
-    explicit OracleAnalyzer(const PowerModel &pm) : powerModel(&pm) {}
+    explicit OracleDpm(const PowerModel &pm) : powerModel(&pm) {}
+
+    std::optional<Demotion>
+    nextDemotion(DiskId, std::size_t, Time) const override
+    {
+        return std::nullopt;
+    }
 
     /**
-     * Price a sequence of idle gaps under Oracle DPM. The final gap
-     * (after the last request) ends the simulation, so it is parked
-     * in the best mode but pays no spin-up.
-     *
-     * @param gaps          idle gap lengths in seconds
-     * @param service       service energy/time carried over unchanged
-     * @param last_gap_open true if the final entry of @p gaps is the
-     *                      trailing (never-re-activated) gap
-     * @param gap_causes    optional wake cause per closed gap (from
-     *                      Disk::gapCloseCauses()); when provided,
-     *                      every spin-up the envelope charges is
-     *                      attributed to the request that ended the
-     *                      gap, keeping the energy ledger conserved
-     *                      under Oracle DPM. Without it spin-ups are
-     *                      attributed to DemandColdMiss.
+     * Price a closed gap: the full round trip of the best mode, its
+     * spin-up attributed to @p cause (the request that ended the gap).
      */
-    OracleResult price(const std::vector<Time> &gaps,
-                       const EnergyStats &service,
-                       bool last_gap_open = true,
-                       const std::vector<WakeCause> *gap_causes =
-                           nullptr) const;
+    void onIdleEnd(DiskId disk, std::size_t mode_at_wake, Time gap,
+                   WakeCause cause) override;
 
     /**
-     * Convenience: price a finalized always-on disk. Service energy,
-     * busy time and request counts are copied from the disk; idle
-     * gaps are re-priced with the envelope.
+     * Price the trailing gap: parked in the best mode, with no
+     * spin-up ever paid.
      */
-    OracleResult priceDisk(const Disk &disk) const;
+    void onTrailingIdle(DiskId disk, Time gap) override;
+
+    const char *name() const override { return "oracle"; }
+
+    /**
+     * Oracle energy of @p disk so far: the gaps priced here, plus the
+     * service energy, busy time and request count carried over
+     * unchanged from the disk's own measurement @p measured
+     * (Disk::energy()).
+     */
+    EnergyStats energy(DiskId disk, const EnergyStats &measured) const;
 
   private:
+    EnergyStats &books(DiskId disk);
+
     const PowerModel *powerModel;
+    std::vector<EnergyStats> priced; //!< per disk, lazily grown
 };
 
 } // namespace pacache

@@ -281,11 +281,7 @@ propWtduCrashLedger(const FuzzCase &c)
 {
     if (c.trace.empty())
         return PropertyResult::ok();
-    FuzzCase cc = wtduCase(c);
-    // Oracle DPM energy is priced post-hoc by OracleAnalyzer, not by
-    // the disks' own ledger rows; pin the crashed run to a live DPM.
-    if (cc.cfg.dpm == DpmChoice::Oracle)
-        cc.cfg.dpm = DpmChoice::Practical;
+    const FuzzCase cc = wtduCase(c);
     CrashInjector inj(cc.cfg.crash);
     CrashRig rig(cc, &inj);
     const bool crashed = rig.run();

@@ -6,8 +6,8 @@
  *
  * The queue is a 4-ary min-heap on (time, sequence) — push and pop
  * are O(log n) with contiguous storage, against the node allocation
- * and pointer chasing of the previous std::map (bench/micro_events
- * measures the difference); the arity of four halves the sift depth
+ * and pointer chasing of the previous std::map (EXPERIMENTS.md
+ * records the difference); the arity of four halves the sift depth
  * of a binary heap and keeps each level's children in one cache
  * line. Heap entries are small PODs; callbacks live in a free-listed
  * slab indexed by the heap entry, so sift operations move plain

@@ -166,19 +166,49 @@ TEST(Disk, QueueDrainsFcfs)
         EXPECT_EQ(completed[i], 100u + i);
 }
 
+/** Never demotes; records every idle gap the disk reports. */
+struct GapRecorder : public AlwaysOnDpm
+{
+    std::vector<Time> closed;
+    std::vector<WakeCause> causes;
+    std::vector<Time> trailing;
+
+    void
+    onIdleEnd(DiskId, std::size_t, Time gap, WakeCause cause) override
+    {
+        closed.push_back(gap);
+        causes.push_back(cause);
+    }
+
+    void onTrailingIdle(DiskId, Time gap) override
+    {
+        trailing.push_back(gap);
+    }
+};
+
 TEST(Disk, IdleGapsRecordArrivalDistances)
 {
     DiskHarness h;
-    auto d = h.make(h.alwaysOn);
+    GapRecorder rec;
+    auto d = h.make(rec);
     h.submitAt(*d, 10.0);
-    h.submitAt(*d, 30.0);
+    h.eq.schedule(30.0, [&d](Time t) {
+        DiskRequest r;
+        r.arrival = t;
+        r.cause = WakeCause::DemandWrite;
+        d->submit(std::move(r));
+    });
     h.eq.runAll();
+    EXPECT_TRUE(rec.trailing.empty()); // still open until finalize
     d->finalize(std::max(50.0, h.eq.now()));
     // Gaps: [0,10) before the first arrival, (done1, 30), trailing.
-    ASSERT_EQ(d->idleGaps().size(), 3u);
-    EXPECT_NEAR(d->idleGaps()[0], 10.0, 1e-9);
-    EXPECT_NEAR(d->idleGaps()[1], 20.0, 0.05); // minus service time
-    EXPECT_GT(d->idleGaps()[2], 0.0);
+    ASSERT_EQ(rec.closed.size(), 2u);
+    EXPECT_NEAR(rec.closed[0], 10.0, 1e-9);
+    EXPECT_NEAR(rec.closed[1], 20.0, 0.05); // minus service time
+    EXPECT_EQ(rec.causes[0], WakeCause::DemandColdMiss);
+    EXPECT_EQ(rec.causes[1], WakeCause::DemandWrite);
+    ASSERT_EQ(rec.trailing.size(), 1u);
+    EXPECT_GT(rec.trailing[0], 0.0);
 }
 
 TEST(Disk, MeanInterArrival)

@@ -8,6 +8,9 @@ namespace pacache
 namespace
 {
 
+/** Adaptive DPM learns from gap lengths only, never from the cause. */
+constexpr WakeCause kWake = WakeCause::DemandColdMiss;
+
 TEST(AlwaysOn, NeverDemotes)
 {
     AlwaysOnDpm dpm;
@@ -92,7 +95,7 @@ TEST(Adaptive, BadSleepBacksOff)
     AdaptiveDpm dpm(pm);
     const Time before = dpm.timeoutOf(0);
     // Woken from standby shortly after demotion: a bad sleep.
-    dpm.onIdleEnd(0, pm.deepestMode(), before + 1.0);
+    dpm.onIdleEnd(0, pm.deepestMode(), before + 1.0, kWake);
     EXPECT_NEAR(dpm.timeoutOf(0), before * 2.0, 1e-9);
 }
 
@@ -101,7 +104,7 @@ TEST(Adaptive, GoodSleepLeansIn)
     const PowerModel pm;
     AdaptiveDpm dpm(pm);
     const Time before = dpm.timeoutOf(0);
-    dpm.onIdleEnd(0, pm.deepestMode(), before * 10.0);
+    dpm.onIdleEnd(0, pm.deepestMode(), before * 10.0, kWake);
     EXPECT_NEAR(dpm.timeoutOf(0), before * 0.9, 1e-9);
 }
 
@@ -113,10 +116,10 @@ TEST(Adaptive, TimeoutIsClamped)
     p.minTimeout = 5.0;
     AdaptiveDpm dpm(pm, pm.deepestMode(), p);
     for (int i = 0; i < 10; ++i)
-        dpm.onIdleEnd(0, pm.deepestMode(), 0.1);
+        dpm.onIdleEnd(0, pm.deepestMode(), 0.1, kWake);
     EXPECT_DOUBLE_EQ(dpm.timeoutOf(0), 40.0);
     for (int i = 0; i < 100; ++i)
-        dpm.onIdleEnd(0, pm.deepestMode(), 1e6);
+        dpm.onIdleEnd(0, pm.deepestMode(), 1e6, kWake);
     EXPECT_DOUBLE_EQ(dpm.timeoutOf(0), 5.0);
 }
 
@@ -125,7 +128,7 @@ TEST(Adaptive, DisksAdaptIndependently)
     const PowerModel pm;
     AdaptiveDpm dpm(pm);
     const Time init = dpm.timeoutOf(0);
-    dpm.onIdleEnd(3, pm.deepestMode(), init + 1.0); // disk 3 bad sleep
+    dpm.onIdleEnd(3, pm.deepestMode(), init + 1.0, kWake); // disk 3 bad sleep
     EXPECT_GT(dpm.timeoutOf(3), init);
     EXPECT_NEAR(dpm.timeoutOf(0), init, 1e-9);
     EXPECT_NEAR(dpm.timeoutOf(7), init, 1e-9); // lazily initialized
@@ -137,7 +140,7 @@ TEST(Adaptive, WakeBeforeDemotionDoesNotBackOff)
     AdaptiveDpm dpm(pm);
     const Time before = dpm.timeoutOf(0);
     // The disk never reached the target mode: not a bad sleep.
-    dpm.onIdleEnd(0, 0, 1.0);
+    dpm.onIdleEnd(0, 0, 1.0, kWake);
     EXPECT_NEAR(dpm.timeoutOf(0), before, 1e-9);
 }
 

@@ -233,6 +233,16 @@ python3 "$root/tools/check_obs_json.py" \
     "$obs_dir/m.json" "$obs_dir/t.json" "$obs_dir/tl.jsonl"
 grep -q "energy ledger" "$obs_dir/report.txt"
 grep -q "profile (wall clock)" "$obs_dir/report.txt"
+# Oracle DPM prices each idle gap as it closes, so its timeline rows
+# reconcile with the report too.
+"$root/build-asan/tools/pacache_sim" \
+    --workload oltp --policy pa-lru --write wtdu --dpm oracle \
+    --metrics-out "$obs_dir/mo.json" \
+    --trace-events "$obs_dir/to.json" \
+    --timeline "$obs_dir/tlo.jsonl" --timeline-interval 900 \
+    > /dev/null
+python3 "$root/tools/check_obs_json.py" \
+    "$obs_dir/mo.json" "$obs_dir/to.json" "$obs_dir/tlo.jsonl"
 # Prometheus-style flat exposition (same run, .prom suffix).
 "$root/build-asan/tools/pacache_sim" \
     --workload oltp --duration 600 --policy lru \
