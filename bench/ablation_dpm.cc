@@ -10,7 +10,7 @@
  * power-awareness and disk power management are complements, which
  * is the paper's core premise.
  *
- * All 8 runs execute in parallel on the work-stealing pool
+ * All 8 runs execute in parallel through runner::runAll
  * (PACACHE_JOBS overrides the worker count).
  */
 

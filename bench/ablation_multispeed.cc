@@ -14,7 +14,7 @@
  * paper's choice of option 2 as the regime where cache policy
  * matters.
  *
- * All 4 runs execute in parallel on the work-stealing pool
+ * All 4 runs execute in parallel through runner::runAll
  * (PACACHE_JOBS overrides the worker count).
  */
 

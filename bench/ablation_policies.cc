@@ -8,7 +8,7 @@
  *      Belady (theta -> infinity);
  *   3. PA-LRU's epoch length, the main classifier design choice.
  *
- * The whole grid executes in parallel on the work-stealing pool
+ * The whole grid executes in parallel through runner::runAll
  * (PACACHE_JOBS overrides the worker count). Runs shared between
  * panels — ablation 2's Belady row and ablation 3's 900 s epoch are
  * the same configurations as ablation 1's — run once and are read by

@@ -7,7 +7,7 @@
  * following re-references, trading a longer transfer for fewer
  * wake-ups.
  *
- * All 5 runs execute in parallel on the work-stealing pool
+ * All 5 runs execute in parallel through runner::runAll
  * (PACACHE_JOBS overrides the worker count).
  */
 

@@ -23,7 +23,7 @@ jobsFromEnv()
 
 BenchReport::BenchReport(std::string name, unsigned jobs)
     : name(std::move(name)),
-      jobs(jobs == 0 ? runner::ThreadPool::defaultWorkers() : jobs)
+      jobs(jobs == 0 ? runner::defaultWorkers() : jobs)
 {
 }
 

@@ -12,7 +12,7 @@
  * percent on Cello96 (cold-miss dominated); the infinite cache lower-
  * bounds everything under Oracle DPM.
  *
- * All points run in parallel on the work-stealing pool (PACACHE_JOBS
+ * All points run in parallel through runner::runAll (PACACHE_JOBS
  * overrides the worker count); the tables are identical to the old
  * serial driver because results are consumed in spec order.
  */

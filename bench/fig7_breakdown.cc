@@ -10,7 +10,7 @@
  * ("disk 14") whose blocks PA-LRU protects so its inter-arrival time
  * stretches ~3x and it parks in standby most of the time.
  *
- * Both runs execute in parallel on the work-stealing pool
+ * Both runs execute in parallel through runner::runAll
  * (PACACHE_JOBS overrides the worker count).
  */
 

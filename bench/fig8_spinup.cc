@@ -6,7 +6,7 @@
  * 675} J as in the paper. Savings should be fairly stable across the
  * 67.5-270 J range of real SCSI disks and fall off at both extremes.
  *
- * All 14 runs execute in parallel on the work-stealing pool
+ * All 14 runs execute in parallel through runner::runAll
  * (PACACHE_JOBS overrides the worker count).
  */
 

@@ -14,7 +14,7 @@
  * shrink at low write ratios; WB peaks at mid inter-arrival times.
  *
  * The full grid — 30 synthetic traces x 4 write policies = 120
- * independent runs — executes in parallel on the work-stealing pool
+ * independent runs — executes in parallel through runner::runAll
  * (PACACHE_JOBS overrides the worker count); the tables consume the
  * outcomes in grid order, so they are identical to the old serial
  * driver's.

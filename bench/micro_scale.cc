@@ -3,7 +3,7 @@
  * Out-of-core scale micro-benchmark: stream-generate a scaled OLTP
  * trace to .pct (never materialized), replay it with the windowed
  * off-line oracle (OPG on WindowedFuture) under a fixed oracle memory
- * budget, replay it disk-sharded across the work-stealing pool under
+ * budget, replay it disk-sharded, shards in parallel, under
  * the same budget, and only then run the unbounded in-memory variants
  * — tracking throughput plus peak RSS (VmHWM) at every stage. The
  * trace is 10x the future-knowledge window, so a bounded peak RSS is

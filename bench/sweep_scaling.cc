@@ -49,7 +49,7 @@ main()
     const runner::SweepSpec spec = scalingSpec();
     const runner::SweepPlan plan(spec);
 
-    const unsigned hw = runner::ThreadPool::defaultWorkers();
+    const unsigned hw = runner::defaultWorkers();
     std::vector<unsigned> jobLevels{1, 2, 4};
     if (std::find(jobLevels.begin(), jobLevels.end(), hw) ==
         jobLevels.end())

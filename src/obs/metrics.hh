@@ -26,9 +26,10 @@
  * be confined to one thread at a time: either one simulation thread
  * owns it outright, or each concurrent lane keeps its own
  * thread-local state and the lanes are combined after the fact
- * (runner/sharded_metrics.hh merges per-worker registries; the serve
- * front-end keeps all statistics shard-local under the stripe lock
- * and merges them in ServeServer::finish()). Snapshots (writeJson /
+ * (runner::runAll records a sweep's gauges serially from its result
+ * slots once every run has finished; the serve front-end keeps all
+ * statistics shard-local under the stripe lock and merges them in
+ * ServeServer::finish()). Snapshots (writeJson /
  * writeFlat) are reads and may only run once writers have quiesced.
  */
 

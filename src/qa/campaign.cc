@@ -62,9 +62,8 @@ runCampaign(const CampaignOptions &opts)
     for (const PropertyDef *prop : props)
         report.tallies.push_back({prop->name, 0, 0});
 
-    const unsigned jobs = opts.jobs == 0
-                              ? runner::ThreadPool::defaultWorkers()
-                              : opts.jobs;
+    const unsigned jobs =
+        opts.jobs == 0 ? runner::defaultWorkers() : opts.jobs;
     const uint64_t batchSize =
         opts.cases > 0 ? opts.cases
                        : std::max<uint64_t>(uint64_t{jobs} * 8, 32);
@@ -77,7 +76,6 @@ runCampaign(const CampaignOptions &opts)
 
     std::vector<CampaignFailure> rawFailures;
     uint64_t nextIndex = 0;
-    runner::ThreadPool pool(jobs);
     for (;;) {
         if (opts.cases > 0 && nextIndex >= opts.cases)
             break;
@@ -91,15 +89,11 @@ runCampaign(const CampaignOptions &opts)
         // Pre-assigned slots: aggregation below reads them in case
         // order, so job count never changes the report.
         std::vector<CaseOutcome> outcomes(batch);
-        for (uint64_t i = 0; i < batch; ++i) {
-            const uint64_t index = nextIndex + i;
-            pool.submit([&opts, &props, &outcomes, i, index] {
-                const FuzzCase c =
-                    makeCase(opts.seed, index, opts.profile);
-                outcomes[i] = runCase(c, props);
-            });
-        }
-        pool.wait();
+        runner::parallelFor(batch, jobs, [&](std::size_t i) {
+            const FuzzCase c =
+                makeCase(opts.seed, nextIndex + i, opts.profile);
+            outcomes[i] = runCase(c, props);
+        });
 
         for (uint64_t i = 0; i < batch; ++i) {
             const uint64_t index = nextIndex + i;

@@ -78,10 +78,10 @@ struct CampaignReport
 };
 
 /**
- * Run a campaign. Cases execute on a ThreadPool with pre-assigned
- * result slots (batch results are aggregated in case order);
- * shrinking runs serially afterwards so shrink cost never distorts
- * the case budget accounting mid-flight.
+ * Run a campaign. Each batch of cases runs through parallelFor into
+ * pre-assigned result slots (batch results are aggregated in case
+ * order); shrinking runs serially afterwards so shrink cost never
+ * distorts the case budget accounting mid-flight.
  */
 CampaignReport runCampaign(const CampaignOptions &opts);
 

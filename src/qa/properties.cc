@@ -582,10 +582,6 @@ propPctRoundTrip(const FuzzCase &c)
         return PropertyResult::ok();
     };
 
-    tracefmt::PctBufferedSource buffered(tmp.path());
-    PropertyResult r = compare(buffered, "buffered reader");
-    if (!r.passed)
-        return r;
     tracefmt::PctMmapSource mapped(tmp.path());
     return compare(mapped, "mmap reader");
 }
@@ -989,8 +985,8 @@ allProperties()
          "thread count, and thread-invariant at 2 shards",
          propServeMatchesReplay},
         {"pct_roundtrip_identity",
-         "Writing a trace to .pct and reading it back (buffered and "
-         "mmap) is the identity",
+         "Writing a trace to .pct and reading it back (mmap reader) "
+         "is the identity",
          propPctRoundTrip},
         {"hit_count_monotone",
          "LRU and Belady hit counts never decrease when the cache "

@@ -113,23 +113,19 @@ runShardedExperiment(const std::string &pct_path,
             w->finish();
     }
 
-    // Replay every shard into its pre-assigned slot; the pool only
-    // decides scheduling, never the statistics.
+    // Replay every shard into its pre-assigned slot; the job count
+    // only decides scheduling, never the statistics.
     std::vector<ExperimentResult> results(shards);
     {
         obs::ProfileScope scope(config.profiler, "replay");
-        ThreadPool pool(opts.jobs > 0 ? opts.jobs
-                                      : ThreadPool::defaultWorkers());
-        for (unsigned s = 0; s < shards; ++s) {
-            pool.submit([&, s] {
-                ExperimentConfig cfg = shard_cfg;
-                cfg.cacheBlocks =
-                    splitCapacity(config.cacheBlocks, shards, s);
-                FullArraySource src(files[s]->path(), num_disks);
-                results[s] = runExperiment(src, cfg);
-            });
-        }
-        pool.wait();
+        parallelFor(shards, opts.jobs > 0 ? opts.jobs : defaultWorkers(),
+                    [&](std::size_t s) {
+                        ExperimentConfig cfg = shard_cfg;
+                        cfg.cacheBlocks =
+                            splitCapacity(config.cacheBlocks, shards, s);
+                        FullArraySource src(files[s]->path(), num_disks);
+                        results[s] = runExperiment(src, cfg);
+                    });
     }
 
     obs::ProfileScope scope(config.profiler, "merge");

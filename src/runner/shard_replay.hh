@@ -3,7 +3,7 @@
  * Disk-sharded out-of-core replay: partition a .pct trace by disk
  * (shard = disk id mod shard count) in one streaming demux pass,
  * replay every shard's sub-trace on its own complete simulation
- * stack in parallel on the work-stealing pool, and merge the
+ * stack, the shards in parallel through parallelFor, and merge the
  * statistics deterministically.
  *
  * The partition model is the sharded serving front-end's (serve/):
@@ -40,7 +40,7 @@ struct ShardReplayOptions
      * fixed when comparing runs.
      */
     unsigned shards = 8;
-    /** Pool workers; 0 = ThreadPool::defaultWorkers(). */
+    /** Replay threads, at most one per shard; 0 = defaultWorkers(). */
     unsigned jobs = 0;
     /** Directory for the per-shard sub-traces; "" = $TMPDIR or /tmp. */
     std::string tempDir;

@@ -7,10 +7,10 @@
 #include <string>
 
 #include "obs/metrics.hh"
-#include "runner/sharded_metrics.hh"
 #include "runner/thread_pool.hh"
 #include "trace/workloads.hh"
 #include "util/json.hh"
+#include "util/log_histogram.hh"
 #include "util/logging.hh"
 
 namespace pacache::runner
@@ -262,6 +262,20 @@ SweepPlan::SweepPlan(const SweepSpec &spec)
     }
 }
 
+void
+recordDistGauges(obs::MetricRegistry &registry,
+                 const std::string &prefix, const LogHistogram &hist)
+{
+    registry.gauge(prefix + ".count")
+        .set(static_cast<double>(hist.count()));
+    registry.gauge(prefix + ".mean").set(hist.bucketMean());
+    registry.gauge(prefix + ".p50").set(hist.quantile(0.50));
+    registry.gauge(prefix + ".p95").set(hist.quantile(0.95));
+    registry.gauge(prefix + ".p99").set(hist.quantile(0.99));
+    registry.gauge(prefix + ".min").set(hist.min());
+    registry.gauge(prefix + ".max").set(hist.max());
+}
+
 std::vector<RunOutcome>
 runAll(const std::vector<RunPoint> &points, unsigned jobs,
        obs::MetricRegistry *metrics)
@@ -269,71 +283,55 @@ runAll(const std::vector<RunPoint> &points, unsigned jobs,
     using Clock = std::chrono::steady_clock;
 
     std::vector<RunOutcome> outcomes(points.size());
-    const unsigned workers =
-        jobs == 0 ? ThreadPool::defaultWorkers() : jobs;
-
-    // Sharded instruments, written concurrently by the workers and
-    // merged after the barrier. Only simulation-derived values go in
-    // (energy, hit ratio, request counts) — never wall clock — so
-    // the merged "runner.sweep.dist.*" gauges are byte-identical at
-    // any job count. The shard count is fixed, not tied to workers.
-    ShardedCounter runRequests;
-    ShardedHistogram runEnergy;
-    ShardedHistogram runHitRatio;
+    const unsigned workers = jobs == 0 ? defaultWorkers() : jobs;
 
     const auto sweepStart = Clock::now();
-    {
-        ThreadPool pool(workers);
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            // Each task owns exactly one pre-assigned outcome slot,
-            // so completion order cannot perturb the result layout
-            // and no synchronization beyond the pool's is needed.
-            pool.submit([&points, &outcomes, &runRequests, &runEnergy,
-                         &runHitRatio, i] {
-                const RunPoint &point = points[i];
-                PACACHE_ASSERT(point.trace != nullptr,
-                               "run point '", point.label,
-                               "' has no trace");
-                PACACHE_ASSERT(point.config.observer == nullptr,
-                               "per-point observers are not supported "
-                               "in parallel sweeps");
-                PACACHE_ASSERT(point.config.profiler == nullptr,
-                               "per-point profilers are not supported "
-                               "in parallel sweeps");
-                RunOutcome &out = outcomes[i];
-                out.label = point.label;
-                const auto start = Clock::now();
-                out.result = runExperiment(*point.trace, point.config);
-                const std::chrono::duration<double, std::milli>
-                    elapsed = Clock::now() - start;
-                out.wallMs = elapsed.count();
-                out.requestsPerSec =
-                    out.wallMs > 0
-                        ? static_cast<double>(point.trace->size()) *
-                              1000.0 / out.wallMs
-                        : 0.0;
-                runRequests.inc(i, out.result.cache.accesses);
-                runEnergy.record(i, out.result.totalEnergy);
-                runHitRatio.record(i, out.result.cache.hitRatio());
-            });
-        }
-        pool.wait();
-    }
+    // Each index owns exactly one pre-assigned outcome slot, so
+    // completion order cannot perturb the result layout.
+    parallelFor(points.size(), workers, [&points, &outcomes](std::size_t i) {
+        const RunPoint &point = points[i];
+        PACACHE_ASSERT(point.trace != nullptr, "run point '",
+                       point.label, "' has no trace");
+        PACACHE_ASSERT(point.config.observer == nullptr,
+                       "per-point observers are not supported "
+                       "in parallel sweeps");
+        PACACHE_ASSERT(point.config.profiler == nullptr,
+                       "per-point profilers are not supported "
+                       "in parallel sweeps");
+        RunOutcome &out = outcomes[i];
+        out.label = point.label;
+        const auto start = Clock::now();
+        out.result = runExperiment(*point.trace, point.config);
+        const std::chrono::duration<double, std::milli> elapsed =
+            Clock::now() - start;
+        out.wallMs = elapsed.count();
+        out.requestsPerSec =
+            out.wallMs > 0 ? static_cast<double>(point.trace->size()) *
+                                 1000.0 / out.wallMs
+                           : 0.0;
+    });
     const std::chrono::duration<double, std::milli> sweepElapsed =
         Clock::now() - sweepStart;
 
     if (metrics) {
-        // Recorded serially after the barrier: MetricRegistry is not
+        // Recorded serially after the join: MetricRegistry is not
         // thread-safe, and spec order keeps the report deterministic.
         double totalMs = 0;
         uint64_t totalRequests = 0;
+        uint64_t accesses = 0;
+        LogHistogram energy;
+        LogHistogram hitRatio;
         for (std::size_t i = 0; i < points.size(); ++i) {
-            const std::string prefix = "runner." + outcomes[i].label;
-            metrics->gauge(prefix + ".wall_ms").set(outcomes[i].wallMs);
+            const RunOutcome &out = outcomes[i];
+            const std::string prefix = "runner." + out.label;
+            metrics->gauge(prefix + ".wall_ms").set(out.wallMs);
             metrics->gauge(prefix + ".requests_per_sec")
-                .set(outcomes[i].requestsPerSec);
-            totalMs += outcomes[i].wallMs;
+                .set(out.requestsPerSec);
+            totalMs += out.wallMs;
             totalRequests += points[i].trace->size();
+            accesses += out.result.cache.accesses;
+            energy.record(out.result.totalEnergy);
+            hitRatio.record(out.result.cache.hitRatio());
         }
         metrics->gauge("runner.sweep.jobs").set(workers);
         metrics->gauge("runner.sweep.runs")
@@ -345,14 +343,13 @@ runAll(const std::vector<RunPoint> &points, unsigned jobs,
                      ? static_cast<double>(totalRequests) * 1000.0 /
                            sweepElapsed.count()
                      : 0.0);
-        // Deterministic cross-run distributions from the sharded
-        // instruments (byte-identical at any --jobs).
+        // Cross-run distributions of simulation-derived values only
+        // (never wall clock), so they are byte-identical at any jobs.
         metrics->gauge("runner.sweep.dist.requests_total")
-            .set(static_cast<double>(runRequests.total()));
-        recordDistGauges(*metrics, "runner.sweep.dist.energy_j",
-                         runEnergy.merged());
+            .set(static_cast<double>(accesses));
+        recordDistGauges(*metrics, "runner.sweep.dist.energy_j", energy);
         recordDistGauges(*metrics, "runner.sweep.dist.hit_ratio",
-                         runHitRatio.merged());
+                         hitRatio);
     }
     return outcomes;
 }

@@ -3,9 +3,9 @@
  * Parallel experiment sweeps. A SweepSpec names a cartesian grid of
  * experiment knobs (workloads x policies x cache sizes x DPM regimes
  * x write policies); expanding it yields a flat, deterministically
- * ordered list of RunPoints. runAll() executes the points on a
- * work-stealing ThreadPool, sharing one immutable in-memory Trace per
- * workload across all workers, and returns results in spec order —
+ * ordered list of RunPoints. runAll() executes the points with
+ * parallelFor, sharing one immutable in-memory Trace per workload
+ * across all threads, and returns results in spec order —
  * the output is byte-identical no matter how many jobs ran it,
  * because each point writes into its pre-assigned slot and the
  * simulation itself has no cross-run shared mutable state.
@@ -25,6 +25,7 @@ namespace pacache
 {
 
 class JsonValue;
+class LogHistogram;
 
 namespace obs
 {
@@ -127,11 +128,22 @@ class SweepPlan
  * return outcomes in point order. When @p metrics is non-null, each
  * run's wall clock and throughput are recorded as gauges
  * "runner.<label>.wall_ms" / "runner.<label>.requests_per_sec", plus
- * sweep totals under "runner.sweep.*".
+ * sweep totals under "runner.sweep.*". The cross-run distributions
+ * "runner.sweep.dist.*" are computed from the outcome slots after
+ * every run has finished, so they are byte-identical at any @p jobs.
  */
 std::vector<RunOutcome> runAll(const std::vector<RunPoint> &points,
                                unsigned jobs,
                                obs::MetricRegistry *metrics = nullptr);
+
+/**
+ * Emit @p hist as "<prefix>.count/.mean/.p50/.p95/.p99/.min/.max"
+ * gauges, using only bucket-derived statistics (independent of the
+ * order the samples were recorded in).
+ */
+void recordDistGauges(obs::MetricRegistry &registry,
+                      const std::string &prefix,
+                      const LogHistogram &hist);
 
 /** Expand + run a spec in one call. */
 std::vector<RunOutcome> runSweep(const SweepSpec &spec, unsigned jobs,

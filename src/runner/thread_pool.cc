@@ -1,149 +1,62 @@
 #include "runner/thread_pool.hh"
 
-#include "util/logging.hh"
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace pacache::runner
 {
 
-ThreadPool::ThreadPool(unsigned threads)
-{
-    const unsigned n = threads == 0 ? 1 : threads;
-    queues.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        queues.push_back(std::make_unique<WorkerQueue>());
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        workers.emplace_back([this, i] { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    {
-        std::lock_guard lock(sleepMutex);
-        shuttingDown = true;
-    }
-    workAvailable.notify_all();
-    for (std::thread &w : workers)
-        w.join();
-}
-
 unsigned
-ThreadPool::defaultWorkers()
+defaultWorkers()
 {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
 }
 
 void
-ThreadPool::submit(Task task)
+parallelFor(std::size_t n, unsigned jobs,
+            const std::function<void(std::size_t)> &fn)
 {
-    PACACHE_ASSERT(task, "submitted an empty task");
-    const std::size_t target =
-        nextQueue.fetch_add(1, std::memory_order_relaxed) % queues.size();
-    {
-        // Push before bumping submitSeq, both under sleepMutex: a
-        // worker that snapshots the bumped sequence is guaranteed the
-        // task is already visible to its scan, and one that snapshots
-        // the old sequence will find its wait predicate true (the
-        // bump happened) if its scan raced ahead of the push. Either
-        // way the wakeup cannot be lost. inFlight is bumped before
-        // the push so a worker can never finish the task (and
-        // decrement) ahead of the increment.
-        std::lock_guard lock(sleepMutex);
-        PACACHE_ASSERT(!shuttingDown, "submit after shutdown began");
-        ++inFlight;
-        {
-            std::lock_guard queueLock(queues[target]->mutex);
-            queues[target]->tasks.push_back(std::move(task));
-        }
-        ++submitSeq;
-    }
-    workAvailable.notify_one();
-}
+    if (n == 0)
+        return;
+    std::atomic<std::size_t> next{0};
 
-void
-ThreadPool::wait()
-{
-    std::unique_lock lock(sleepMutex);
-    allDone.wait(lock, [this] { return inFlight == 0; });
-    if (firstError) {
-        std::exception_ptr error = std::move(firstError);
-        firstError = nullptr;
-        lock.unlock();
-        std::rethrow_exception(error);
-    }
-}
+    // A throwing call must not escape its thread (std::terminate).
+    // Keeping only the lowest failing index makes the rethrown
+    // exception independent of scheduling.
+    std::mutex errorMutex;
+    std::size_t errorIndex = n;
+    std::exception_ptr error;
 
-bool
-ThreadPool::popLocal(std::size_t self, Task &out)
-{
-    WorkerQueue &q = *queues[self];
-    std::lock_guard lock(q.mutex);
-    if (q.tasks.empty())
-        return false;
-    out = std::move(q.tasks.front());
-    q.tasks.pop_front();
-    return true;
-}
-
-bool
-ThreadPool::stealRemote(std::size_t self, Task &out)
-{
-    const std::size_t n = queues.size();
-    for (std::size_t step = 1; step < n; ++step) {
-        WorkerQueue &victim = *queues[(self + step) % n];
-        std::lock_guard lock(victim.mutex);
-        if (victim.tasks.empty())
-            continue;
-        // Steal the coldest (oldest) task: the owner works the
-        // front, so contention on a single element is unlikely.
-        out = std::move(victim.tasks.back());
-        victim.tasks.pop_back();
-        return true;
-    }
-    return false;
-}
-
-void
-ThreadPool::workerLoop(std::size_t self)
-{
-    while (true) {
-        // Snapshot the submit generation BEFORE scanning: a submit
-        // that races with the scan bumps the sequence and defeats
-        // the wait predicate below, so no wakeup is ever lost.
-        std::size_t seenSeq;
-        {
-            std::lock_guard lock(sleepMutex);
-            seenSeq = submitSeq;
-        }
-
-        Task task;
-        if (popLocal(self, task) || stealRemote(self, task)) {
-            // A throwing task must not escape the thread function
-            // (std::terminate) or skip the inFlight decrement (wait()
-            // would deadlock): capture the first failure and let
-            // wait() rethrow it on the caller's thread.
-            std::exception_ptr error;
+    const auto work = [&] {
+        for (std::size_t i = next++; i < n; i = next++) {
             try {
-                task();
+                fn(i);
             } catch (...) {
-                error = std::current_exception();
+                const std::lock_guard lock(errorMutex);
+                if (i < errorIndex) {
+                    errorIndex = i;
+                    error = std::current_exception();
+                }
             }
-            std::lock_guard lock(sleepMutex);
-            if (error && !firstError)
-                firstError = std::move(error);
-            if (--inFlight == 0)
-                allDone.notify_all();
-            continue;
         }
-
-        std::unique_lock lock(sleepMutex);
-        if (shuttingDown)
-            return;
-        workAvailable.wait(lock, [this, seenSeq] {
-            return shuttingDown || submitSeq != seenSeq;
-        });
+    };
+    {
+        // Declared after everything the threads use; the jthreads
+        // join on scope exit, also when a later spawn throws.
+        std::vector<std::jthread> threads;
+        const std::size_t count =
+            std::min<std::size_t>(std::max(jobs, 1u), n);
+        threads.reserve(count);
+        for (std::size_t t = 0; t < count; ++t)
+            threads.emplace_back(work);
     }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace pacache::runner

@@ -1,103 +1,36 @@
 /**
  * @file
- * Work-stealing thread pool for running independent experiments in
- * parallel. Each worker owns a deque: submissions are distributed
- * round-robin, a worker pops its own work from the front, and an idle
- * worker steals from the back of a victim's deque — long experiment
- * runs migrate to whoever is free, so a sweep's wall clock tracks the
- * slowest single run rather than the unluckiest worker.
+ * The one parallel loop behind sweeps, sharded replay and fuzz
+ * campaigns: run fn(i) for every index of a batch on a few threads.
  *
- * The pool makes no determinism promises itself: callers that need
- * reproducible output (SweepRunner) must write results into
- * pre-assigned slots instead of depending on completion order.
+ * parallelFor makes no determinism promises itself: callers that need
+ * reproducible output (runAll, runShardedExperiment, runCampaign)
+ * write each index's result into a pre-assigned slot and aggregate
+ * the slots in index order after it returns.
  */
 
 #ifndef PACACHE_RUNNER_THREAD_POOL_HH
 #define PACACHE_RUNNER_THREAD_POOL_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace pacache::runner
 {
 
-class ThreadPool
-{
-  public:
-    using Task = std::function<void()>;
+/** hardware_concurrency, or 1 when the runtime reports 0. */
+unsigned defaultWorkers();
 
-    /** Start @p threads workers (clamped to at least 1). */
-    explicit ThreadPool(unsigned threads);
-
-    /** Drains remaining work, then joins the workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Enqueue @p task; runnable immediately by any worker. */
-    void submit(Task task);
-
-    /**
-     * Block until every submitted task has finished running. If any
-     * task threw, rethrows the first captured exception here, on the
-     * caller's thread (remaining tasks still ran to completion).
-     */
-    void wait();
-
-    unsigned workerCount() const
-    {
-        return static_cast<unsigned>(workers.size());
-    }
-
-    /** hardware_concurrency, or 1 when the runtime reports 0. */
-    static unsigned defaultWorkers();
-
-  private:
-    /**
-     * One worker's deque. Guarded by its own mutex so stealing
-     * contends with only one victim, not the whole pool.
-     */
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<Task> tasks;
-    };
-
-    void workerLoop(std::size_t self);
-    bool popLocal(std::size_t self, Task &out);
-    bool stealRemote(std::size_t self, Task &out);
-
-    std::vector<std::unique_ptr<WorkerQueue>> queues;
-    std::vector<std::thread> workers;
-
-    /** Wakes idle workers on submit and on shutdown. */
-    std::mutex sleepMutex;
-    std::condition_variable workAvailable;
-
-    /** Signals wait() when inFlight drains to zero. */
-    std::condition_variable allDone;
-
-    /** Tasks submitted but not yet finished executing. */
-    std::size_t inFlight = 0;
-
-    /** Bumped per submit; workers use it to avoid lost wakeups. */
-    std::size_t submitSeq = 0;
-
-    /** First exception thrown by a task; rethrown by wait(). */
-    std::exception_ptr firstError;
-
-    std::atomic<std::size_t> nextQueue{0};
-    bool shuttingDown = false;
-};
+/**
+ * Call @p fn(i) once for every i in [0, n) and return when all calls
+ * have finished. min(@p jobs, n) spawned threads (at least one; the
+ * caller only waits) claim indices in increasing order from one
+ * shared counter, so with one thread the calls run in index order.
+ * If any call threw, every index still runs, and the exception of
+ * the lowest failing index is rethrown here, on the caller's thread.
+ */
+void parallelFor(std::size_t n, unsigned jobs,
+                 const std::function<void(std::size_t)> &fn);
 
 } // namespace pacache::runner
 

@@ -11,50 +11,8 @@ namespace pacache
 TraceStats
 characterize(const Trace &trace)
 {
-    TraceStats s;
-    s.requests = trace.size();
-    s.disks = static_cast<uint32_t>(trace.numDisks());
-    if (trace.empty())
-        return s;
-
-    s.perDiskRequests.assign(s.disks, 0);
-    s.perDiskInterArrival.assign(s.disks, 0.0);
-    s.perDiskUnique.assign(s.disks, 0);
-
-    std::vector<Time> first(s.disks, -1.0), last(s.disks, 0.0);
-    std::vector<std::unordered_set<BlockNum>> seen(s.disks);
-    uint64_t writes = 0;
-
-    for (const auto &rec : trace) {
-        if (rec.write)
-            ++writes;
-        s.perDiskRequests[rec.disk]++;
-        if (first[rec.disk] < 0)
-            first[rec.disk] = rec.time;
-        last[rec.disk] = rec.time;
-        for (uint32_t b = 0; b < rec.numBlocks; ++b)
-            seen[rec.disk].insert(rec.block + b);
-    }
-
-    for (uint32_t d = 0; d < s.disks; ++d) {
-        if (s.perDiskRequests[d] > 1) {
-            s.perDiskInterArrival[d] =
-                (last[d] - first[d]) /
-                static_cast<double>(s.perDiskRequests[d] - 1);
-        }
-        s.perDiskUnique[d] = seen[d].size();
-        s.uniqueBlocks += seen[d].size();
-    }
-
-    s.writeRatio = static_cast<double>(writes) /
-                   static_cast<double>(s.requests);
-    s.duration = trace.endTime();
-    if (s.requests > 1) {
-        s.meanInterArrival = (trace[trace.size() - 1].time -
-                              trace[0].time) /
-                             static_cast<double>(s.requests - 1);
-    }
-    return s;
+    tracefmt::MemorySource src(trace);
+    return characterize(src);
 }
 
 TraceStats

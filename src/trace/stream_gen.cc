@@ -28,8 +28,7 @@ StreamingSyntheticSource::reinit()
     state.reserve(streams.size());
     heap = {};
     emitted = 0;
-    // Same per-stream seeding as generatePerDisk(): stream i draws
-    // from seed * golden-ratio + i + 1.
+    // Stream i draws from seed * golden-ratio + i + 1.
     for (std::size_t i = 0; i < streams.size(); ++i) {
         state.emplace_back(seed * 0x9e3779b97f4a7c15ULL + i + 1,
                            streams[i]);

@@ -1,16 +1,16 @@
 /**
  * @file
  * Streaming synthetic workload generation: the per-disk composite
- * model of generatePerDisk() (trace/synthetic.hh) exposed as a
- * TraceSource, so multi-GB traces can be written to .pct or drive a
- * simulation directly without ever materializing a Trace. State is
- * one RNG + address generator per disk plus a min-heap of pending
- * arrivals — independent of how many requests are produced.
+ * model as a TraceSource, so multi-GB traces can be written to .pct
+ * or drive a simulation directly without ever materializing a Trace
+ * (generatePerDisk() in trace/synthetic.hh is this source read into
+ * memory). State is one RNG + address generator per disk plus a
+ * min-heap of pending arrivals — independent of how many requests
+ * are produced.
  *
- * Determinism: the same streams/duration/seed yield exactly the
- * record sequence generatePerDisk() materializes (same per-stream
- * RNG seeding, same heap merge); rewind() reinitializes every stream
- * from the seed and replays it bit for bit.
+ * Determinism: the same streams/duration/seed yield the same record
+ * sequence; rewind() reinitializes every stream from the seed and
+ * replays it bit for bit.
  */
 
 #ifndef PACACHE_TRACE_STREAM_GEN_HH

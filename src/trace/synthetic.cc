@@ -1,8 +1,8 @@
 #include "trace/synthetic.hh"
 
 #include <algorithm>
-#include <queue>
 
+#include "trace/stream_gen.hh"
 #include "util/logging.hh"
 
 namespace pacache
@@ -138,54 +138,9 @@ Trace
 generatePerDisk(const std::vector<DiskStream> &streams, Time duration,
                 uint64_t seed)
 {
-    PACACHE_ASSERT(!streams.empty(), "need at least one stream");
     PACACHE_ASSERT(duration > 0, "duration must be positive");
-
-    struct StreamState
-    {
-        Rng rng;
-        AddressGenerator gen;
-        Time next;
-
-        StreamState(uint64_t s, const DiskStream &ds)
-            : rng(s), gen(ds.address), next(0) {}
-    };
-
-    std::vector<StreamState> state;
-    state.reserve(streams.size());
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-        state.emplace_back(seed * 0x9e3779b97f4a7c15ULL + i + 1,
-                           streams[i]);
-        state[i].next = streams[i].arrival.sample(state[i].rng);
-    }
-
-    // Merge per-disk arrival streams in time order with a min-heap.
-    using HeapEntry = std::pair<Time, std::size_t>;
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<>> heap;
-    for (std::size_t i = 0; i < state.size(); ++i)
-        if (state[i].next <= duration)
-            heap.emplace(state[i].next, i);
-
-    Trace trace;
-    while (!heap.empty()) {
-        const auto [t, i] = heap.top();
-        heap.pop();
-        StreamState &st = state[i];
-
-        TraceRecord rec;
-        rec.time = t;
-        rec.disk = static_cast<DiskId>(i);
-        rec.block = st.gen.next(st.rng);
-        rec.numBlocks = 1;
-        rec.write = st.rng.chance(streams[i].writeRatio);
-        trace.append(rec);
-
-        st.next = t + streams[i].arrival.sample(st.rng);
-        if (st.next <= duration)
-            heap.emplace(st.next, i);
-    }
-    return trace;
+    StreamingSyntheticSource src(streams, duration, seed);
+    return tracefmt::readAll(src);
 }
 
 } // namespace pacache

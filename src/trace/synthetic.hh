@@ -122,7 +122,8 @@ struct DiskStream
 /**
  * Generate a composite trace from independent per-disk streams,
  * merged in time order; stream i drives disk i for @p duration
- * seconds.
+ * seconds. The StreamingSyntheticSource (trace/stream_gen.hh) over
+ * the same arguments, read into memory.
  */
 Trace generatePerDisk(const std::vector<DiskStream> &streams,
                       Time duration, uint64_t seed = 42);

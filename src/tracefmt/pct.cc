@@ -23,8 +23,6 @@ constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
 /** Writer buffer size: 64 Ki records per flush. */
 constexpr std::size_t kWriteBufRecords = 1 << 16;
-/** Buffered reader chunk: records per read(). */
-constexpr std::size_t kReadBufRecords = 1 << 14;
 
 uint64_t
 fnv1a(uint64_t h, const unsigned char *p, std::size_t n)
@@ -329,87 +327,6 @@ readPctInfo(const std::string &path)
     return decodeHeader(header, path, size);
 }
 
-PctBufferedSource::PctBufferedSource(const std::string &path_,
-                                     PctReadOptions opts)
-    : path(path_), in(path_, std::ios::binary)
-{
-    if (!in)
-        PACACHE_FATAL("cannot open trace file '", path, "'");
-    const uint64_t size = fileSize(in, path);
-    if (size < kPctHeaderBytes)
-        PACACHE_FATAL("'", path, "' is too small to be a .pct trace");
-    unsigned char header[kPctHeaderBytes];
-    in.read(reinterpret_cast<char *>(header), kPctHeaderBytes);
-    if (!in)
-        PACACHE_FATAL("read error on '", path, "'");
-    info = decodeHeader(header, path, size);
-    buf.resize(kReadBufRecords * kPctRecordBytes);
-
-    if (opts.verifyChecksum) {
-        uint64_t h = kFnvOffset;
-        uint64_t left = info.records * kPctRecordBytes;
-        while (left > 0) {
-            const std::size_t chunk = static_cast<std::size_t>(
-                std::min<uint64_t>(left, buf.size()));
-            in.read(reinterpret_cast<char *>(buf.data()),
-                    static_cast<std::streamsize>(chunk));
-            if (!in)
-                PACACHE_FATAL("read error on '", path, "'");
-            h = fnv1a(h, buf.data(), chunk);
-            left -= chunk;
-        }
-        if (h != info.checksum) {
-            PACACHE_FATAL("checksum mismatch in '", path,
-                          "': file is corrupt");
-        }
-        in.clear();
-        in.seekg(kPctHeaderBytes);
-    }
-}
-
-void
-PctBufferedSource::refill()
-{
-    const uint64_t left = info.records - consumed;
-    bufCount = static_cast<std::size_t>(
-        std::min<uint64_t>(left, kReadBufRecords));
-    bufPos = 0;
-    if (bufCount == 0)
-        return;
-    in.read(reinterpret_cast<char *>(buf.data()),
-            static_cast<std::streamsize>(bufCount * kPctRecordBytes));
-    if (!in)
-        PACACHE_FATAL("read error on '", path, "'");
-}
-
-bool
-PctBufferedSource::next(TraceRecord &out)
-{
-    if (bufPos >= bufCount) {
-        if (consumed >= info.records)
-            return false;
-        refill();
-        if (bufCount == 0)
-            return false;
-    }
-    decodeRecord(buf.data() + bufPos * kPctRecordBytes, out, path,
-                 consumed, lastTime, info.numDisks);
-    lastTime = out.time;
-    ++bufPos;
-    ++consumed;
-    return true;
-}
-
-void
-PctBufferedSource::rewind()
-{
-    in.clear();
-    in.seekg(kPctHeaderBytes);
-    bufPos = bufCount = 0;
-    consumed = 0;
-    lastTime = 0;
-}
-
 namespace
 {
 
@@ -521,7 +438,7 @@ PctMapping::record(uint64_t index, TraceRecord &out) const
     PACACHE_ASSERT(index < info.records,
                    ".pct record index out of range");
     // Random access has no running clock; monotonicity is enforced
-    // by the sequential readers (times are never negative, so a
+    // by the sequential reader (times are never negative, so a
     // floor of 0 keeps the corruption check for length/NaN alive).
     decodeRecord(records + index * kPctRecordBytes, out, path, index,
                  0, info.numDisks);

@@ -85,7 +85,7 @@ PctInfo writePct(const std::string &path, TraceSource &src);
 /** Read and validate just the header of a .pct file. */
 PctInfo readPctInfo(const std::string &path);
 
-/** Reader options shared by both .pct sources. */
+/** Reader options for PctMmapSource and PctMapping. */
 struct PctReadOptions
 {
     /** Verify the record checksum on open (one extra pass). */
@@ -109,36 +109,6 @@ struct PctReadOptions
      * smaller ones tighten the resident set.
      */
     std::uint64_t hintRecords = 0;
-};
-
-/** Streaming .pct reader over buffered file I/O. */
-class PctBufferedSource : public TraceSource
-{
-  public:
-    explicit PctBufferedSource(const std::string &path,
-                               PctReadOptions opts = {});
-
-    bool next(TraceRecord &out) override;
-    void rewind() override;
-    const char *formatName() const override { return "pct"; }
-    uint64_t sizeHint() const override { return info.records; }
-    uint64_t numDisksHint() const override { return info.numDisks; }
-    Time endTimeHint() const override { return info.endTime; }
-    std::string pctPath() const override { return path; }
-
-    const PctInfo &header() const { return info; }
-
-  private:
-    void refill();
-
-    std::string path;
-    std::ifstream in;
-    PctInfo info;
-    std::vector<unsigned char> buf;
-    std::size_t bufPos = 0;   //!< next record within buf
-    std::size_t bufCount = 0; //!< records currently in buf
-    uint64_t consumed = 0;    //!< records handed out so far
-    Time lastTime = 0;
 };
 
 /** Zero-copy .pct reader over an mmap'd file. */

@@ -102,10 +102,6 @@ TEST(StreamingExperiment, TextAndPctFilesMatchBitForBit)
     tracefmt::PctMmapSource mmap_src(pct);
     const ExperimentResult from_pct = runExperiment(mmap_src, cfg);
     expectIdentical(direct, from_pct);
-
-    tracefmt::PctBufferedSource buf_src(pct);
-    const ExperimentResult from_buf = runExperiment(buf_src, cfg);
-    expectIdentical(direct, from_buf);
 }
 
 TEST(StreamingExperiment, OfflinePoliciesMaterializeTransparently)

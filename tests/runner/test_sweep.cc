@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -8,6 +9,7 @@
 #include "core/report.hh"
 #include "obs/metrics.hh"
 #include "runner/sweep.hh"
+#include "util/log_histogram.hh"
 
 namespace pacache::runner
 {
@@ -174,6 +176,64 @@ TEST(SweepRunner, RecordsPerRunAndAggregateMetrics)
     EXPECT_DOUBLE_EQ(metrics.gauge("runner.sweep.jobs").value(), 2.0);
     EXPECT_DOUBLE_EQ(metrics.gauge("runner.sweep.runs").value(), 1.0);
     EXPECT_GT(metrics.gauge("runner.sweep.wall_ms").value(), 0.0);
+}
+
+/** Every "runner.sweep.dist.*" line of a sweep's metric snapshot. */
+std::string
+distLines(const SweepSpec &spec, unsigned jobs)
+{
+    obs::MetricRegistry metrics;
+    runSweep(spec, jobs, &metrics);
+    std::ostringstream os;
+    metrics.writeText(os);
+    std::istringstream in(os.str());
+    std::string out;
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("runner.sweep.dist.", 0) == 0)
+            out += line + '\n';
+    return out;
+}
+
+TEST(SweepRunner, DistGaugesAreByteIdenticalAcrossJobCounts)
+{
+    SweepSpec spec;
+    spec.workloads = {"opg-showcase", "oltp"};
+    spec.policies = {PolicyKind::LRU, PolicyKind::PALRU,
+                     PolicyKind::ARC};
+    spec.cacheBlocks = {64, 256};
+    spec.dpms = {DpmChoice::Practical};
+    spec.writePolicies = {WritePolicy::WriteBack};
+    spec.duration = 60;
+
+    const std::string one = distLines(spec, 1);
+    // requests_total plus seven leaves for each of the two groups.
+    EXPECT_EQ(std::count(one.begin(), one.end(), '\n'), 15);
+    EXPECT_NE(one.find("runner.sweep.dist.energy_j.count 12"),
+              std::string::npos)
+        << one;
+    EXPECT_EQ(distLines(spec, 4), one);
+    EXPECT_EQ(distLines(spec, 8), one);
+}
+
+TEST(RecordDistGaugesTest, EmitsTheExpectedLeaves)
+{
+    LogHistogram hist;
+    for (int i = 1; i <= 100; ++i)
+        hist.record(i * 0.01);
+    obs::MetricRegistry registry;
+    recordDistGauges(registry, "runner.sweep.dist.energy_j", hist);
+
+    std::ostringstream os;
+    registry.writeText(os);
+    const std::string text = os.str();
+    for (const char *leaf : {".count ", ".mean ", ".p50 ", ".p95 ",
+                             ".p99 ", ".min ", ".max "}) {
+        EXPECT_NE(text.find(std::string("runner.sweep.dist.energy_j") +
+                            leaf),
+                  std::string::npos)
+            << leaf;
+    }
+    EXPECT_NE(text.find(".count 100"), std::string::npos);
 }
 
 } // namespace

@@ -112,39 +112,11 @@ TEST(PctErrors, TruncatedHeaderIsFatal)
     const std::string path =
         writeTempFile("trunc_header.pct", "PCTRACE1\x01");
     EXPECT_THROW(tracefmt::readPctInfo(path), std::runtime_error);
-    EXPECT_THROW(tracefmt::PctBufferedSource src(path),
-                 std::runtime_error);
     EXPECT_THROW(tracefmt::PctMmapSource src(path),
                  std::runtime_error);
     const std::string msg = messageOf(
         [&] { tracefmt::readPctInfo(path); });
     EXPECT_NE(msg.find("too small"), std::string::npos) << msg;
-}
-
-TEST(PctErrors, BufferedReaderDetectsChecksumCorruption)
-{
-    const std::string path = writeRawPct(
-        "bad_fnv.pct",
-        {{0.0, 1, 0, 1, false}, {1.0, 2, 0, 1, true}});
-    // Corrupt one record byte; the stored checksum no longer matches.
-    {
-        std::fstream f(path, std::ios::binary | std::ios::in |
-                                 std::ios::out);
-        f.seekp(tracefmt::kPctHeaderBytes + 8);
-        f.put('\x5a');
-    }
-    const std::string msg = messageOf([&] {
-        tracefmt::PctBufferedSource src(path);
-    });
-    EXPECT_NE(msg.find("checksum"), std::string::npos) << msg;
-
-    // Opting out of verification defers the damage to the payload,
-    // which is the documented trade-off.
-    tracefmt::PctReadOptions opts;
-    opts.verifyChecksum = false;
-    tracefmt::PctBufferedSource lax(path, opts);
-    TraceRecord rec;
-    EXPECT_TRUE(lax.next(rec));
 }
 
 TEST(PctErrors, NonMonotoneTimestampsAreFatalInBothReaders)
@@ -158,15 +130,8 @@ TEST(PctErrors, NonMonotoneTimestampsAreFatalInBothReaders)
          {0.5, 2, 0, 1, false},
          {2.0, 3, 0, 1, false}});
 
-    tracefmt::PctBufferedSource buffered(path);
-    TraceRecord rec;
-    ASSERT_TRUE(buffered.next(rec));
-    const std::string bufferedMsg =
-        messageOf([&] { buffered.next(rec); });
-    EXPECT_NE(bufferedMsg.find("out-of-order time"), std::string::npos)
-        << bufferedMsg;
-
     tracefmt::PctMmapSource mapped(path);
+    TraceRecord rec;
     ASSERT_TRUE(mapped.next(rec));
     const std::string mappedMsg = messageOf([&] { mapped.next(rec); });
     EXPECT_NE(mappedMsg.find("out-of-order time"), std::string::npos)
@@ -179,11 +144,6 @@ recordReaderErrors(const std::string &path)
 {
     TraceRecord rec;
     return {messageOf([&] {
-                tracefmt::PctBufferedSource src(path);
-                while (src.next(rec)) {
-                }
-            }),
-            messageOf([&] {
                 tracefmt::PctMmapSource src(path);
                 while (src.next(rec)) {
                 }

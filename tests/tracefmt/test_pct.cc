@@ -50,11 +50,10 @@ spit(const std::string &path, const std::string &bytes)
     out << bytes;
 }
 
-template <typename Source>
 void
 expectRoundTrip(const Trace &t, const std::string &path)
 {
-    Source src(path);
+    tracefmt::PctMmapSource src(path);
     TraceRecord rec;
     for (std::size_t i = 0; i < t.size(); ++i) {
         ASSERT_TRUE(src.next(rec)) << "record " << i;
@@ -72,8 +71,15 @@ TEST(Pct, RoundTripsThroughBothReaders)
 {
     const Trace t = sampleTrace();
     const std::string path = writePctOf(t, "roundtrip.pct");
-    expectRoundTrip<tracefmt::PctBufferedSource>(t, path);
-    expectRoundTrip<tracefmt::PctMmapSource>(t, path);
+    expectRoundTrip(t, path);
+
+    const tracefmt::PctMapping map(path);
+    ASSERT_EQ(map.header().records, t.size());
+    TraceRecord rec;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        map.record(i, rec);
+        EXPECT_EQ(rec, t[i]) << "record " << i;
+    }
 }
 
 TEST(Pct, HeaderRecordsExactMetadata)
@@ -130,7 +136,7 @@ TEST(Pct, RejectsBadMagic)
     bytes[0] = 'X';
     spit(path, bytes);
     EXPECT_ANY_THROW(tracefmt::PctMmapSource src(path));
-    EXPECT_ANY_THROW(tracefmt::PctBufferedSource src(path));
+    EXPECT_ANY_THROW(tracefmt::PctMapping map(path));
 }
 
 TEST(Pct, RejectsUnknownVersion)
@@ -152,7 +158,7 @@ TEST(Pct, RejectsTruncatedFiles)
     const std::string bytes = slurp(path);
     spit(path, bytes.substr(0, bytes.size() - 5));
     EXPECT_ANY_THROW(tracefmt::PctMmapSource src(path));
-    EXPECT_ANY_THROW(tracefmt::PctBufferedSource src(path));
+    EXPECT_ANY_THROW(tracefmt::PctMapping map(path));
 }
 
 TEST(Pct, ChecksumCatchesFlippedRecordBytes)

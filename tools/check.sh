@@ -129,7 +129,7 @@ fi
 step "out-of-core scale benchmark gate"
 # micro_scale stream-generates a scaled OLTP trace and replays it
 # (windowed off-line oracle, trace = 10x window, then disk-sharded
-# across the pool) under a fixed oracle memory budget FIRST, then
+# with the shards in parallel) under a fixed oracle memory budget FIRST, then
 # unbounded — verifying bit-identical reps, jobs=1 == jobs=N, and
 # budgeted == unbounded fingerprints. Two gated metrics: the
 # max_peak_rss_mb CEILING is sampled after the budgeted phases (the
@@ -275,19 +275,26 @@ cmake -B "$root/build-tsan" -S "$root" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DPACACHE_SANITIZE=thread >/dev/null
 cmake --build "$root/build-tsan" -j "$jobs" \
-      --target pacache_tests pacache_fuzz pacache_serve
+      --target pacache_tests pacache_integration_tests pacache_fuzz \
+               pacache_serve
 
 step "TSan parallel sweep and serve tests"
-# The work-stealing pool must produce byte-identical results at any
+# Sweeps over parallelFor must produce byte-identical results at any
 # job count, and the serve stripes (rings, stripe locks, per-stripe
 # SimStacks, crash-at-shutdown) must match replay, with no data races
 # while doing so.
 "$root/build-tsan/tests/pacache_tests" \
     --gtest_filter='ThreadPool.*:SweepRunner.*:ServeServer.*:ServeCrash.*:RequestRing.*'
 
+step "TSan sharded replay tests"
+# The only tests that replay shards on several threads at once
+# (InvariantInWorkerCount runs jobs 1 vs 5).
+"$root/build-tsan/tests/pacache_integration_tests" \
+    --gtest_filter='ShardedReplay.*'
+
 step "TSan fuzz campaign (threaded)"
-# The campaign driver shares the pool across batches; run it with
-# several workers so TSan sees the real submit/wait traffic.
+# Each batch of cases runs through parallelFor; run it with several
+# threads so TSan sees cases finishing concurrently into their slots.
 "$root/build-tsan/tools/pacache_fuzz" --cases 12 --seed 3 --jobs 4
 
 step "TSan serve smoke (multi-threaded)"

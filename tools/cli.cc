@@ -65,7 +65,8 @@ Args::getDouble(const std::string &key, double fallback) const
 }
 
 uint64_t
-Args::getUint(const std::string &key, uint64_t fallback) const
+Args::getUint(const std::string &key, uint64_t fallback,
+              uint64_t max) const
 {
     auto it = values.find(key);
     if (it == values.end())
@@ -80,6 +81,9 @@ Args::getUint(const std::string &key, uint64_t fallback) const
         *end != '\0' || errno == ERANGE)
         PACACHE_FATAL("flag --", key,
                       " expects a non-negative integer below 2^64, got '",
+                      text, "'");
+    if (v > max)
+        PACACHE_FATAL("flag --", key, " expects at most ", max, ", got '",
                       text, "'");
     return v;
 }
@@ -175,7 +179,8 @@ loadWorkload(const Args &args, const std::string &default_workload)
         SyntheticParams p;
         p.numRequests = args.getUint("requests", 20000);
         p.numDisks =
-            static_cast<uint32_t>(args.getUint("disks", p.numDisks));
+            static_cast<uint32_t>(args.getUint("disks", p.numDisks,
+                                               UINT32_MAX));
         p.writeRatio = args.getDouble("write-ratio", p.writeRatio);
         const double mean =
             args.getDouble("interarrival", p.arrival.meanMs);

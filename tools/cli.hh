@@ -35,7 +35,10 @@ class Args
     std::string get(const std::string &key,
                     const std::string &fallback) const;
     double getDouble(const std::string &key, double fallback) const;
-    uint64_t getUint(const std::string &key, uint64_t fallback) const;
+    /** Fatal, naming the flag and @p max, on a value above @p max
+     *  (so callers can narrow the result without wrapping). */
+    uint64_t getUint(const std::string &key, uint64_t fallback,
+                     uint64_t max = UINT64_MAX) const;
 
     /** Positional (non-flag) arguments. */
     const std::vector<std::string> &positional() const { return pos; }

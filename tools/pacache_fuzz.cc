@@ -17,6 +17,7 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -121,7 +122,8 @@ try {
     opts.seed = args.getUint("seed", 1);
     opts.seconds = args.getDouble("seconds", 0);
     opts.cases = args.getUint("cases", 0);
-    opts.jobs = static_cast<unsigned>(args.getUint("jobs", 1));
+    opts.jobs = static_cast<unsigned>(
+        args.getUint("jobs", 1, std::numeric_limits<unsigned>::max()));
     opts.corpusDir = args.get("corpus-out", "");
     opts.shrink = !args.has("no-shrink");
     if (args.has("crash")) {

@@ -221,10 +221,10 @@ runSweepMode(const cli::Args &args)
     const runner::SweepSpec spec =
         runner::SweepSpec::fromJsonText(buf.str());
 
-    const unsigned jobs =
-        static_cast<unsigned>(args.getUint("jobs", 0));
+    const unsigned jobs = static_cast<unsigned>(
+        args.getUint("jobs", 0, std::numeric_limits<unsigned>::max()));
     const unsigned workers =
-        jobs == 0 ? runner::ThreadPool::defaultWorkers() : jobs;
+        jobs == 0 ? runner::defaultWorkers() : jobs;
 
     // Open the report file before the sweep so a bad path fails in
     // milliseconds, not after minutes of simulation.
@@ -268,9 +268,9 @@ runSweepMode(const cli::Args &args)
         json.kv("sweep", spec.name);
         json.kv("jobs", workers);
         json.kv("wall_ms", sweepWall);
-        // Cross-run distributions from the sharded instruments; all
-        // simulation-derived, so this object is byte-identical for
-        // any --jobs (unlike the wall-clock fields above).
+        // Cross-run distributions; all simulation-derived, so this
+        // object is byte-identical for any --jobs (unlike the
+        // wall-clock fields above).
         json.key("dist");
         json.beginObject();
         json.kv("requests_total",
@@ -433,8 +433,8 @@ try {
         cfg.observer = &observer;
     cfg.profiler = prof;
 
-    const unsigned shards =
-        static_cast<unsigned>(args.getUint("shards", 0));
+    const unsigned shards = static_cast<unsigned>(
+        args.getUint("shards", 0, std::numeric_limits<unsigned>::max()));
     if (shards > 0) {
         if (!streaming)
             PACACHE_FATAL("--shards needs --stream");
@@ -452,8 +452,8 @@ try {
     if (shards > 0) {
         runner::ShardReplayOptions shard_opts;
         shard_opts.shards = shards;
-        shard_opts.jobs =
-            static_cast<unsigned>(args.getUint("jobs", 0));
+        shard_opts.jobs = static_cast<unsigned>(args.getUint(
+            "jobs", 0, std::numeric_limits<unsigned>::max()));
         r = runner::runShardedExperiment(source->pctPath(), cfg,
                                          shard_opts);
     } else {

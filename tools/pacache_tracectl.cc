@@ -17,6 +17,7 @@
 
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -93,8 +94,9 @@ ingestOptions(const cli::Args &args)
     tracefmt::IngestOptions opt;
     opt.blockBytes = args.getUint("block-bytes", opt.blockBytes);
     opt.sectorBytes = static_cast<uint32_t>(
-        args.getUint("sector-bytes", opt.sectorBytes));
-    opt.diskModulo = static_cast<uint32_t>(args.getUint("disks", 0));
+        args.getUint("sector-bytes", opt.sectorBytes, UINT32_MAX));
+    opt.diskModulo =
+        static_cast<uint32_t>(args.getUint("disks", 0, UINT32_MAX));
     if (args.has("no-rebase"))
         opt.rebaseTime = false;
     if (args.has("strict-order"))
@@ -223,7 +225,8 @@ int
 cmdFilter(const cli::Args &args)
 {
     const bool by_disk = args.has("disk");
-    const DiskId disk = static_cast<DiskId>(args.getUint("disk", 0));
+    const DiskId disk = static_cast<DiskId>(
+        args.getUint("disk", 0, std::numeric_limits<DiskId>::max()));
     const Time from = args.getDouble("from", 0.0);
     const Time to = args.getDouble("to", -1.0); // < 0: no upper bound
     if (!by_disk && !args.has("from") && !args.has("to"))

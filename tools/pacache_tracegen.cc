@@ -67,7 +67,7 @@ runScaleMode(const cli::Args &args)
 
     const std::string name = args.get("workload", "oltp");
     const uint32_t disks =
-        static_cast<uint32_t>(args.getUint("disks", 64));
+        static_cast<uint32_t>(args.getUint("disks", 64, UINT32_MAX));
     std::vector<DiskStream> streams;
     if (name == "oltp")
         streams = scaledOltpStreams(disks);
