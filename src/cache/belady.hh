@@ -5,12 +5,12 @@
  * the miss count (the paper's baseline off-line bound) but, as the
  * paper's Section 3 shows, is *not* energy-optimal.
  *
- * Implementation (the oracle fast path; ReferenceBeladyPolicy in
- * cache/belady_ref.hh is the retained set-based original): resident
- * blocks live in an addressable max-heap keyed by (next-use index,
- * block) — kNever sorts last, exactly matching the reference's
- * std::prev(set.end()) victim — with a flat hash map from block to
- * its stable heap handle.
+ * Implementation (the oracle fast path; NaiveOracle in
+ * qa/naive_oracle.hh is the reference written from the definition):
+ * resident blocks live in an addressable max-heap keyed by (next-use
+ * index, block) — kNever sorts last, so the victim is the largest
+ * (next use, block), as in the reference — with a flat hash map from
+ * block to its stable heap handle.
  *
  * Like OPG the policy is templated over its future provider F:
  * FutureKnowledge (materialized; BeladyPolicy) or WindowedFuture

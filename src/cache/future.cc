@@ -1,7 +1,6 @@
 #include "cache/future.hh"
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "util/flat_map.hh"
 #include "util/logging.hh"
@@ -60,32 +59,6 @@ FutureKnowledge::build(const std::vector<BlockAccess> &accesses)
     last_seen.forEach([&](std::uint64_t, std::uint32_t idx) {
         fk.first[idx] = true;
     });
-    return fk;
-}
-
-FutureKnowledge
-FutureKnowledge::buildRef(const std::vector<BlockAccess> &accesses)
-{
-    FutureKnowledge fk;
-    fk.next.assign(accesses.size(), kNever);
-    fk.first.assign(accesses.size(), false);
-    fk.times.resize(accesses.size());
-    for (std::size_t i = 0; i < accesses.size(); ++i)
-        fk.times[i] = accesses[i].time;
-
-    std::unordered_map<BlockId, std::size_t> last_seen;
-    last_seen.reserve(accesses.size() / 4 + 16);
-    for (std::size_t i = accesses.size(); i-- > 0;) {
-        auto [it, inserted] =
-            last_seen.try_emplace(accesses[i].block, i);
-        if (!inserted) {
-            fk.next[i] = it->second;
-            it->second = i;
-        }
-    }
-    // Entries left in lastSeen hold each block's earliest access.
-    for (const auto &[block, idx] : last_seen)
-        fk.first[idx] = true;
     return fk;
 }
 

@@ -76,16 +76,6 @@ class FutureKnowledge
     static FutureKnowledge build(const std::vector<BlockAccess> &accesses);
 
     /**
-     * Retained original build, used by the reference policies: a
-     * node-based std::unordered_map keyed by the full BlockId. Same
-     * output as build() — the reference replay path keeps the whole
-     * legacy stack behind the policy interface so old-vs-new
-     * comparisons time the stacks as they actually were.
-     */
-    static FutureKnowledge
-    buildRef(const std::vector<BlockAccess> &accesses);
-
-    /**
      * The next access to the same block and its time (idx kNever,
      * time 0 if none). Callers that read only .idx pay no time load:
      * the call inlines and the dead read folds away.

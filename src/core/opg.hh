@@ -27,8 +27,8 @@
  * theta -> infinity degrades exactly to Belady's MIN (all penalties
  * equal; ties broken by forward distance).
  *
- * Implementation (the oracle fast path; ReferenceOpgPolicy in
- * core/opg_ref.hh is the retained node-based original):
+ * Implementation (the oracle fast path; NaiveOracle in
+ * qa/naive_oracle.hh is the reference written from the definition):
  *
  *  - per disk, S is a chunked sorted-vector OrderedSet of (index,
  *    time) entries ordered by index, whose neighbors() query answers
@@ -86,13 +86,6 @@
 
 namespace pacache
 {
-
-/** Which idle-period energy function prices the penalties. */
-enum class DpmKind
-{
-    Oracle,    //!< lower envelope E*(t)
-    Practical, //!< threshold-based DPM energy
-};
 
 /** The off-line power-aware greedy policy over future provider F. */
 template <typename F>
@@ -243,7 +236,7 @@ class BasicOpgPolicy : public ReplacementPolicy
 
 // All instantiations are compiled once, in opg.cc, so the hot replay
 // loops keep the exact same single-TU codegen the non-template policy
-// had (micro_opg's 2.5x floor is sensitive to this).
+// had (micro_opg's OPG/LRU ceiling is sensitive to this).
 extern template class BasicOpgPolicy<FutureKnowledge>;
 extern template class BasicOpgPolicy<WindowedFuture>;
 

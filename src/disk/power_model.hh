@@ -179,6 +179,13 @@ struct DiskSpec
     static DiskSpec ultrastar36z15();
 };
 
+/** Which idle-period energy function prices the OPG penalties. */
+enum class DpmKind
+{
+    Oracle,    //!< lower envelope E*(t)
+    Practical, //!< threshold-based DPM energy
+};
+
 /**
  * The full multi-speed power model: an ordered set of idle modes
  * (mode 0 = full-speed idle .. last mode = standby) plus the
@@ -332,9 +339,9 @@ class PowerModel
 
     /**
      * Reference implementations of the per-call scans the segment
-     * tables replaced. Retained so differential tests (and the
-     * micro_opg old-path benchmark) can verify and price against the
-     * original code forever.
+     * tables replaced. Retained so differential tests, NaiveOracle's
+     * pricing and micro_opg's pricing panel can verify and price
+     * against the original code forever.
      */
     Energy envelopeRef(Time t) const;
     std::size_t bestModeRef(Time t) const;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cache/belady.hh"
-#include "cache/belady_ref.hh"
 #include "obs/energy_ledger.hh"
 #include "util/log_histogram.hh"
 #include "cache/cache.hh"
@@ -17,12 +16,12 @@
 #include "cache/lru.hh"
 #include "core/experiment.hh"
 #include "core/opg.hh"
-#include "core/opg_ref.hh"
 #include "core/wtdu_log.hh"
 #include "disk/power_model.hh"
 #include "core/pa_classifier.hh"
 #include "qa/crash.hh"
 #include "qa/gen.hh"
+#include "qa/naive_oracle.hh"
 #include "runner/shard_replay.hh"
 #include "runner/sweep.hh"
 #include "serve/server.hh"
@@ -187,7 +186,7 @@ diffResults(const ExperimentResult &a, const ExperimentResult &b)
 }
 
 // ---------------------------------------------------------------
-// Differential properties: fast path vs retained reference.
+// Differential properties: fast path vs reference.
 // ---------------------------------------------------------------
 
 PropertyResult
@@ -195,8 +194,7 @@ propOpgMatchesRef(const FuzzCase &c)
 {
     const PowerModel pm = c.powerModel();
     OpgPolicy fast(pm, c.cfg.dpmKind, c.cfg.theta);
-    ReferenceOpgPolicy ref(pm, c.cfg.dpmKind, c.cfg.theta,
-                           /*refPricing=*/true);
+    NaiveOracle ref(pm, c.cfg.dpmKind, c.cfg.theta);
     return checkPolicyDifferential(c, fast, ref);
 }
 
@@ -204,7 +202,7 @@ PropertyResult
 propBeladyMatchesRef(const FuzzCase &c)
 {
     BeladyPolicy fast;
-    ReferenceBeladyPolicy ref;
+    NaiveOracle ref;
     return checkPolicyDifferential(c, fast, ref);
 }
 
@@ -946,11 +944,11 @@ allProperties()
     static const std::vector<PropertyDef> registry = {
         {"opg_matches_ref",
          "OPG fast path evicts and counts bit-identically to the "
-         "retained node-based reference with legacy pricing",
+         "naive reference written from the paper's definition",
          propOpgMatchesRef},
         {"belady_matches_ref",
          "Belady indexed-heap fast path is bit-identical to the "
-         "retained set-based reference",
+         "naive furthest-next-use reference",
          propBeladyMatchesRef},
         {"energy_tables_match_legacy",
          "PiecewiseEnergy/envelope tables match the legacy per-call "

@@ -4,13 +4,12 @@
  * property the fuzzer can throw a FuzzCase at.
  *
  * A property is a pure check FuzzCase -> PropertyResult. Differential
- * properties replay a fast-path implementation against its retained
- * reference (OPG vs ReferenceOpgPolicy, Belady vs
- * ReferenceBeladyPolicy, segment tables vs legacy scans) and demand
- * bit-identical behavior; metamorphic properties relate two runs of
- * the same system (streaming vs materialized, parallel vs serial,
- * growing cache sizes, crash/recover twice) whose outputs must agree
- * by construction.
+ * properties replay a fast-path implementation against a reference
+ * (OPG and Belady vs NaiveOracle, segment tables vs legacy scans) and
+ * demand bit-identical behavior; metamorphic properties relate two
+ * runs of the same system (streaming vs materialized, parallel vs
+ * serial, growing cache sizes, crash/recover twice) whose outputs
+ * must agree by construction.
  *
  * Failures carry a human-readable message naming the first observed
  * divergence; thrown exceptions (PACACHE_FATAL / PACACHE_PANIC /

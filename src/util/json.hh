@@ -2,7 +2,8 @@
  * @file
  * Minimal streaming JSON writer shared by the observability sinks and
  * the stats serializers, plus a small JSON value parser for
- * configuration inputs (sweep spec files). The writer tracks the
+ * configuration inputs (sweep spec files) and for tests that read
+ * back what the writer emitted. The writer tracks the
  * object/array nesting and inserts commas so callers never emit
  * malformed separators; numbers are written round-trippably (doubles
  * with max_digits10, NaN/Inf as null, since JSON has no

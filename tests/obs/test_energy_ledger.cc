@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "json_check.hh"
+#include "support/json_at.hh"
 #include "obs/energy_ledger.hh"
 #include "trace/workloads.hh"
 #include "util/json.hh"
@@ -14,6 +14,8 @@ namespace pacache::obs
 {
 namespace
 {
+
+using test::at;
 
 /** A hand-built breakdown whose rows reconcile exactly. */
 EnergyStats
@@ -87,28 +89,28 @@ TEST(EnergyLedgerTest, JsonSchemaAndReconciliation)
         ledger.writeJsonValue(json);
         json.finish();
     }
-    const testjson::Value doc = testjson::parse(os.str());
+    const JsonValue doc = JsonValue::parse(os.str());
     ASSERT_TRUE(doc.isObject());
-    EXPECT_EQ(doc.at("mode_names").items.size(), 3u);
-    const testjson::Value &disk = doc.at("disks").at("disk0");
-    EXPECT_DOUBLE_EQ(disk.at("active_j").number, 120.0);
-    EXPECT_DOUBLE_EQ(disk.at("idle_per_mode_j").at("IDLE").number,
+    EXPECT_EQ(at(doc, "mode_names").asArray().size(), 3u);
+    const JsonValue &disk = at(doc, "disks", "disk0");
+    EXPECT_DOUBLE_EQ(at(disk, "active_j").asNumber(), 120.0);
+    EXPECT_DOUBLE_EQ(at(disk, "idle_per_mode_j", "IDLE").asNumber(),
                      12.5);
-    EXPECT_DOUBLE_EQ(disk.at("spinup_j").number, 27.0);
+    EXPECT_DOUBLE_EQ(at(disk, "spinup_j").asNumber(), 27.0);
     EXPECT_DOUBLE_EQ(
-        disk.at("spinups_by_cause").at("capacity_miss").number, 1.0);
-    EXPECT_DOUBLE_EQ(disk.at("spinup_energy_by_cause_j")
-                         .at("eviction_writeback")
-                         .number,
-                     9.0);
+        at(disk, "spinups_by_cause", "capacity_miss").asNumber(), 1.0);
+    EXPECT_DOUBLE_EQ(
+        at(disk, "spinup_energy_by_cause_j", "eviction_writeback")
+            .asNumber(),
+        9.0);
     // Rows reconcile: active + idle + spinup + spindown == total_j.
-    const double rows = disk.at("active_j").number + 40.0 + 12.5 +
-                        3.25 + disk.at("spinup_j").number +
-                        disk.at("spindown_j").number;
-    EXPECT_NEAR(rows, disk.at("total_j").number,
-                1e-9 * disk.at("total_j").number);
-    EXPECT_TRUE(doc.at("conserves").boolean);
-    EXPECT_LE(doc.at("max_conservation_rel_error").number,
+    const double rows = at(disk, "active_j").asNumber() + 40.0 + 12.5 +
+                        3.25 + at(disk, "spinup_j").asNumber() +
+                        at(disk, "spindown_j").asNumber();
+    EXPECT_NEAR(rows, at(disk, "total_j").asNumber(),
+                1e-9 * at(disk, "total_j").asNumber());
+    EXPECT_TRUE(at(doc, "conserves").asBool());
+    EXPECT_LE(at(doc, "max_conservation_rel_error").asNumber(),
               kLedgerConservationTol);
 }
 

@@ -5,13 +5,15 @@
 #include <stdexcept>
 #include <string>
 
-#include "json_check.hh"
+#include "support/json_at.hh"
 #include "obs/metrics.hh"
 
 namespace pacache::obs
 {
 namespace
 {
+
+using test::at;
 
 TEST(MetricRegistryTest, CounterIsMonotonicAndShared)
 {
@@ -111,18 +113,18 @@ TEST(MetricRegistryTest, JsonSnapshotNestsAlongDots)
 
     std::ostringstream os;
     reg.writeJson(os);
-    const testjson::Value doc = testjson::parse(os.str());
+    const JsonValue doc = JsonValue::parse(os.str());
 
     ASSERT_TRUE(doc.isObject());
-    EXPECT_DOUBLE_EQ(doc.at("disk").at("0").at("spinups").number, 3.0);
-    EXPECT_DOUBLE_EQ(doc.at("disk").at("1").at("spinups").number, 5.0);
-    EXPECT_DOUBLE_EQ(doc.at("cache").at("hit_ratio").number, 0.5);
-    EXPECT_DOUBLE_EQ(doc.at("total").number, 7.0);
-    const testjson::Value &lat = doc.at("lat");
+    EXPECT_DOUBLE_EQ(at(doc, "disk", "0", "spinups").asNumber(), 3.0);
+    EXPECT_DOUBLE_EQ(at(doc, "disk", "1", "spinups").asNumber(), 5.0);
+    EXPECT_DOUBLE_EQ(at(doc, "cache", "hit_ratio").asNumber(), 0.5);
+    EXPECT_DOUBLE_EQ(at(doc, "total").asNumber(), 7.0);
+    const JsonValue &lat = at(doc, "lat");
     ASSERT_TRUE(lat.isObject());
-    EXPECT_DOUBLE_EQ(lat.at("count").number, 1.0);
-    EXPECT_DOUBLE_EQ(lat.at("min").number, 2.0);
-    EXPECT_DOUBLE_EQ(lat.at("max").number, 2.0);
+    EXPECT_DOUBLE_EQ(at(lat, "count").asNumber(), 1.0);
+    EXPECT_DOUBLE_EQ(at(lat, "min").asNumber(), 2.0);
+    EXPECT_DOUBLE_EQ(at(lat, "max").asNumber(), 2.0);
 }
 
 TEST(MetricRegistryTest, TextSnapshotIsFlatAndNameOrdered)

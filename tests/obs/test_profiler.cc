@@ -3,7 +3,7 @@
 #include <sstream>
 #include <string>
 
-#include "json_check.hh"
+#include "support/json_at.hh"
 #include "obs/profiler.hh"
 #include "obs/trace_writer.hh"
 
@@ -11,6 +11,8 @@ namespace pacache::obs
 {
 namespace
 {
+
+using test::at;
 
 TEST(ProfilerTest, AggregatesPhasesInFirstEnteredOrder)
 {
@@ -70,15 +72,15 @@ TEST(ProfilerTest, EmitTracePutsSpansOnTheProfilerTrack)
     prof.emitTrace(trace);
     std::ostringstream os;
     trace.writeJson(os);
-    const testjson::Value doc = testjson::parse(os.str());
-    const auto &events = doc.at("traceEvents").items;
+    const JsonValue doc = JsonValue::parse(os.str());
+    const auto &events = at(doc, "traceEvents").asArray();
     ASSERT_EQ(events.size(), 2u); // track metadata + one span
-    EXPECT_EQ(events[0]->at("ph").str, "M");
-    EXPECT_EQ(events[1]->at("ph").str, "X");
-    EXPECT_EQ(events[1]->at("name").str, "replay");
-    EXPECT_DOUBLE_EQ(events[1]->at("tid").number,
+    EXPECT_EQ(at(events[0], "ph").asString(), "M");
+    EXPECT_EQ(at(events[1], "ph").asString(), "X");
+    EXPECT_EQ(at(events[1], "name").asString(), "replay");
+    EXPECT_DOUBLE_EQ(at(events[1], "tid").asNumber(),
                      static_cast<double>(Profiler::kProfileTrack));
-    EXPECT_GE(events[1]->at("dur").number, 0.0);
+    EXPECT_GE(at(events[1], "dur").asNumber(), 0.0);
 }
 
 TEST(ProfilerTest, SummaryListsEveryPhase)
@@ -109,7 +111,7 @@ TEST(ProfilerTest, EmptyProfilerProducesEmptyPhasesAndSummary)
     prof.emitTrace(trace);
     std::ostringstream json;
     trace.writeJson(json);
-    EXPECT_TRUE(testjson::parse(json.str()).isObject());
+    EXPECT_TRUE(JsonValue::parse(json.str()).isObject());
 }
 
 } // namespace

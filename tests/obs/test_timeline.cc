@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "json_check.hh"
+#include "support/json_at.hh"
 #include "obs/observer.hh"
 #include "obs/timeline.hh"
 #include "trace/synthetic.hh"
@@ -14,6 +14,8 @@ namespace pacache::obs
 {
 namespace
 {
+
+using test::at;
 
 Trace
 smallTrace(uint64_t seed = 1, double interarrival_ms = 100.0)
@@ -160,17 +162,17 @@ TEST(TimelineWriterTest, JsonlRowsParseAndCarryTheRowFields)
     TimelineWriter writer(os, TimelineWriter::Format::Jsonl);
     writer.emit(row);
 
-    const testjson::Value doc = testjson::parse(os.str());
-    EXPECT_DOUBLE_EQ(doc.at("epoch").number, 2.0);
-    EXPECT_DOUBLE_EQ(doc.at("t_start").number, 60.0);
-    EXPECT_DOUBLE_EQ(doc.at("t_end").number, 90.0);
-    EXPECT_DOUBLE_EQ(doc.at("accesses").number, 100.0);
-    EXPECT_DOUBLE_EQ(doc.at("hit_ratio").number, 0.4);
-    EXPECT_DOUBLE_EQ(doc.at("total_energy_j").number, 12.5);
-    EXPECT_DOUBLE_EQ(doc.at("mean_response_ms").number, 2.5);
-    ASSERT_EQ(doc.at("misses_per_disk").items.size(), 2u);
-    ASSERT_EQ(doc.at("priority_disks").items.size(), 1u);
-    EXPECT_DOUBLE_EQ(doc.at("priority_disks").items[0]->number, 0.0);
+    const JsonValue doc = JsonValue::parse(os.str());
+    EXPECT_DOUBLE_EQ(at(doc, "epoch").asNumber(), 2.0);
+    EXPECT_DOUBLE_EQ(at(doc, "t_start").asNumber(), 60.0);
+    EXPECT_DOUBLE_EQ(at(doc, "t_end").asNumber(), 90.0);
+    EXPECT_DOUBLE_EQ(at(doc, "accesses").asNumber(), 100.0);
+    EXPECT_DOUBLE_EQ(at(doc, "hit_ratio").asNumber(), 0.4);
+    EXPECT_DOUBLE_EQ(at(doc, "total_energy_j").asNumber(), 12.5);
+    EXPECT_DOUBLE_EQ(at(doc, "mean_response_ms").asNumber(), 2.5);
+    ASSERT_EQ(at(doc, "misses_per_disk").asArray().size(), 2u);
+    ASSERT_EQ(at(doc, "priority_disks").asArray().size(), 1u);
+    EXPECT_DOUBLE_EQ(at(doc, "priority_disks").asArray()[0].asNumber(), 0.0);
 }
 
 TEST(TimelineWriterTest, CsvHasOneHeaderAndMatchingColumns)

@@ -4,13 +4,15 @@
 #include <string>
 #include <vector>
 
-#include "json_check.hh"
+#include "support/json_at.hh"
 #include "obs/trace_writer.hh"
 
 namespace pacache::obs
 {
 namespace
 {
+
+using test::at;
 
 TEST(TraceEventWriterTest, EmitsValidJsonDocument)
 {
@@ -21,10 +23,10 @@ TEST(TraceEventWriterTest, EmitsValidJsonDocument)
 
     std::ostringstream os;
     w.writeJson(os);
-    const testjson::Value doc = testjson::parse(os.str());
+    const JsonValue doc = JsonValue::parse(os.str());
     ASSERT_TRUE(doc.isObject());
-    ASSERT_TRUE(doc.at("traceEvents").isArray());
-    EXPECT_EQ(doc.at("traceEvents").items.size(), 3u);
+    ASSERT_TRUE(at(doc, "traceEvents").isArray());
+    EXPECT_EQ(at(doc, "traceEvents").asArray().size(), 3u);
 }
 
 TEST(TraceEventWriterTest, TimestampsAreNonDecreasing)
@@ -39,19 +41,18 @@ TEST(TraceEventWriterTest, TimestampsAreNonDecreasing)
 
     std::ostringstream os;
     w.writeJson(os);
-    const testjson::Value doc = testjson::parse(os.str());
+    const JsonValue doc = JsonValue::parse(os.str());
 
     double prev = -1.0;
-    for (const auto &ev : doc.at("traceEvents").items) {
-        const double ts = ev->at("ts").number;
+    for (const auto &ev : at(doc, "traceEvents").asArray()) {
+        const double ts = at(ev, "ts").asNumber();
         EXPECT_GE(ts, prev) << "ts regressed";
         prev = ts;
     }
     // Spot-check microsecond conversion.
-    EXPECT_DOUBLE_EQ(doc.at("traceEvents").items.front()->at("ts").number,
-                     0.0);
-    EXPECT_DOUBLE_EQ(doc.at("traceEvents").items.back()->at("ts").number,
-                     5.0e6);
+    const auto &events = at(doc, "traceEvents").asArray();
+    EXPECT_DOUBLE_EQ(at(events.front(), "ts").asNumber(), 0.0);
+    EXPECT_DOUBLE_EQ(at(events.back(), "ts").asNumber(), 5.0e6);
 }
 
 TEST(TraceEventWriterTest, MetadataSortsFirstRegardlessOfWhenNamed)
@@ -62,13 +63,13 @@ TEST(TraceEventWriterTest, MetadataSortsFirstRegardlessOfWhenNamed)
 
     std::ostringstream os;
     w.writeJson(os);
-    const testjson::Value doc = testjson::parse(os.str());
-    const auto &events = doc.at("traceEvents").items;
+    const JsonValue doc = JsonValue::parse(os.str());
+    const auto &events = at(doc, "traceEvents").asArray();
     ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(events[0]->at("ph").str, "M");
-    EXPECT_EQ(events[0]->at("name").str, "thread_name");
-    EXPECT_EQ(events[0]->at("args").at("name").str, "disk 0");
-    EXPECT_EQ(events[1]->at("ph").str, "X");
+    EXPECT_EQ(at(events[0], "ph").asString(), "M");
+    EXPECT_EQ(at(events[0], "name").asString(), "thread_name");
+    EXPECT_EQ(at(events[0], "args", "name").asString(), "disk 0");
+    EXPECT_EQ(at(events[1], "ph").asString(), "X");
 }
 
 TEST(TraceEventWriterTest, EventShapesMatchTheTraceFormat)
@@ -79,22 +80,22 @@ TEST(TraceEventWriterTest, EventShapesMatchTheTraceFormat)
 
     std::ostringstream os;
     w.writeJson(os);
-    const testjson::Value doc = testjson::parse(os.str());
-    const auto &events = doc.at("traceEvents").items;
+    const JsonValue doc = JsonValue::parse(os.str());
+    const auto &events = at(doc, "traceEvents").asArray();
     ASSERT_EQ(events.size(), 2u);
 
-    const testjson::Value &dur = *events[0];
-    EXPECT_EQ(dur.at("ph").str, "X");
-    EXPECT_EQ(dur.at("cat").str, "power");
-    EXPECT_DOUBLE_EQ(dur.at("tid").number, 3.0);
-    EXPECT_DOUBLE_EQ(dur.at("ts").number, 1.0e6);
-    EXPECT_DOUBLE_EQ(dur.at("dur").number, 3.0e6);
+    const JsonValue &dur = events[0];
+    EXPECT_EQ(at(dur, "ph").asString(), "X");
+    EXPECT_EQ(at(dur, "cat").asString(), "power");
+    EXPECT_DOUBLE_EQ(at(dur, "tid").asNumber(), 3.0);
+    EXPECT_DOUBLE_EQ(at(dur, "ts").asNumber(), 1.0e6);
+    EXPECT_DOUBLE_EQ(at(dur, "dur").asNumber(), 3.0e6);
 
-    const testjson::Value &inst = *events[1];
-    EXPECT_EQ(inst.at("ph").str, "i");
-    EXPECT_EQ(inst.at("s").str, "t");
-    EXPECT_FALSE(inst.has("dur"));
-    EXPECT_EQ(inst.at("args").at("target").str, "full");
+    const JsonValue &inst = events[1];
+    EXPECT_EQ(at(inst, "ph").asString(), "i");
+    EXPECT_EQ(at(inst, "s").asString(), "t");
+    EXPECT_EQ(inst.find("dur"), nullptr);
+    EXPECT_EQ(at(inst, "args", "target").asString(), "full");
 }
 
 TEST(TraceEventWriterTest, WriteJsonIsIdempotent)
@@ -117,8 +118,8 @@ TEST(TraceEventWriterTest, NamesWithSpecialCharactersStayValid)
 
     std::ostringstream os;
     w.writeJson(os);
-    const testjson::Value doc = testjson::parse(os.str());
-    EXPECT_EQ(doc.at("traceEvents").items[0]->at("name").str,
+    const JsonValue doc = JsonValue::parse(os.str());
+    EXPECT_EQ(at(at(doc, "traceEvents").asArray()[0], "name").asString(),
               "flip \"P\"\n");
 }
 
@@ -130,8 +131,9 @@ TEST(TraceEventWriterTest, TrackNamesWithSpecialCharactersStayValid)
 
     std::ostringstream os;
     w.writeJson(os);
-    const testjson::Value doc = testjson::parse(os.str());
-    EXPECT_EQ(doc.at("traceEvents").items[0]->at("args").at("name").str,
+    const JsonValue doc = JsonValue::parse(os.str());
+    const auto &events = at(doc, "traceEvents").asArray();
+    EXPECT_EQ(at(events[0], "args", "name").asString(),
               "disk \"0\"\t\\backslash");
 }
 
@@ -142,12 +144,12 @@ TEST(TraceEventWriterTest, ZeroDurationSpansAreKept)
 
     std::ostringstream os;
     w.writeJson(os);
-    const testjson::Value doc = testjson::parse(os.str());
-    const auto &events = doc.at("traceEvents").items;
+    const JsonValue doc = JsonValue::parse(os.str());
+    const auto &events = at(doc, "traceEvents").asArray();
     ASSERT_EQ(events.size(), 1u);
-    EXPECT_EQ(events[0]->at("ph").str, "X");
-    EXPECT_DOUBLE_EQ(events[0]->at("dur").number, 0.0);
-    EXPECT_DOUBLE_EQ(events[0]->at("ts").number, 2.0e6);
+    EXPECT_EQ(at(events[0], "ph").asString(), "X");
+    EXPECT_DOUBLE_EQ(at(events[0], "dur").asNumber(), 0.0);
+    EXPECT_DOUBLE_EQ(at(events[0], "ts").asNumber(), 2.0e6);
 }
 
 TEST(TraceEventWriterTest, EmptyRunStillWritesAValidDocument)
@@ -155,10 +157,10 @@ TEST(TraceEventWriterTest, EmptyRunStillWritesAValidDocument)
     TraceEventWriter w;
     std::ostringstream os;
     w.writeJson(os);
-    const testjson::Value doc = testjson::parse(os.str());
+    const JsonValue doc = JsonValue::parse(os.str());
     ASSERT_TRUE(doc.isObject());
-    ASSERT_TRUE(doc.at("traceEvents").isArray());
-    EXPECT_TRUE(doc.at("traceEvents").items.empty());
+    ASSERT_TRUE(at(doc, "traceEvents").isArray());
+    EXPECT_TRUE(at(doc, "traceEvents").asArray().empty());
     EXPECT_EQ(w.eventCount(), 0u);
 }
 

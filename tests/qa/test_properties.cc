@@ -5,7 +5,8 @@
 #include <string>
 
 #include "cache/belady.hh"
-#include "cache/belady_ref.hh"
+#include "core/opg.hh"
+#include "qa/naive_oracle.hh"
 #include "qa/properties.hh"
 #include "qa/trace_gen.hh"
 #include "support/faulty_belady.hh"
@@ -92,7 +93,7 @@ TEST(PolicyDifferential, EquivalentPoliciesPass)
 {
     const FuzzCase c = divergingCase();
     BeladyPolicy fast;
-    ReferenceBeladyPolicy ref;
+    NaiveOracle ref;
     const PropertyResult result = checkPolicyDifferential(c, fast, ref);
     EXPECT_TRUE(result.passed) << result.message;
 }
@@ -101,7 +102,7 @@ TEST(PolicyDifferential, CatchesInjectedNearestNextFault)
 {
     const FuzzCase c = divergingCase();
     test::NearestNextPolicy buggy;
-    ReferenceBeladyPolicy ref;
+    NaiveOracle ref;
     const PropertyResult result = checkPolicyDifferential(c, buggy, ref);
     ASSERT_FALSE(result.passed)
         << "harness must flag the inverted eviction order";
@@ -123,11 +124,40 @@ TEST(PolicyDifferential, CatchesFaultAcrossGeneratedCases)
     for (uint64_t i = 0; i < 6; ++i) {
         const FuzzCase c = makeCase(777, i, profile);
         test::NearestNextPolicy buggy;
-        ReferenceBeladyPolicy ref;
+        NaiveOracle ref;
         if (!checkPolicyDifferential(c, buggy, ref).passed)
             ++caught;
     }
     EXPECT_GT(caught, 0);
+}
+
+TEST(PolicyDifferential, CatchesMispricedOpgAcrossGeneratedCases)
+{
+    // The OPG differential must see a wrong OPG, not only a wrong
+    // MIN: an OpgPolicy priced by the other DPM's energy curve, and
+    // one whose penalty floor theta is off, must each diverge from
+    // the reference on at least one generated case.
+    CaseProfile profile;
+    profile.maxRequests = 400;
+    profile.maxCacheBlocks = 32;
+    int otherCurve = 0, wrongTheta = 0;
+    for (uint64_t i = 0; i < 12; ++i) {
+        const FuzzCase c = makeCase(919, i, profile);
+        const PowerModel pm = c.powerModel();
+        const DpmKind other = c.cfg.dpmKind == DpmKind::Oracle
+            ? DpmKind::Practical
+            : DpmKind::Oracle;
+        OpgPolicy mispriced(pm, other, c.cfg.theta);
+        NaiveOracle ref(pm, c.cfg.dpmKind, c.cfg.theta);
+        if (!checkPolicyDifferential(c, mispriced, ref).passed)
+            ++otherCurve;
+        OpgPolicy pure(pm, c.cfg.dpmKind, 0.0);
+        NaiveOracle floored(pm, c.cfg.dpmKind, 29.6);
+        if (!checkPolicyDifferential(c, pure, floored).passed)
+            ++wrongTheta;
+    }
+    EXPECT_GT(otherCurve, 0);
+    EXPECT_GT(wrongTheta, 0);
 }
 
 } // namespace

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "cache/belady_ref.hh"
+#include "qa/naive_oracle.hh"
 #include "qa/properties.hh"
 #include "qa/shrink.hh"
 #include "qa/trace_gen.hh"
@@ -106,7 +106,7 @@ TEST(Shrink, InjectedBeladyFaultShrinksToAtMostTwentyRecords)
 {
     const FailFn showsFault = [](const FuzzCase &c) {
         test::NearestNextPolicy buggy;
-        ReferenceBeladyPolicy ref;
+        NaiveOracle ref;
         return !checkPolicyDifferential(c, buggy, ref).passed;
     };
 

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "../obs/json_check.hh"
+#include "support/json_at.hh"
 #include "stats/energy_stats.hh"
 #include "stats/response_stats.hh"
 
@@ -10,6 +10,8 @@ namespace pacache
 {
 namespace
 {
+
+using test::at;
 
 TEST(EnergyStatsTest, TotalsSumAllParts)
 {
@@ -117,17 +119,17 @@ TEST(EnergyStatsTest, WriteJsonRoundTripsTheBreakdown)
     std::ostringstream os;
     const std::vector<std::string> modes{"idle", "standby"};
     s.writeJson(os, &modes);
-    const testjson::Value doc = pacache::testjson::parse(os.str());
-    EXPECT_DOUBLE_EQ(doc.at("total_joules").number, s.total());
-    EXPECT_DOUBLE_EQ(doc.at("service_joules").number, 5.0);
+    const JsonValue doc = JsonValue::parse(os.str());
+    EXPECT_DOUBLE_EQ(at(doc, "total_joules").asNumber(), s.total());
+    EXPECT_DOUBLE_EQ(at(doc, "service_joules").asNumber(), 5.0);
     EXPECT_DOUBLE_EQ(
-        doc.at("idle_energy_per_mode_j").at("idle").number, 10.0);
+        at(doc, "idle_energy_per_mode_j", "idle").asNumber(), 10.0);
     EXPECT_DOUBLE_EQ(
-        doc.at("idle_energy_per_mode_j").at("standby").number, 20.0);
-    EXPECT_DOUBLE_EQ(doc.at("time_per_mode_s").at("standby").number,
+        at(doc, "idle_energy_per_mode_j", "standby").asNumber(), 20.0);
+    EXPECT_DOUBLE_EQ(at(doc, "time_per_mode_s", "standby").asNumber(),
                      2.0);
-    EXPECT_DOUBLE_EQ(doc.at("spinups").number, 3.0);
-    EXPECT_DOUBLE_EQ(doc.at("requests").number, 11.0);
+    EXPECT_DOUBLE_EQ(at(doc, "spinups").asNumber(), 3.0);
+    EXPECT_DOUBLE_EQ(at(doc, "requests").asNumber(), 11.0);
 }
 
 TEST(EnergyStatsTest, WriteJsonWithoutModeNamesUsesArrays)
@@ -137,10 +139,10 @@ TEST(EnergyStatsTest, WriteJsonWithoutModeNamesUsesArrays)
 
     std::ostringstream os;
     s.writeJson(os);
-    const testjson::Value doc = pacache::testjson::parse(os.str());
-    ASSERT_TRUE(doc.at("idle_energy_per_mode_j").isArray());
-    ASSERT_EQ(doc.at("idle_energy_per_mode_j").items.size(), 2u);
-    EXPECT_DOUBLE_EQ(doc.at("idle_energy_per_mode_j").items[1]->number,
+    const JsonValue doc = JsonValue::parse(os.str());
+    ASSERT_TRUE(at(doc, "idle_energy_per_mode_j").isArray());
+    ASSERT_EQ(at(doc, "idle_energy_per_mode_j").asArray().size(), 2u);
+    EXPECT_DOUBLE_EQ(at(doc, "idle_energy_per_mode_j").asArray()[1].asNumber(),
                      2.0);
 }
 
@@ -165,13 +167,13 @@ TEST(ResponseStatsTest, WriteJsonReportsPercentilesAndSum)
 
     std::ostringstream os;
     r.writeJson(os);
-    const testjson::Value doc = pacache::testjson::parse(os.str());
-    EXPECT_DOUBLE_EQ(doc.at("count").number, 100.0);
-    EXPECT_DOUBLE_EQ(doc.at("sum_s").number, 5050.0);
-    EXPECT_DOUBLE_EQ(doc.at("mean_ms").number, 50.5 * 1e3);
-    EXPECT_NEAR(doc.at("p50_ms").number, 50.0 * 1e3, 500.0);
-    EXPECT_NEAR(doc.at("p95_ms").number, 95.0 * 1e3, 950.0);
-    EXPECT_DOUBLE_EQ(doc.at("max_s").number, 100.0);
+    const JsonValue doc = JsonValue::parse(os.str());
+    EXPECT_DOUBLE_EQ(at(doc, "count").asNumber(), 100.0);
+    EXPECT_DOUBLE_EQ(at(doc, "sum_s").asNumber(), 5050.0);
+    EXPECT_DOUBLE_EQ(at(doc, "mean_ms").asNumber(), 50.5 * 1e3);
+    EXPECT_NEAR(at(doc, "p50_ms").asNumber(), 50.0 * 1e3, 500.0);
+    EXPECT_NEAR(at(doc, "p95_ms").asNumber(), 95.0 * 1e3, 950.0);
+    EXPECT_DOUBLE_EQ(at(doc, "max_s").asNumber(), 100.0);
 }
 
 TEST(ResponseStatsTest, StreamOperatorSummarizes)

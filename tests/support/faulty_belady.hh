@@ -1,10 +1,10 @@
 /**
  * @file
  * A deliberately broken Belady used to exercise the qa differential
- * harness and shrinker: identical bookkeeping to
- * ReferenceBeladyPolicy, but evict() returns the block whose next use
- * is *soonest* — the exact inversion of MIN. Any trace where eviction
- * order matters makes it diverge from the reference.
+ * harness and shrinker: MIN's bookkeeping (residents ordered by next
+ * use), but evict() returns the block whose next use is *soonest* —
+ * the exact inversion of MIN. Any trace where eviction order matters
+ * makes it diverge from NaiveOracle's MIN.
  */
 
 #ifndef PACACHE_TESTS_SUPPORT_FAULTY_BELADY_HH
@@ -29,7 +29,7 @@ class NearestNextPolicy : public ReplacementPolicy
     void
     prepare(const std::vector<BlockAccess> &accesses) override
     {
-        future = FutureKnowledge::buildRef(accesses);
+        future = FutureKnowledge::build(accesses);
         prepared = true;
         byNextUse.clear();
         nextOf.clear();

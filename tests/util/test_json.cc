@@ -70,6 +70,17 @@ TEST(JsonValue, RejectsMalformedInput)
     EXPECT_THROW(JsonValue::parse("1 2"), std::runtime_error);
     EXPECT_THROW(JsonValue::parse("\"unterminated"), std::runtime_error);
     EXPECT_THROW(JsonValue::parse("nan"), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("{\"a\":1,}"), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("{\"a\" 1}"), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("{1:2}"), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("[1 2]"), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("nul"), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("@"), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("-"), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("1.2.3"), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("\"\\x\""), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("\"\\"), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("\"\\u12\""), std::runtime_error);
 }
 
 TEST(JsonValue, KindMismatchIsFatal)

@@ -3,21 +3,25 @@
 
 Benchmark drivers (bench/bench_report.hh) emit BENCH_<name>.json with
 raw timed runs plus derived scalar metrics. The raw wall-clock numbers
-are machine-specific, so this gate compares only the *metrics* — the
-speedup ratios, which are stable across hosts because both sides of
+are machine-specific, so this gate compares only the *metrics* —
+mostly ratios, which are stable across hosts because both sides of
 each ratio run interleaved on the same machine (see bench/micro_opg.cc).
 
-A metric fails when the current value drops below
+A metric whose key starts with "max_" is a CEILING, where lower is
+better (e.g. max_peak_rss_mb, or max_opg_lru_ratio, the OPG replay
+time over LRU's): it fails when the current value rises above
+
+    baseline * (1 + tolerance), or
+    an explicit ceiling given with --max key=value.
+
+Every other metric is a FLOOR, where higher is better (e.g. a
+speedup): it fails when the current value drops below
 
     baseline * (1 - tolerance)        (ratio regression), or
     an explicit floor given with --min key=value.
 
-Higher is always better for these metrics (they are speedups) — except
-metrics whose key starts with "max_", which are CEILINGS (e.g.
-max_peak_rss_mb): they fail when the current value rises above
-baseline * (1 + tolerance) or above an explicit --max key=value. A
-metric present in the baseline but missing from the current report is
-an error (a silently dropped measurement must not read as a pass).
+A metric present in the baseline but missing from the current report
+is an error (a silently dropped measurement must not read as a pass).
 
 With --trend PATH, an entry for the current report — git revision,
 wall clock, and every metric — is appended to a JSON-array trend file
@@ -27,8 +31,8 @@ append happens even when the gate fails, recording the failure point.
 
 Usage:
     bench_compare.py CURRENT.json BASELINE.json \
-        [--tolerance 0.25] [--min opg_replay_speedup=2.5] \
-        [--max max_peak_rss_mb=256] [--trend BENCH_TREND.json] ...
+        [--tolerance 0.25] [--min serve_mrps=1.0] \
+        [--max max_opg_lru_ratio=3.75] [--trend BENCH_TREND.json] ...
 """
 
 import argparse

@@ -63,8 +63,9 @@ workload selection (one of):
                          bit-identical to the materialized oracle) and
                          keep peak memory bounded by N look-ahead
                          accesses instead of the trace length
-  --window-chunk N       backward-pass chunk size in accesses
-                         (default: 4Mi; smaller = less build memory)
+  --window-chunk N       with --window: backward-pass chunk size in
+                         accesses (default: 4Mi; smaller = less build
+                         memory)
   --oracle-mem-budget M  with opg: cap the oracle's in-RAM replay
                          state (deterministic-miss sets and next-use
                          indexes) at M MiB, spilling overflow pages
@@ -102,7 +103,8 @@ parallel sweeps:
   --sweep FILE           run every point of the JSON sweep spec instead
                          of a single experiment; axes: workloads,
                          policies, cache_blocks, dpms, write_policies,
-                         plus name and duration (see EXPERIMENTS.md)
+                         plus name and duration (see EXPERIMENTS.md);
+                         only --sweep-out and --jobs combine with it
   --sweep-out FILE       write the sweep report as JSON (default:
                          console table only)
   --jobs N               worker threads for --sweep / --shards
@@ -328,8 +330,17 @@ try {
     if (cli::handleStandardFlags(args, "pacache_sim", kUsage, known))
         return 0;
 
-    if (args.has("sweep"))
+    if (args.has("sweep")) {
+        // The spec sets every point's options, so any other flag
+        // would be silently ignored.
+        const std::string bad =
+            args.firstUnknown({"sweep", "sweep-out", "jobs"});
+        if (!bad.empty())
+            PACACHE_FATAL("--", bad, " does not apply to --sweep (only "
+                          "--sweep-out and --jobs do; the spec sets "
+                          "every run's options)");
         return runSweepMode(args);
+    }
 
     // --stream skips materialization: the workload line's statistics
     // come from a constant-memory scan (same formulas as
@@ -388,6 +399,14 @@ try {
     if (cfg.oracleMemBudget > 0 && cfg.policy != PolicyKind::OPG)
         PACACHE_FATAL("--oracle-mem-budget applies to --policy opg "
                       "only (Belady keeps O(capacity) state)");
+    for (const char *flag : {"window", "window-chunk"})
+        if (args.has(flag) && cfg.policy != PolicyKind::Belady &&
+            cfg.policy != PolicyKind::OPG)
+            PACACHE_FATAL("--", flag, " applies to --policy belady or "
+                          "opg only");
+    if (args.has("window-chunk") && cfg.windowAccesses == 0)
+        PACACHE_FATAL("--window-chunk needs --window (without it the "
+                      "oracle materializes and builds no chunks)");
     if (cfg.windowAccesses > 0 && !streaming)
         PACACHE_FATAL("--window needs --stream (the in-memory path "
                       "already holds the whole future)");
