@@ -128,9 +128,10 @@ WindowedFuture::build(const std::string &pct_path)
     const tracefmt::PctInfo &info = map.header();
     lastTime = info.endTime;
 
-    // Forward boundary scan: expanded access count, disk count, the
-    // located 48-bit packability guard, and the record/access index
-    // of every chunk boundary. Pages are released behind the scan.
+    // Forward boundary scan: expanded access count, disk count and
+    // the record/access index of every chunk boundary (record()
+    // rejects an extent outside the packed key space, located).
+    // Pages are released behind the scan.
     struct Bound
     {
         uint64_t firstRecord;
@@ -142,7 +143,6 @@ WindowedFuture::build(const std::string &pct_path)
     TraceRecord rec;
     for (uint64_t r = 0; r < info.records; ++r) {
         map.record(r, rec);
-        tracefmt::ensurePackable(rec, pct_path, r);
         diskCount = std::max<std::size_t>(diskCount, rec.disk + 1);
         if (bounds.empty() ||
             access - bounds.back().firstAccess >= opts.chunkAccesses)

@@ -1,15 +1,13 @@
 #include "runner/shard_replay.hh"
 
 #include <algorithm>
-#include <memory>
+#include <atomic>
 #include <vector>
 
 #include "core/sim_stack.hh"
 #include "obs/profiler.hh"
 #include "runner/thread_pool.hh"
 #include "tracefmt/pct.hh"
-#include "util/logging.hh"
-#include "util/temp_file.hh"
 
 namespace pacache::runner
 {
@@ -17,40 +15,98 @@ namespace pacache::runner
 namespace
 {
 
+/** Records between drops of the pages behind a shard's cursor. */
+constexpr uint64_t kReleaseRecords = uint64_t(1) << 16;
+
 /**
- * A shard's sub-trace reports the global disk count so its stack
- * builds a full-size disk-array replica (ids stay global; only owned
- * disks ever see traffic).
+ * A record of more blocks than this waits for the checksum before a
+ * shard replays it: a damaged length field (up to 2^31 - 1 blocks)
+ * would otherwise keep the shard busy for minutes before the
+ * checksum fails. Real requests stay far below it (16 MiB of 4 KiB
+ * blocks); a longer one that is sound only waits.
  */
-class FullArraySource : public tracefmt::PctMmapSource
+constexpr uint32_t kUncheckedBlocks = 1u << 12;
+
+/** How far the validation pass has come. */
+enum class Validation
+{
+    Running, //!< the checksum is not known yet
+    Summed,  //!< the checksum matched; the decode checks go on
+    Failed,  //!< the pass threw
+};
+
+/**
+ * One shard's stream, read in place from its own mapping of the
+ * input: the records whose disk it owns, in file order. Every
+ * record's disk field is peeked and range-checked; only owned
+ * records are decoded, with PctMmapSource::next's checks against the
+ * shard's previous record. The source reports the header's disk
+ * count, so the shard's stack builds a full-size disk-array replica
+ * and ids stay global. It ends early once the validation pass
+ * (@p validation) has failed.
+ */
+class ShardSource : public tracefmt::TraceSource
 {
   public:
-    FullArraySource(const std::string &path, uint64_t disks)
-        : PctMmapSource(path, shardReadOptions()), allDisks(disks)
+    ShardSource(const std::string &path, unsigned shard_,
+                unsigned shards_,
+                const std::atomic<Validation> &validation_)
+        // The validation pass checks the sum once for every shard.
+        : map(path, {.verifyChecksum = false}), shard(shard_),
+          shards(shards_), validation(validation_)
     {
     }
 
-    uint64_t numDisksHint() const override { return allDisks; }
+    bool
+    next(TraceRecord &out) override
+    {
+        const uint64_t records = map.header().records;
+        if (validation == Validation::Failed)
+            pos = records;
+        while (pos < records) {
+            const uint64_t r = pos++;
+            if (pos - released >= kReleaseRecords) {
+                // Each concurrent shard maps the whole input: without
+                // the drop, every one of them keeps all of it resident.
+                map.dropRange(released, pos - released);
+                released = pos;
+            }
+            if (map.diskOf(r) % shards != shard)
+                continue;
+            map.record(r, out, lastTime);
+            if (out.numBlocks > kUncheckedBlocks) {
+                validation.wait(Validation::Running);
+                if (validation == Validation::Failed)
+                    break;
+            }
+            lastTime = out.time;
+            return true;
+        }
+        return false;
+    }
+
+    void
+    rewind() override
+    {
+        pos = 0;
+        released = 0;
+        lastTime = 0;
+    }
+
+    const char *formatName() const override { return "pct"; }
+    uint64_t numDisksHint() const override
+    {
+        return map.header().numDisks;
+    }
 
   private:
-    /**
-     * Shard sub-traces were demuxed moments ago, are hot in the page
-     * cache, and are per-shard fractions of the input that get
-     * unlinked on scope exit. DONTNEED-behind would pay one madvise
-     * syscall per hint batch per concurrent shard to return pages the
-     * kernel is about to drop with the files anyway, so it is
-     * disabled here; the WILLNEED prefetch (cheap, keeps the replay
-     * loop ahead of any cold pages) stays on.
-     */
-    static tracefmt::PctReadOptions
-    shardReadOptions()
-    {
-        tracefmt::PctReadOptions opts;
-        opts.releaseBehind = false;
-        return opts;
-    }
-
-    uint64_t allDisks;
+    tracefmt::PctMapping map;
+    unsigned shard;
+    unsigned shards;
+    const std::atomic<Validation> &validation;
+    uint64_t pos = 0;
+    uint64_t released = 0; //!< first record not yet dropped
+    Time lastTime = 0;
 };
 
 } // namespace
@@ -65,11 +121,11 @@ runShardedExperiment(const std::string &pct_path,
         std::max<std::size_t>(info.numDisks, 1);
     const unsigned shards = static_cast<unsigned>(std::clamp<uint64_t>(
         opts.shards, 1, static_cast<uint64_t>(num_disks)));
-    splitCapacity(config.cacheBlocks, shards, 0); // fail before demux
+    splitCapacity(config.cacheBlocks, shards, 0); // fail before replay
 
     // Per-shard configuration: headless, a common finishRun horizon,
-    // and out-of-core oracles even for shards whose sub-trace is
-    // empty (materialization would reject an empty trace).
+    // and out-of-core oracles even for shards that own no record
+    // (materialization would reject an empty trace).
     ExperimentConfig shard_cfg = config;
     shard_cfg.observer = nullptr;
     shard_cfg.profiler = nullptr;
@@ -86,46 +142,45 @@ runShardedExperiment(const std::string &pct_path,
         shard_cfg.oracleMemBudget = std::max<std::size_t>(
             shard_cfg.oracleMemBudget / shards, 1);
 
-    // One streaming pass demultiplexes the trace into per-shard
-    // sub-traces; global order is preserved within each shard, so
-    // per-shard times stay monotone.
-    std::vector<std::unique_ptr<ScopedTempFile>> files;
-    {
-        obs::ProfileScope scope(config.profiler, "shard_demux");
-        std::vector<std::unique_ptr<tracefmt::PctWriter>> writers;
-        writers.reserve(shards);
-        for (unsigned s = 0; s < shards; ++s) {
-            files.push_back(std::make_unique<ScopedTempFile>(
-                "pacache-shard-" + std::to_string(s) + "-", ".pct",
-                opts.tempDir));
-            writers.push_back(std::make_unique<tracefmt::PctWriter>(
-                files[s]->path()));
-        }
-        tracefmt::PctMmapSource src(pct_path);
-        TraceRecord rec;
-        uint64_t r = 0;
-        while (src.next(rec)) {
-            tracefmt::ensurePackable(rec, pct_path, r);
-            writers[rec.disk % shards]->append(rec);
-            ++r;
-        }
-        for (auto &w : writers)
-            w->finish();
-    }
-
-    // Replay every shard into its pre-assigned slot; the job count
-    // only decides scheduling, never the statistics.
+    // Index 0 validates the input beside the shard replays: the
+    // checksum, then every record's decode checks. Index s + 1
+    // replays shard s into its pre-assigned slot; the job count only
+    // decides scheduling, never the statistics. A shard checks only
+    // what it reads, so a corrupt input always fails the validator,
+    // whose error parallelFor rethrows as the lowest failing index.
+    // parallelFor claims index 0 first, so a shard that waits for the
+    // checksum never waits on a pass that no thread runs.
     std::vector<ExperimentResult> results(shards);
+    std::atomic<Validation> validation{Validation::Running};
     {
         obs::ProfileScope scope(config.profiler, "replay");
-        parallelFor(shards, opts.jobs > 0 ? opts.jobs : defaultWorkers(),
-                    [&](std::size_t s) {
-                        ExperimentConfig cfg = shard_cfg;
-                        cfg.cacheBlocks =
-                            splitCapacity(config.cacheBlocks, shards, s);
-                        FullArraySource src(files[s]->path(), num_disks);
-                        results[s] = runExperiment(src, cfg);
-                    });
+        parallelFor(
+            shards + 1, opts.jobs > 0 ? opts.jobs : defaultWorkers(),
+            [&](std::size_t i) {
+                if (i == 0) {
+                    try {
+                        tracefmt::PctMmapSource src(pct_path);
+                        validation = Validation::Summed;
+                        validation.notify_all();
+                        TraceRecord rec;
+                        while (src.next(rec)) {
+                        }
+                    } catch (...) {
+                        validation = Validation::Failed;
+                        validation.notify_all();
+                        throw;
+                    }
+                    return;
+                }
+                if (validation == Validation::Failed)
+                    return; // its result is never merged
+                const unsigned s = static_cast<unsigned>(i - 1);
+                ExperimentConfig cfg = shard_cfg;
+                cfg.cacheBlocks =
+                    splitCapacity(config.cacheBlocks, shards, s);
+                ShardSource src(pct_path, s, shards, validation);
+                results[s] = runExperiment(src, cfg);
+            });
     }
 
     obs::ProfileScope scope(config.profiler, "merge");

@@ -1,10 +1,12 @@
 /**
  * @file
  * Disk-sharded out-of-core replay: partition a .pct trace by disk
- * (shard = disk id mod shard count) in one streaming demux pass,
- * replay every shard's sub-trace on its own complete simulation
- * stack, the shards in parallel through parallelFor, and merge the
- * statistics deterministically.
+ * (shard = disk id mod shard count) and replay every shard on its
+ * own complete simulation stack, the shards in parallel through
+ * parallelFor, then merge the statistics deterministically. Each
+ * shard reads its records in place from its own mapping of the
+ * input, beside one validation pass over the whole file; no shard
+ * sub-trace is written.
  *
  * The partition model is the sharded serving front-end's (serve/):
  * each shard owns a full-size disk-array replica so ids need no
@@ -40,23 +42,30 @@ struct ShardReplayOptions
      * fixed when comparing runs.
      */
     unsigned shards = 8;
-    /** Replay threads, at most one per shard; 0 = defaultWorkers(). */
+    /**
+     * Threads, at most one per shard plus one for the validation
+     * pass; 0 = defaultWorkers().
+     */
     unsigned jobs = 0;
-    /** Directory for the per-shard sub-traces; "" = $TMPDIR or /tmp. */
+    /** Has no effect: sharded replay writes no sub-traces. */
     std::string tempDir;
 };
 
 /**
- * Demux @p pct_path by disk, replay all shards in parallel, and
- * merge. Off-line policies (Belady/OPG) run out-of-core on windowed
- * future knowledge per shard — config.windowAccesses == 0 gets a
- * default window rather than materializing, so an empty shard (one
- * whose disks received no requests) still replays and idles its
- * replicas to the shared horizon. config.storage.endTimeFloor is
- * raised to the trace's end time for every shard for the same
- * reason. The observer/profiler hooks of @p config apply only to
- * the orchestration (demux/replay/merge phases), not to the
- * per-shard stacks.
+ * Replay @p pct_path disk-sharded, all shards in parallel, and merge.
+ * One validation pass (the checksum and every record's decode checks)
+ * runs beside the shard replays; if it fails, the shards stop early
+ * and its located error is the one thrown, at any job count. A shard
+ * replays an unusually long record only once the checksum has
+ * matched, so a damaged length field cannot stall it. Off-line
+ * policies (Belady/OPG) run out-of-core on windowed future knowledge
+ * per shard, each over a spill of its own records —
+ * config.windowAccesses == 0 gets a default window rather than
+ * materializing, so a shard that owns no record still replays and
+ * idles its replicas to the shared horizon. config.storage.endTimeFloor
+ * is raised to the trace's end time for every shard for the same
+ * reason. The observer/profiler hooks of @p config apply only to the
+ * orchestration (replay/merge phases), not to the per-shard stacks.
  */
 ExperimentResult
 runShardedExperiment(const std::string &pct_path,

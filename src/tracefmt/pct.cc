@@ -78,6 +78,21 @@ encodeRecord(unsigned char *p, const TraceRecord &rec)
                         (rec.write ? 0x80000000u : 0u));
 }
 
+/** Byte offset of the disk field inside a record. */
+constexpr std::size_t kDiskOffset = 16;
+
+/** Consumers size their disk arrays from the header's count. */
+void
+checkDisk(uint32_t disk, const std::string &path, uint64_t index,
+          uint32_t num_disks)
+{
+    if (disk >= num_disks) {
+        PACACHE_FATAL("corrupt .pct record ", index, " in '", path,
+                      "': disk ", disk, " but the header declares ",
+                      num_disks, " disks");
+    }
+}
+
 void
 decodeRecord(const unsigned char *p, TraceRecord &rec,
              const std::string &path, uint64_t index, Time last_time,
@@ -85,7 +100,7 @@ decodeRecord(const unsigned char *p, TraceRecord &rec,
 {
     rec.time = std::bit_cast<Time>(getLe64(p));
     rec.block = getLe64(p + 8);
-    rec.disk = getLe32(p + 16);
+    rec.disk = getLe32(p + kDiskOffset);
     const uint32_t len_flags = getLe32(p + 20);
     rec.write = (len_flags & 0x80000000u) != 0;
     rec.numBlocks = len_flags & 0x7fffffffu;
@@ -93,11 +108,15 @@ decodeRecord(const unsigned char *p, TraceRecord &rec,
         PACACHE_FATAL("corrupt .pct record ", index, " in '", path,
                       "' (zero length or out-of-order time)");
     }
-    // Consumers size their disk arrays from the header's count.
-    if (rec.disk >= num_disks) {
-        PACACHE_FATAL("corrupt .pct record ", index, " in '", path,
-                      "': disk ", rec.disk, " but the header declares ",
-                      num_disks, " disks");
+    checkDisk(rec.disk, path, index, num_disks);
+    // Every block of the extent must fit BlockId's packed key: 16
+    // disk bits, 48 block bits (numBlocks < 2^31, so no wrap).
+    constexpr uint64_t kBlockLimit = uint64_t(1) << 48;
+    if (rec.disk >= (1u << 16) || rec.block > kBlockLimit - rec.numBlocks) {
+        PACACHE_FATAL(".pct record ", index, " in '", path, "': (disk ",
+                      rec.disk, ", block ", rec.block, ", len ",
+                      rec.numBlocks, ") overflows the 16-bit-disk/"
+                      "48-bit-block packed key space");
     }
 }
 
@@ -433,15 +452,24 @@ PctMapping::~PctMapping()
 }
 
 void
-PctMapping::record(uint64_t index, TraceRecord &out) const
+PctMapping::record(uint64_t index, TraceRecord &out,
+                   Time not_before) const
 {
     PACACHE_ASSERT(index < info.records,
                    ".pct record index out of range");
-    // Random access has no running clock; monotonicity is enforced
-    // by the sequential reader (times are never negative, so a
-    // floor of 0 keeps the corruption check for length/NaN alive).
     decodeRecord(records + index * kPctRecordBytes, out, path, index,
-                 0, info.numDisks);
+                 not_before, info.numDisks);
+}
+
+uint32_t
+PctMapping::diskOf(uint64_t index) const
+{
+    PACACHE_ASSERT(index < info.records,
+                   ".pct record index out of range");
+    const uint32_t disk =
+        getLe32(records + index * kPctRecordBytes + kDiskOffset);
+    checkDisk(disk, path, index, info.numDisks);
+    return disk;
 }
 
 void
@@ -452,31 +480,6 @@ PctMapping::dropRange(uint64_t first, uint64_t count) const
     adviseRange(base, records + first * kPctRecordBytes,
                 static_cast<std::size_t>(count * kPctRecordBytes),
                 MADV_DONTNEED);
-}
-
-void
-PctMapping::willNeed(uint64_t first, uint64_t count) const
-{
-    if (count == 0)
-        return;
-    adviseRange(base, records + first * kPctRecordBytes,
-                static_cast<std::size_t>(count * kPctRecordBytes),
-                MADV_WILLNEED);
-}
-
-void
-ensurePackable(const TraceRecord &rec, const std::string &path,
-               uint64_t index)
-{
-    const uint64_t last_block =
-        rec.block + (rec.numBlocks ? rec.numBlocks - 1 : 0);
-    if (rec.disk >= (1u << 16) || last_block < rec.block ||
-        last_block >= (uint64_t(1) << 48)) {
-        PACACHE_FATAL("record ", index, " in '", path, "': (disk ",
-                      rec.disk, ", block ", rec.block, ", len ",
-                      rec.numBlocks, ") overflows the 16-bit-disk/"
-                      "48-bit-block packed key space");
-    }
 }
 
 } // namespace pacache::tracefmt

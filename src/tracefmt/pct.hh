@@ -146,10 +146,11 @@ class PctMmapSource : public TraceSource
 
 /**
  * Random-access mmap view of a .pct file for out-of-core passes
- * (the windowed-oracle backward scan, disk-sharded demux). Unlike
- * the TraceSource readers this exposes record(i) at any index plus
- * explicit residency control, so a pass can walk chunks in any
- * order while keeping only the active chunk resident.
+ * (the windowed-oracle backward scan, the sharded replay's per-shard
+ * streams). Unlike the TraceSource readers this exposes record(i)
+ * and diskOf(i) at any index plus explicit residency control, so a
+ * pass can walk chunks in any order, or skip the records it does not
+ * own, while keeping only the active chunk resident.
  */
 class PctMapping
 {
@@ -167,13 +168,25 @@ class PctMapping
     const PctInfo &header() const { return info; }
     const std::string &pctPath() const { return path; }
 
-    /** Decode record @p index (fatal, located, on corruption). */
-    void record(uint64_t index, TraceRecord &out) const;
+    /**
+     * Decode record @p index with the sequential reader's checks
+     * (fatal, located, on corruption, on a disk beyond the header's
+     * count, on an extent outside the packed key space, or on a time
+     * before @p not_before). A sequential caller passes its previous
+     * record's time; random access has no running clock, and the
+     * default floor of 0 keeps the check for negative and NaN times.
+     */
+    void record(uint64_t index, TraceRecord &out,
+                Time not_before = 0) const;
+
+    /**
+     * Disk id of record @p index, read without decoding the rest of
+     * the record (fatal, located, if beyond the header's count).
+     */
+    uint32_t diskOf(uint64_t index) const;
 
     /** MADV_DONTNEED the pages fully inside records [first, first+count). */
     void dropRange(uint64_t first, uint64_t count) const;
-    /** MADV_WILLNEED the pages covering records [first, first+count). */
-    void willNeed(uint64_t first, uint64_t count) const;
 
   private:
     std::string path;
@@ -182,15 +195,6 @@ class PctMapping
     const unsigned char *records = nullptr;
     PctInfo info;
 };
-
-/**
- * Fatal unless @p rec's disk and every block of its extent fit the
- * 16-bit-disk / 48-bit-block packed key space, naming the trace
- * file and record index (the streaming demux / backward-scan
- * counterpart of the located tracefmt mapExtent check).
- */
-void ensurePackable(const TraceRecord &rec, const std::string &path,
-                    uint64_t index);
 
 } // namespace pacache::tracefmt
 

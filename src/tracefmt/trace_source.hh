@@ -48,10 +48,10 @@ class TraceSource
     virtual Time endTimeHint() const { return -1; }
 
     /**
-     * Path of the backing .pct file, when this source *is* a .pct
-     * file (empty otherwise). Out-of-core consumers (the windowed
-     * oracle's backward pass, disk-sharded demux) re-open the file
-     * for random access instead of materializing the stream.
+     * Path of the backing .pct file, when this source *is* a whole
+     * .pct file (empty otherwise). The windowed oracle's backward
+     * pass re-opens it for random access; a source without one is
+     * spilled to a temporary .pct first.
      */
     virtual std::string pctPath() const { return {}; }
 };

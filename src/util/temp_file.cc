@@ -15,15 +15,13 @@ namespace pacache
 namespace
 {
 
-/** Create "<dir>/<stem>XXXXXX<suffix>"; @p path receives the name. */
+/** Create "<$TMPDIR>/<stem>XXXXXX<suffix>"; @p path receives the name. */
 int
-createTempFile(std::string dir, const std::string &stem,
-               const std::string &suffix, std::string &path)
+createTempFile(const std::string &stem, const std::string &suffix,
+               std::string &path)
 {
-    if (dir.empty()) {
-        const char *env = ::getenv("TMPDIR");
-        dir = env && *env ? env : "/tmp";
-    }
+    const char *env = ::getenv("TMPDIR");
+    const std::string dir = env && *env ? env : "/tmp";
     const std::string templ = dir + "/" + stem + "XXXXXX" + suffix;
     std::vector<char> buf(templ.begin(), templ.end());
     buf.push_back('\0');
@@ -43,16 +41,15 @@ int
 makeUnlinkedTempFile(const std::string &stem)
 {
     std::string path;
-    const int fd = createTempFile({}, stem, {}, path);
+    const int fd = createTempFile(stem, {}, path);
     ::unlink(path.c_str());
     return fd;
 }
 
 ScopedTempFile::ScopedTempFile(const std::string &stem,
-                               const std::string &suffix,
-                               const std::string &dir)
+                               const std::string &suffix)
 {
-    ::close(createTempFile(dir, stem, suffix, name));
+    ::close(createTempFile(stem, suffix, name));
 }
 
 ScopedTempFile::~ScopedTempFile()

@@ -1,6 +1,6 @@
 /**
  * @file
- * Temporary files for spills, sidecars and sub-traces. Every creation
+ * Temporary files for spills and sidecars. Every creation
  * goes through mkstemps under $TMPDIR (or /tmp) and fails with a
  * located fatal error naming the file.
  */
@@ -20,14 +20,14 @@ namespace pacache
 int makeUnlinkedTempFile(const std::string &stem);
 
 /**
- * A new, empty, uniquely named file "<dir>/<stem>XXXXXX<suffix>"
- * (dir "" = $TMPDIR, or /tmp), unlinked when this goes out of scope.
+ * A new, empty, uniquely named file
+ * "<$TMPDIR>/<stem>XXXXXX<suffix>", unlinked when this goes out of
+ * scope.
  */
 class ScopedTempFile
 {
   public:
-    ScopedTempFile(const std::string &stem, const std::string &suffix,
-                   const std::string &dir = {});
+    ScopedTempFile(const std::string &stem, const std::string &suffix);
     ~ScopedTempFile();
 
     ScopedTempFile(const ScopedTempFile &) = delete;

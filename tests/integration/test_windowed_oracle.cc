@@ -10,15 +10,23 @@
  * every energy cell of the per-disk ledger breakdown — for every
  * window size, including window 1 and windows straddling the
  * backward-pass chunk size. The sharded replay must be invariant in
- * the worker count, and at one shard must degenerate to the plain
- * streaming run.
+ * the worker count, must equal per-shard streams merged by owner,
+ * at one shard must degenerate to the plain streaming run, and must
+ * fail a corrupt input with the reader's own error.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+
 #include "core/experiment.hh"
+#include "core/sim_stack.hh"
 #include "obs/energy_ledger.hh"
 #include "runner/shard_replay.hh"
+#include "support/raw_pct.hh"
 #include "trace/synthetic.hh"
 #include "tracefmt/pct.hh"
 #include "tracefmt/trace_source.hh"
@@ -222,6 +230,219 @@ TEST(ShardedReplay, OneShardDegeneratesToPlainStreaming)
     const ExperimentResult sharded =
         runner::runShardedExperiment(pct, cfg, opts);
     expectIdentical(plain, sharded);
+}
+
+/** A shard's sub-trace, reporting the whole array's disk count. */
+class SubTraceSource : public tracefmt::MemorySource
+{
+  public:
+    SubTraceSource(const Trace &t, uint64_t disks_)
+        : MemorySource(t), disks(disks_)
+    {
+    }
+
+    uint64_t numDisksHint() const override { return disks; }
+
+  private:
+    uint64_t disks;
+};
+
+TEST(ShardedReplay, MatchesPerShardStreamsMergedByOwner)
+{
+    // Traffic on the even disks of a 9-disk array only: at 2 and at 8
+    // shards some shards own no record, and still idle their
+    // replicas to the trace's end.
+    std::vector<TraceRecord> recs = workload(67, 5).data();
+    for (TraceRecord &rec : recs)
+        rec.disk *= 2;
+    const Trace t(std::move(recs));
+    ASSERT_EQ(t.numDisks(), 9u);
+    const std::string pct = writeTracePct(t, "shard_merge.pct");
+
+    struct Setup
+    {
+        const char *name;
+        PolicyKind policy;
+        WritePolicy write;
+        std::size_t window;
+    };
+    const Setup setups[] = {
+        {"LRU+WTDU", PolicyKind::LRU,
+         WritePolicy::WriteThroughDeferredUpdate, 0},
+        {"PA-LRU+WB", PolicyKind::PALRU, WritePolicy::WriteBack, 0},
+        {"windowed OPG", PolicyKind::OPG, WritePolicy::WriteBack, 128},
+    };
+    for (const Setup &setup : setups) {
+        for (const unsigned shards : {2u, 3u, 8u}) {
+            SCOPED_TRACE(std::string(setup.name) + ", " +
+                         std::to_string(shards) + " shards");
+            ExperimentConfig cfg;
+            cfg.policy = setup.policy;
+            cfg.storage.writePolicy = setup.write;
+            cfg.windowAccesses = setup.window;
+            cfg.cacheBlocks = 203;
+
+            std::vector<ExperimentResult> parts;
+            bool some_shard_empty = false;
+            for (unsigned s = 0; s < shards; ++s) {
+                Trace sub;
+                for (const TraceRecord &rec : t)
+                    if (rec.disk % shards == s)
+                        sub.append(rec);
+                some_shard_empty |= sub.empty();
+                ExperimentConfig part = cfg;
+                part.cacheBlocks =
+                    splitCapacity(cfg.cacheBlocks, shards, s);
+                part.storage.endTimeFloor = t.endTime();
+                SubTraceSource src(sub, t.numDisks());
+                parts.push_back(runExperiment(src, part));
+            }
+            EXPECT_EQ(some_shard_empty, shards != 3);
+            const ExperimentResult expected = mergeByOwner(
+                parts, [shards](DiskId d) { return d % shards; });
+
+            runner::ShardReplayOptions opts;
+            opts.shards = shards;
+            for (const unsigned jobs : {1u, 4u}) {
+                SCOPED_TRACE("jobs " + std::to_string(jobs));
+                opts.jobs = jobs;
+                expectIdentical(expected,
+                                runner::runShardedExperiment(pct, cfg,
+                                                             opts));
+            }
+        }
+    }
+}
+
+/** Overwrite @p bytes at offset @p at of the file at @p path. */
+void
+patchFile(const std::string &path, std::size_t at,
+          const std::vector<unsigned char> &bytes)
+{
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(static_cast<std::streamoff>(at));
+    f.write(reinterpret_cast<const char *>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(f.good()) << "cannot patch " << path;
+}
+
+/** Points $TMPDIR at @p dir for one scope. */
+class ScopedTmpDir
+{
+  public:
+    explicit ScopedTmpDir(const std::string &dir)
+    {
+        if (const char *old = std::getenv("TMPDIR"))
+            saved = old;
+        ::setenv("TMPDIR", dir.c_str(), 1);
+    }
+
+    ~ScopedTmpDir()
+    {
+        if (saved)
+            ::setenv("TMPDIR", saved->c_str(), 1);
+        else
+            ::unsetenv("TMPDIR");
+    }
+
+    ScopedTmpDir(const ScopedTmpDir &) = delete;
+    ScopedTmpDir &operator=(const ScopedTmpDir &) = delete;
+
+  private:
+    std::optional<std::string> saved;
+};
+
+TEST(ShardedReplay, CorruptInputFailsWithTheReadersError)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = test::processScopedPath("shard_corrupt");
+    fs::remove_all(dir);
+    fs::create_directories(dir / "tmp");
+
+    // 200 records over 8 disks; record 100 is the damaged one.
+    constexpr std::size_t kBad = 100;
+    std::vector<test::RawRecord> good;
+    for (uint32_t i = 0; i < 200; ++i)
+        good.push_back({0.5 * i, (i * 37u) % 500, i % 8, 1 + i % 3,
+                        i % 4 == 0});
+    const auto image = [&](const std::string &name,
+                           const test::RawRecord &bad,
+                           std::optional<uint32_t> disks = {}) {
+        std::vector<test::RawRecord> recs = good;
+        recs[kBad] = bad;
+        return test::writeRawPct((dir / name).string(), recs, disks);
+    };
+    const std::size_t bad_at =
+        tracefmt::kPctHeaderBytes + kBad * tracefmt::kPctRecordBytes;
+    const test::RawRecord &orig = good[kBad];
+
+    // A flipped block byte: every record decodes, only the sum fails.
+    const std::string flipped = image("flipped.pct", orig);
+    patchFile(flipped, bad_at + 8, {0x5a});
+    const std::string paths[] = {
+        flipped,
+        image("disk_at_count.pct", {orig.time, 3, 8, 1, false}, 8u),
+        image("out_of_order.pct", {orig.time - 1, 3, 4, 1, true}),
+        image("unpackable.pct",
+              {orig.time, uint64_t(1) << 48, 4, 1, false}),
+    };
+
+    const ScopedTmpDir tmp((dir / "tmp").string());
+    for (const std::string &path : paths) {
+        SCOPED_TRACE(path);
+        const std::string expected = test::inputErrorOf([&] {
+            tracefmt::PctMmapSource src(path);
+            TraceRecord rec;
+            while (src.next(rec)) {
+            }
+        });
+        for (const PolicyKind policy : {PolicyKind::LRU, PolicyKind::OPG}) {
+            ExperimentConfig cfg;
+            cfg.policy = policy;
+            cfg.windowAccesses = 64;
+            cfg.cacheBlocks = 32;
+            runner::ShardReplayOptions opts;
+            opts.shards = 4;
+            for (const unsigned jobs : {1u, 4u}) {
+                SCOPED_TRACE("jobs " + std::to_string(jobs));
+                opts.jobs = jobs;
+                EXPECT_EQ(test::inputErrorOf([&] {
+                              runner::runShardedExperiment(path, cfg,
+                                                           opts);
+                          }),
+                          expected);
+            }
+        }
+    }
+
+    // A damaged record that claims 2^31 - 1 blocks would keep a shard
+    // busy for minutes. At one job the validator fails before any
+    // shard starts. At four, shard 0 reaches record 8 long before the
+    // checksum of 200 000 records is known, and must wait for it.
+    std::vector<test::RawRecord> many;
+    for (uint32_t i = 0; i < 200000; ++i)
+        many.push_back({0.001 * i, i % 5000, i % 8, 1, i % 3 == 0});
+    const std::string huge =
+        test::writeRawPct((dir / "huge_extent.pct").string(), many);
+    patchFile(huge,
+              tracefmt::kPctHeaderBytes + 8 * tracefmt::kPctRecordBytes +
+                  20,
+              {0xff, 0xff, 0xff, 0x7f});
+    ExperimentConfig cfg;
+    cfg.cacheBlocks = 32;
+    runner::ShardReplayOptions opts;
+    opts.shards = 4;
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        opts.jobs = jobs;
+        EXPECT_NE(test::inputErrorOf([&] {
+                      runner::runShardedExperiment(huge, cfg, opts);
+                  }).find("checksum mismatch"),
+                  std::string::npos);
+    }
+
+    EXPECT_TRUE(fs::is_empty(dir / "tmp"));
+    fs::remove_all(dir);
 }
 
 } // namespace

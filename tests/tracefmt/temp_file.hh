@@ -13,6 +13,7 @@
 
 #include <fstream>
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 #include "support/temp_dir.hh"
@@ -44,6 +45,25 @@ messageOf(const std::function<void()> &fn)
     try {
         fn();
     } catch (const std::exception &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected an exception";
+    return {};
+}
+
+/**
+ * Run @p fn, which must fail as an input error (std::runtime_error,
+ * not an internal-bug panic), and return the exception message.
+ */
+inline std::string
+inputErrorOf(const std::function<void()> &fn)
+{
+    try {
+        fn();
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "expected an input error, got: " << e.what();
         return e.what();
     }
     ADD_FAILURE() << "expected an exception";

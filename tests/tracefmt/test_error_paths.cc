@@ -6,14 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/experiment.hh"
+#include "support/raw_pct.hh"
 #include "temp_file.hh"
 #include "tracefmt/formats.hh"
 #include "tracefmt/pct.hh"
@@ -23,87 +21,12 @@ namespace pacache
 namespace
 {
 
+using test::inputErrorOf;
 using test::messageOf;
+using test::RawRecord;
 using test::tempPath;
+using test::writeRawPct;
 using test::writeTempFile;
-
-/** One raw record for hand-assembled .pct images. */
-struct RawRecord
-{
-    double time;
-    uint64_t block;
-    uint32_t disk;
-    uint32_t count;
-    bool write;
-};
-
-void
-putLe32(std::vector<unsigned char> &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-
-void
-putLe64(std::vector<unsigned char> &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-
-void
-putF64(std::vector<unsigned char> &out, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    putLe64(out, bits);
-}
-
-/**
- * Assemble a syntactically valid .pct image (magic, version, correct
- * FNV-1a64 checksum) from arbitrary records — including ones the
- * writer itself would refuse, like non-monotone timestamps — with
- * optionally forged header disk and record counts.
- */
-std::string
-writeRawPct(const std::string &name,
-            const std::vector<RawRecord> &records,
-            std::optional<uint32_t> forged_disks = {},
-            std::optional<uint64_t> forged_records = {})
-{
-    std::vector<unsigned char> body;
-    uint32_t numDisks = 0;
-    for (const RawRecord &rec : records) {
-        putF64(body, rec.time);
-        putLe64(body, rec.block);
-        putLe32(body, rec.disk);
-        putLe32(body, rec.count |
-                          (rec.write ? 0x80000000u : 0u));
-        numDisks = std::max(numDisks, rec.disk + 1);
-    }
-    uint64_t fnv = 0xcbf29ce484222325ULL;
-    for (unsigned char byte : body) {
-        fnv ^= byte;
-        fnv *= 0x100000001b3ULL;
-    }
-
-    std::vector<unsigned char> image;
-    image.insert(image.end(), tracefmt::kPctMagic,
-                 tracefmt::kPctMagic + 8);
-    putLe32(image, tracefmt::kPctVersion);
-    putLe32(image, forged_disks.value_or(numDisks));
-    putLe64(image, forged_records.value_or(records.size()));
-    putLe64(image, fnv);
-    putF64(image, records.empty() ? 0.0 : records.back().time);
-    image.insert(image.end(), body.begin(), body.end());
-
-    const std::string path = tempPath(name);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char *>(image.data()),
-              static_cast<std::streamsize>(image.size()));
-    EXPECT_TRUE(out.good());
-    return path;
-}
 
 TEST(PctErrors, TruncatedHeaderIsFatal)
 {
@@ -125,7 +48,7 @@ TEST(PctErrors, NonMonotoneTimestampsAreFatalInBothReaders)
     // backwards. Readers must refuse at the offending record instead
     // of handing the simulator a time machine.
     const std::string path = writeRawPct(
-        "backwards.pct",
+        tempPath("backwards.pct"),
         {{1.0, 1, 0, 1, false},
          {0.5, 2, 0, 1, false},
          {2.0, 3, 0, 1, false}});
@@ -143,12 +66,12 @@ std::vector<std::string>
 recordReaderErrors(const std::string &path)
 {
     TraceRecord rec;
-    return {messageOf([&] {
+    return {inputErrorOf([&] {
                 tracefmt::PctMmapSource src(path);
                 while (src.next(rec)) {
                 }
             }),
-            messageOf([&] {
+            inputErrorOf([&] {
                 tracefmt::PctMapping map(path);
                 for (uint64_t r = 0; r < map.header().records; ++r)
                     map.record(r, rec);
@@ -161,8 +84,9 @@ TEST(PctErrors, RecordCountThatWrapsTheSizeCheckIsFatal)
     // file: the count must be bounded before it is multiplied, or the
     // readers walk 2^61 records past the end of the mapping.
     const uint64_t wrapping = (uint64_t(1) << 61) + 1;
-    const std::string path = writeRawPct(
-        "wrapping_count.pct", {{0.0, 1, 0, 1, false}}, {}, wrapping);
+    const std::string path =
+        writeRawPct(tempPath("wrapping_count.pct"),
+                    {{0.0, 1, 0, 1, false}}, {}, wrapping);
     std::vector<std::string> msgs = recordReaderErrors(path);
     msgs.push_back(messageOf([&] { tracefmt::readPctInfo(path); }));
     EXPECT_NE(msgs.back().find(std::to_string(wrapping)),
@@ -179,7 +103,7 @@ TEST(PctErrors, RecordDiskBeyondHeaderCountIsFatal)
     // at the record, in every reader that decodes records
     // (readPctInfo decodes only the header, which is well formed).
     const std::string path = writeRawPct(
-        "disk_beyond_header.pct",
+        tempPath("disk_beyond_header.pct"),
         {{0.0, 1, 0, 1, false}, {1.0, 2, 5, 1, false},
          {2.0, 3, 5, 1, true}},
         1u);
@@ -189,6 +113,46 @@ TEST(PctErrors, RecordDiskBeyondHeaderCountIsFatal)
                            "the header declares 1 disks"),
                   std::string::npos)
             << msg;
+    }
+}
+
+TEST(PctErrors, RecordBeyondPackedKeySpaceIsFatal)
+{
+    // Bit-valid images whose record 1 does not fit BlockId's packed
+    // key (16 disk bits, 48 block bits): it starts at block 2^48, its
+    // extent crosses 2^48, or its disk is 2^16 under a header that
+    // declares 2^16 + 1 disks. Both readers, and a streamed run on
+    // top of them, must refuse it as a located input error rather
+    // than panic inside the simulator.
+    const uint64_t limit = uint64_t(1) << 48;
+    const struct
+    {
+        const char *name;
+        RawRecord bad;
+    } cases[] = {
+        {"block_at_key_limit.pct", {1.0, limit, 0, 1, false}},
+        {"extent_across_key_limit.pct", {1.0, limit - 1, 0, 2, true}},
+        {"disk_beyond_key_bits.pct", {1.0, 7, 1u << 16, 1, false}},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string path = writeRawPct(
+            tempPath(c.name),
+            {{0.0, 1, 0, 1, false}, c.bad, {2.0, 3, 0, 1, false}});
+        std::vector<std::string> msgs = recordReaderErrors(path);
+        msgs.push_back(inputErrorOf([&] {
+            tracefmt::PctMmapSource src(path);
+            ExperimentConfig cfg;
+            cfg.cacheBlocks = 16;
+            runExperiment(src, cfg);
+        }));
+        for (const std::string &msg : msgs) {
+            EXPECT_NE(msg.find("record 1 in '" + path + "'"),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("packed key space"), std::string::npos)
+                << msg;
+        }
     }
 }
 

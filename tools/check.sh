@@ -168,7 +168,9 @@ step "sharded streaming determinism smoke (Release)"
 # indexes and the cold-miss bitmap) at --jobs 1 and --jobs 8, plus
 # once unbudgeted. All three reports must be byte-identical: worker count
 # only changes scheduling, and spilling only changes where oracle
-# bytes live — never statistics.
+# bytes live — never statistics. The benchmark's on-line sharded
+# configuration (LRU, WTDU, practical DPM, 65536 blocks over 8
+# shards) must also read the same at --jobs 1 and --jobs 8.
 scale_dir=$(mktemp -d)
 "$root/build-release/tools/pacache_tracegen" \
     --scale --workload oltp --disks 64 --requests 10000000 \
@@ -186,6 +188,13 @@ cmp "$scale_dir/shard_j1.txt" "$scale_dir/shard_j8.txt"
     --jobs 8 --policy opg --window 1000000 \
     --cache-blocks 65536 > "$scale_dir/shard_unbudgeted.txt"
 cmp "$scale_dir/shard_j8.txt" "$scale_dir/shard_unbudgeted.txt"
+for j in 1 8; do
+    "$root/build-release/tools/pacache_sim" \
+        --trace "$scale_dir/scale.pct" --stream --shards 8 \
+        --jobs "$j" --policy lru --write wtdu --dpm practical \
+        --cache-blocks 65536 > "$scale_dir/shard_lru_j$j.txt"
+done
+cmp "$scale_dir/shard_lru_j1.txt" "$scale_dir/shard_lru_j8.txt"
 rm -rf "$scale_dir"
 
 step "benchmark build and self-test (perfbench)"
@@ -296,8 +305,9 @@ step "TSan parallel sweep and serve tests"
     --gtest_filter='ThreadPool.*:SweepRunner.*:ServeServer.*:ServeCrash.*:RequestRing.*'
 
 step "TSan sharded replay tests"
-# The only tests that replay shards on several threads at once
-# (InvariantInWorkerCount runs jobs 1 vs 5).
+# The only tests that replay shards on several threads at once, the
+# validation pass beside them (InvariantInWorkerCount runs jobs 1
+# vs 5; the partition and corrupt-input tests run jobs 4).
 "$root/build-tsan/tests/pacache_integration_tests" \
     --gtest_filter='ShardedReplay.*'
 

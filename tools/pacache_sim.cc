@@ -458,8 +458,8 @@ try {
         if (!streaming)
             PACACHE_FATAL("--shards needs --stream");
         if (source->pctPath().empty())
-            PACACHE_FATAL("--shards needs a .pct trace (the demux "
-                          "re-opens the file for random access); "
+            PACACHE_FATAL("--shards needs a .pct trace (every shard "
+                          "maps the file and reads its own records); "
                           "convert with pacache_tracectl first");
         if (observing)
             PACACHE_FATAL("--shards runs headless per-shard stacks; "
