@@ -74,7 +74,7 @@ main()
 
     BeladyPolicy belady;
     Cache cache(4, belady);
-    belady.prepare(accs);
+    belady.prepareWindowed(WindowedFuture(accs));
     std::vector<Time> belady_misses;
     for (std::size_t i = 0; i < accs.size(); ++i) {
         if (!cache.access(accs[i].block, accs[i].time, i).hit)

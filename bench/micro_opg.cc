@@ -103,7 +103,11 @@ struct ReplayTiming
     ReplayFingerprint fp;
 };
 
-/** One timed replay of @p accesses through @p policy. */
+/**
+ * One timed replay of @p accesses through @p policy. An oracle's
+ * arming (the in-memory future build, or the naive reference's
+ * backward pass) is timed with its replay.
+ */
 template <typename Policy>
 std::pair<double, ReplayFingerprint>
 replayOnce(const std::vector<BlockAccess> &accesses,
@@ -114,7 +118,10 @@ replayOnce(const std::vector<BlockAccess> &accesses,
     std::vector<std::vector<Time>> missTimes;
 
     const double t0 = nowMs();
-    policy.prepare(accesses);
+    if constexpr (requires { policy.prepareWindowed(WindowedFuture{}); })
+        policy.prepareWindowed(WindowedFuture(accesses));
+    else if constexpr (requires { policy.prepare(accesses); })
+        policy.prepare(accesses);
     for (std::size_t i = 0; i < accesses.size(); ++i) {
         const auto r =
             cache.access(accesses[i].block, accesses[i].time, i);

@@ -12,10 +12,9 @@
  * (next use, block), as in the reference — with a flat hash map from
  * block to its stable heap handle.
  *
- * Like OPG the policy is templated over its future provider F:
- * FutureKnowledge (materialized; BeladyPolicy) or WindowedFuture
- * (exact out-of-core streaming; WindowedBeladyPolicy, fed through
- * prepareWindowed). MIN reads only next-use indices, never times.
+ * Like OPG it reads the future from a WindowedFuture handed over by
+ * prepareWindowed(), built in memory or out of core alike. MIN reads
+ * only next-use indices, never times.
  */
 
 #ifndef PACACHE_CACHE_BELADY_HH
@@ -31,25 +30,23 @@
 namespace pacache
 {
 
-/** Belady's off-line MIN replacement policy over future provider F. */
-template <typename F>
-class BasicBeladyPolicy : public ReplacementPolicy
+/** Belady's off-line MIN replacement policy. */
+class BeladyPolicy : public ReplacementPolicy
 {
   public:
     const char *name() const override { return "Belady"; }
 
-    void prepare(const std::vector<BlockAccess> &accesses) override;
-
-    /** Streaming counterpart of prepare() (F = WindowedFuture). */
-    void prepareWindowed(F &&fut);
+    /**
+     * Arm the policy with a built future; required before the first
+     * access, and it resets any earlier replay's state.
+     */
+    void prepareWindowed(WindowedFuture &&fut);
 
     void onAccess(const BlockId &block, CacheSlot slot, Time now,
                   std::size_t idx, bool hit) override;
     void onRemove(const BlockId &block, CacheSlot slot) override;
     BlockId evict(Time now, std::size_t idx) override;
     bool supportsPrefetch() const override { return false; }
-    bool isOffline() const override { return true; }
-    bool streamReady() const override { return prepared; }
 
   private:
     using UseKey = std::pair<std::size_t, BlockId>;
@@ -65,24 +62,14 @@ class BasicBeladyPolicy : public ReplacementPolicy
     };
 
     using UseHeap = IndexedHeap<UseKey, FurthestFirst>;
-    using Handle = typename UseHeap::Handle;
+    using Handle = UseHeap::Handle;
 
-    F future;
-    bool prepared = false;
+    WindowedFuture future;
 
     UseHeap byNextUse;
     /** Packed 64-bit keys: 16-byte slots, one-word hash per probe. */
     FlatMap<std::uint64_t, Handle> handleOf;
 };
-
-// Compiled once in belady.cc; see the matching note in core/opg.hh.
-extern template class BasicBeladyPolicy<FutureKnowledge>;
-extern template class BasicBeladyPolicy<WindowedFuture>;
-
-/** The classic materialized MIN. */
-using BeladyPolicy = BasicBeladyPolicy<FutureKnowledge>;
-/** The exact out-of-core MIN (streaming replay only). */
-using WindowedBeladyPolicy = BasicBeladyPolicy<WindowedFuture>;
 
 } // namespace pacache
 

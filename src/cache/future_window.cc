@@ -63,6 +63,55 @@ preadFully(int fd, void *data, std::size_t n, uint64_t offset)
 
 } // namespace
 
+WindowedFuture::WindowedFuture(const std::vector<BlockAccess> &accesses)
+    : total(accesses.size())
+{
+    // One backward pass: last_seen maps block -> the most recent
+    // (i.e. next, in forward order) access index. Keys are the packed
+    // 64-bit ids. The table holds one entry per *unique block*, so it
+    // is sized to half the stream (covers even reuse-poor streams
+    // like OLTP at 55% unique) rather than the whole of it: a
+    // stream-sized table would spread the random probes over twice
+    // the memory for no fewer collisions, while under-sizing forces a
+    // mid-scan rehash. The 32-bit mapped index keeps slots at 16
+    // bytes.
+    PACACHE_ASSERT(total < UINT32_MAX,
+                   "trace too large for 32-bit future indices");
+    window.resize(total);
+    std::vector<bool> first(total);
+    {
+        FlatMap<std::uint64_t, std::uint32_t> last_seen;
+        last_seen.reserve(total / 2 + 16);
+        for (std::size_t i = total; i-- > 0;) {
+            const BlockAccess &a = accesses[i];
+            diskCount =
+                std::max<std::size_t>(diskCount, a.block.disk + 1);
+            lastTime = std::max(lastTime, a.time);
+            auto [slot, inserted] = last_seen.emplace(
+                a.block.packed(), static_cast<std::uint32_t>(i));
+            if (inserted) {
+                window[i] = SideEntry{kNever64, 0.0};
+            } else {
+                window[i] = SideEntry{*slot, accesses[*slot].time};
+                *slot = static_cast<std::uint32_t>(i);
+            }
+        }
+        // Entries left in last_seen hold each block's earliest
+        // access. Mark them; the map goes before the seeds are
+        // emitted, so the two never peak together.
+        last_seen.forEach(
+            [&](std::uint64_t, std::uint32_t idx) { first[idx] = true; });
+        cold.reserve(last_seen.size());
+    }
+    for (std::size_t i = 0; i < total; ++i) {
+        if (first[i])
+            cold.push_back(ColdSeed{accesses[i].block.disk, i,
+                                    accesses[i].time});
+    }
+    winCount = total;
+    ready = true;
+}
+
 WindowedFuture::WindowedFuture(const std::string &pct_path)
     : WindowedFuture(pct_path, Options{})
 {
@@ -239,28 +288,13 @@ WindowedFuture::build(const std::string &pct_path)
 void
 WindowedFuture::refill(std::size_t from)
 {
+    PACACHE_ASSERT(from < total, "access index ", from,
+                   " out of range (", total, " accesses)");
     winBase = from;
     winCount = std::min(window.size(), total - from);
     preadFully(sidecarFd, window.data(),
                winCount * sizeof(SideEntry),
                static_cast<uint64_t>(from) * sizeof(SideEntry));
-}
-
-FutureAccess
-WindowedFuture::nextUse(std::size_t idx)
-{
-    PACACHE_ASSERT(ready, "WindowedFuture used before build");
-    PACACHE_ASSERT(idx == cursor,
-                   "windowed future consumed out of order: index ",
-                   idx, ", expected ", cursor);
-    PACACHE_ASSERT(idx < total, "access index out of range");
-    ++cursor;
-    if (idx < winBase || idx >= winBase + winCount)
-        refill(idx);
-    const SideEntry &e = window[idx - winBase];
-    return {e.next == kNever64 ? kNever
-                               : static_cast<std::size_t>(e.next),
-            e.time};
 }
 
 } // namespace pacache

@@ -1,32 +1,38 @@
 /**
  * @file
- * Out-of-core future knowledge for off-line policies.
+ * Future knowledge for the off-line policies (Belady, OPG): for every
+ * block access, the next access to the same block (its index and
+ * arrival time), plus every block's first reference (its cold miss).
+ * WindowedFuture is the one provider; it builds two ways and serves
+ * both through the same window:
  *
- * FutureKnowledge (cache/future.hh) materializes the whole expanded
- * access stream plus three trace-length arrays — fine for RAM-sized
- * traces, impossible for billion-request ones. WindowedFuture
- * computes the same next-use chain *exactly* without ever holding
- * the trace in memory:
+ *  - In memory, from an expanded access stream: one backward pass
+ *    over the stream (a block -> next-access map) writes each
+ *    access's 16-byte entry (next index + next time) straight into a
+ *    window that holds the whole stream, and a first-reference bit
+ *    per access yields the cold seeds in index order. No file is
+ *    involved and nothing is sorted.
  *
- *  1. A backward pass walks the mmap'd .pct file chunk by chunk in
- *     reverse order. A carry map (block -> earliest access seen so
- *     far in the processed suffix) crosses every chunk boundary, so
- *     the stitching is exact for any look-ahead: each access's next
- *     use is the global one, not a per-chunk approximation. Each
- *     chunk emits fixed 16-byte sidecar entries (next index + next
- *     time) into an unlinked temporary file via pwrite, then the
- *     chunk's pages are released (MADV_DONTNEED).
+ *  - Out of core, from a .pct file, without ever holding the trace in
+ *    memory:
+ *     1. A backward pass walks the mmap'd file chunk by chunk in
+ *        reverse order. A carry map (block -> earliest access seen so
+ *        far in the processed suffix) crosses every chunk boundary,
+ *        so the stitching is exact for any look-ahead: each access's
+ *        next use is the global one, not a per-chunk approximation.
+ *        Each chunk emits its 16-byte entries into an unlinked
+ *        temporary sidecar file via pwrite, then the chunk's pages
+ *        are released (MADV_DONTNEED).
+ *     2. Forward replay consumes sidecar entries strictly in order
+ *        through a bounded window buffer refilled by pread, so peak
+ *        RSS is bounded by max(chunk, window, one entry per unique
+ *        block) — never by the trace length.
  *
- *  2. Forward replay consumes sidecar entries strictly in order
- *     through a bounded window buffer refilled by pread, so peak RSS
- *     is bounded by max(chunk, window, one entry per unique block) —
- *     never by the trace length.
- *
- * Each sidecar entry carries the next access's arrival time beside
- * its index, and each cold seed carries its own time, so a consumer
- * that prices gaps (OPG) receives every future time it will ever need
- * together with the index, and stores the two side by side. Nothing
- * here looks a time up by index.
+ * Each entry carries the next access's arrival time beside its index,
+ * and each cold seed carries its own time, so a consumer that prices
+ * gaps (OPG) receives every future time it will ever need together
+ * with the index, and stores the two side by side. Nothing here looks
+ * a time up by index.
  */
 
 #ifndef PACACHE_CACHE_FUTURE_WINDOW_HH
@@ -39,18 +45,17 @@
 
 #include "cache/future.hh"
 #include "sim/types.hh"
+#include "util/logging.hh"
 
 namespace pacache
 {
 
-/** Streaming (bounded-memory) next-use knowledge over a .pct file. */
+/** Next-use knowledge, consumed in access order through a window. */
 class WindowedFuture
 {
   public:
     /** Sentinel: the block is never accessed again. */
     static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-    /** Consumers must stream accesses instead of materializing. */
-    static constexpr bool kStreaming = true;
 
     struct Options
     {
@@ -75,6 +80,11 @@ class WindowedFuture
     };
 
     WindowedFuture() = default;
+    /**
+     * Build in memory from an expanded access stream (expandTrace):
+     * the window holds the whole stream and no sidecar file exists.
+     */
+    explicit WindowedFuture(const std::vector<BlockAccess> &accesses);
     /** Run the backward pass over @p pct_path (fatal on I/O error). */
     explicit WindowedFuture(const std::string &pct_path);
     WindowedFuture(const std::string &pct_path, Options opts);
@@ -90,15 +100,27 @@ class WindowedFuture
     std::size_t size() const { return total; }
     /** Max disk id + 1 (at least 1). */
     std::size_t numDisks() const { return diskCount; }
-    /** Last arrival time (the .pct header's endTime). */
+    /** Last arrival time (out of core: the .pct header's endTime). */
     Time endTime() const { return lastTime; }
 
     /**
      * The next access to the same block and its time (idx kNever if
      * none). Consuming: must be called exactly once per index, in
-     * strictly increasing order — it advances the sidecar window.
+     * strictly increasing order — it advances the window. A window
+     * hit inlines into the replay loop; only a refill is a call.
      */
-    FutureAccess nextUse(std::size_t idx);
+    FutureAccess
+    nextUse(std::size_t idx)
+    {
+        PACACHE_ASSERT(idx == cursor,
+                       "future consumed out of order: index ", idx,
+                       ", expected ", cursor);
+        ++cursor;
+        if (idx - winBase >= winCount)
+            refill(idx);
+        const SideEntry &e = window[idx - winBase];
+        return {static_cast<std::size_t>(e.next), e.time};
+    }
 
     /** First-reference accesses, ascending by index. */
     const std::vector<ColdSeed> &coldSeeds() const { return cold; }
@@ -111,8 +133,11 @@ class WindowedFuture
         double time;
     };
     static constexpr std::uint64_t kNever64 = ~std::uint64_t{0};
+    static_assert(kNever64 == kNever, "entries store kNever verbatim");
 
     void build(const std::string &pct_path);
+    /** Read the sidecar window starting at @p from (panics past the
+     *  end, which is where an unbuilt or in-memory future lands). */
     void refill(std::size_t from);
     void closeFd();
 

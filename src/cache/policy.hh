@@ -36,9 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "cache/future.hh"
 #include "sim/types.hh"
 
 namespace pacache
@@ -55,12 +53,6 @@ class ReplacementPolicy
 
     /** Human-readable policy name ("LRU", "Belady", ...). */
     virtual const char *name() const = 0;
-
-    /**
-     * Off-line hook: called once before the run with the full
-     * block-granular access stream. On-line policies ignore it.
-     */
-    virtual void prepare(const std::vector<BlockAccess> &) {}
 
     /**
      * Notification of an access to @p block at time @p now.
@@ -97,21 +89,6 @@ class ReplacementPolicy
      * their books; they override this to false.
      */
     virtual bool supportsPrefetch() const { return true; }
-
-    /**
-     * Off-line policies consume future knowledge built from the whole
-     * access stream before the run starts; they override this to
-     * true.
-     */
-    virtual bool isOffline() const { return false; }
-
-    /**
-     * True when this policy can replay a stream. On-line policies
-     * always can; off-line ones once their future knowledge is
-     * attached (prepare() or, for the windowed oracles,
-     * prepareWindowed()).
-     */
-    virtual bool streamReady() const { return !isOffline(); }
 };
 
 } // namespace pacache

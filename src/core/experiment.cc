@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "core/sim_stack.hh"
+#include "obs/profiler.hh"
 #include "tracefmt/pct.hh"
 #include "tracefmt/trace_source.hh"
 #include "util/logging.hh"
@@ -42,8 +43,13 @@ policyNeedsClassifier(PolicyKind kind)
 bool
 policyNeedsFuture(PolicyKind kind)
 {
-    return kind == PolicyKind::Belady || kind == PolicyKind::OPG ||
-           kind == PolicyKind::InfiniteCache;
+    return policyNeedsNextUse(kind) || kind == PolicyKind::InfiniteCache;
+}
+
+bool
+policyNeedsNextUse(PolicyKind kind)
+{
+    return kind == PolicyKind::Belady || kind == PolicyKind::OPG;
 }
 
 std::size_t
@@ -63,6 +69,20 @@ resolvePaParams(const ExperimentConfig &config, const PowerModel &pm)
     return pa;
 }
 
+WindowedFuture
+buildFuture(const Trace &trace, const ExperimentConfig &config)
+{
+    if (!policyNeedsNextUse(config.policy))
+        return {};
+    std::vector<BlockAccess> accesses;
+    {
+        obs::ProfileScope scope(config.profiler, "expand_trace");
+        accesses = expandTrace(trace);
+    }
+    obs::ProfileScope scope(config.profiler, "oracle_precompute");
+    return WindowedFuture(accesses);
+}
+
 ExperimentResult
 runExperiment(const Trace &trace, const ExperimentConfig &config)
 {
@@ -72,7 +92,7 @@ runExperiment(const Trace &trace, const ExperimentConfig &config)
         ? trace.numBlockAccesses() + 16
         : config.cacheBlocks;
     SimStack stack(config, std::max<std::size_t>(trace.numDisks(), 1),
-                   capacity);
+                   capacity, buildFuture(trace, config));
     stack.run(trace);
     return stack.collect();
 }
@@ -81,16 +101,6 @@ ExperimentResult
 runExperiment(tracefmt::TraceSource &source,
               const ExperimentConfig &config)
 {
-    // Off-line future knowledge needs the whole access stream before
-    // the run starts: materialize by default, or run out-of-core on
-    // the windowed oracle when a window was requested.
-    const bool offline = config.policy == PolicyKind::Belady ||
-                         config.policy == PolicyKind::OPG;
-    if (offline && config.windowAccesses == 0) {
-        const Trace trace = tracefmt::readAll(source);
-        return runExperiment(trace, config);
-    }
-
     // Disk-array sizing: take the header hint when the format has
     // one (.pct, memory), else a constant-memory pre-scan pass. The
     // infinite cache sizes itself from a pre-scan of the block volume.
@@ -103,27 +113,29 @@ runExperiment(tracefmt::TraceSource &source,
         ? static_cast<std::size_t>(tracefmt::scan(source).blocks) + 16
         : config.cacheBlocks;
 
-    if (!offline) {
-        SimStack stack(config, disks, capacity);
-        stack.run(source);
-        return stack.collect();
+    WindowedFuture future;
+    if (policyNeedsNextUse(config.policy)) {
+        // The backward pass needs random access to the records: use
+        // the source's own .pct file, or spill the stream to a
+        // temporary one (a single sequential pass, never
+        // materialized) that the built future no longer needs.
+        std::string pct = source.pctPath();
+        std::optional<ScopedTempFile> spill;
+        if (pct.empty()) {
+            spill.emplace("pacache-spill-", ".pct");
+            tracefmt::writePct(spill->path(), source);
+            source.rewind();
+            pct = spill->path();
+        }
+        obs::ProfileScope scope(config.profiler, "oracle_precompute");
+        WindowedFuture::Options wopts;
+        if (config.windowAccesses > 0)
+            wopts.windowEntries = config.windowAccesses;
+        if (config.oracleChunkAccesses > 0)
+            wopts.chunkAccesses = config.oracleChunkAccesses;
+        future = WindowedFuture(pct, wopts);
     }
-
-    // The backward pass needs random access to the records: use the
-    // source's own .pct file, or spill the stream to a temporary one
-    // (a single sequential pass, never materialized).
-    WindowedOracle oracle;
-    oracle.windowEntries = config.windowAccesses;
-    oracle.chunkAccesses = config.oracleChunkAccesses;
-    oracle.pctPath = source.pctPath();
-    std::optional<ScopedTempFile> spill;
-    if (oracle.pctPath.empty()) {
-        spill.emplace("pacache-spill-", ".pct");
-        tracefmt::writePct(spill->path(), source);
-        source.rewind();
-        oracle.pctPath = spill->path();
-    }
-    SimStack stack(config, disks, capacity, &oracle);
+    SimStack stack(config, disks, capacity, std::move(future));
     stack.run(source);
     return stack.collect();
 }

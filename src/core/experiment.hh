@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "cache/future_window.hh"
 #include "core/pa_classifier.hh"
 #include "core/storage_system.hh"
 #include "disk/power_model.hh"
@@ -70,20 +71,20 @@ struct ExperimentConfig
     Energy opgTheta = -1;  //!< < 0: auto (first NAP transition energy)
 
     /**
-     * Out-of-core oracle replay (streaming overload only): when > 0
-     * and the policy is off-line (Belady/OPG), future knowledge is
-     * built by the windowed backward pass over the source's .pct file
-     * (non-.pct sources are spilled to a temporary .pct first) and
-     * the replay streams, so peak RSS is bounded by the window
-     * instead of the trace length. Results are bit-identical to the
-     * materialized path for any value. 0 keeps the transparent
-     * materialization behavior.
+     * Look-ahead window, in accesses, of the off-line policies'
+     * (Belady/OPG) future knowledge on the streaming overload, which
+     * always builds it out of core: a backward pass over the
+     * source's .pct file (non-.pct sources are spilled to a temporary
+     * .pct first), so peak RSS is bounded by the window instead of
+     * the trace length. 0 = WindowedFuture's default window. Results
+     * are bit-identical to the in-memory overload for any value; that
+     * overload builds the whole future in memory and ignores this.
      */
     std::size_t windowAccesses = 0;
     /**
-     * Backward-pass chunk size in block accesses for the windowed
-     * oracle (bounds the build's peak RSS). 0 = WindowedFuture's
-     * default.
+     * Backward-pass chunk size in block accesses for the streaming
+     * overload's out-of-core build (bounds the build's peak RSS).
+     * 0 = WindowedFuture's default.
      */
     std::size_t oracleChunkAccesses = 0;
 
@@ -148,6 +149,12 @@ bool policyNeedsClassifier(PolicyKind kind);
  */
 bool policyNeedsFuture(PolicyKind kind);
 
+/**
+ * True for the off-line oracles (Belady, OPG), which read every
+ * access's next use from a built WindowedFuture.
+ */
+bool policyNeedsNextUse(PolicyKind kind);
+
 /** First mode below full speed on the power model's lower envelope. */
 std::size_t firstEnvelopeNap(const PowerModel &pm);
 
@@ -161,14 +168,28 @@ PaParams resolvePaParams(const ExperimentConfig &config,
 /**
  * Build the replacement policy an ExperimentConfig asks for, as
  * SimStack does. @p classifier may be null unless the policy is
- * PA-family; @p capacity sizes ARC/LIRS ghost lists. Exposed for
- * harnesses that drive a bare Cache + policy without a whole stack.
+ * PA-family; @p capacity sizes ARC/LIRS ghost lists. The off-line
+ * oracles (policyNeedsNextUse) are armed with @p future, which must
+ * be built; other policies ignore it. Exposed for harnesses that
+ * drive a bare Cache + policy without a whole stack.
  */
 std::unique_ptr<ReplacementPolicy>
 makeReplacementPolicy(const ExperimentConfig &config, const PowerModel &pm,
-                      const PaClassifier *classifier, std::size_t capacity);
+                      const PaClassifier *classifier, std::size_t capacity,
+                      WindowedFuture future = {});
 
-/** Run one experiment over @p trace. */
+/**
+ * The future an off-line policy (policyNeedsNextUse) replays @p trace
+ * with, built in memory from the expanded trace; an unbuilt one for
+ * any other policy. Pass it to the SimStack that replays @p trace.
+ */
+WindowedFuture buildFuture(const Trace &trace,
+                           const ExperimentConfig &config);
+
+/**
+ * Run one experiment over @p trace. Off-line policies (Belady, OPG)
+ * get their future built in memory (buildFuture) before the replay.
+ */
 ExperimentResult runExperiment(const Trace &trace,
                                const ExperimentConfig &config);
 
@@ -177,11 +198,10 @@ ExperimentResult runExperiment(const Trace &trace,
  * it first if a pre-scan is needed), so traces larger than RAM can
  * drive the system. The infinite cache sizes itself from a
  * constant-memory pre-scan and streams. Off-line policies (Belady,
- * OPG) need the whole future: with config.windowAccesses == 0 the
- * source is materialized transparently; with it > 0 they run
- * out-of-core on windowed future knowledge over the source's .pct
- * file. Statistics are identical to the in-memory path on the same
- * workload either way.
+ * OPG) run out of core on windowed future knowledge built over the
+ * source's .pct file (config.windowAccesses, 0 = the default
+ * window); the source is never materialized. Statistics are
+ * identical to the in-memory overload on the same workload.
  */
 ExperimentResult runExperiment(tracefmt::TraceSource &source,
                                const ExperimentConfig &config);

@@ -10,23 +10,24 @@
 namespace pacache
 {
 
-template <typename F>
-BasicOpgPolicy<F>::BasicOpgPolicy(const PowerModel &pm_, DpmKind kind,
-                                  Energy theta_, std::size_t mem_budget)
+OpgPolicy::OpgPolicy(const PowerModel &pm_, DpmKind kind, Energy theta_,
+                     std::size_t mem_budget)
     : pm(&pm_), dpmKind(kind), theta(theta_), memBudget(mem_budget)
 {
     PACACHE_ASSERT(theta >= 0, "theta must be non-negative");
 }
 
-template <typename F>
 void
-BasicOpgPolicy<F>::resetState(std::size_t num_disks, Time last)
+OpgPolicy::prepareWindowed(WindowedFuture &&fut)
 {
+    PACACHE_ASSERT(fut.built(), "prepareWindowed requires a built future");
+    future = std::move(fut);
+
     // "No leader/follower" sentinel: far enough out that every energy
     // function has reached its linear (deepest-mode) tail.
     const auto &thr = pm->thresholds();
     const Time deepest = thr.empty() ? 0.0 : thr.back();
-    bigTime = last + 4 * deepest + 1000.0;
+    bigTime = future.endTime() + 4 * deepest + 1000.0;
     // A missing leader/follower always prices as E(bigTime); cache
     // the scan once instead of re-running it per gap endpoint.
     eBig = idleEnergy(bigTime);
@@ -38,8 +39,8 @@ BasicOpgPolicy<F>::resetState(std::size_t num_disks, Time last)
     residentByNext.clear();
     spillPool = memBudget > 0 ? std::make_unique<SpillPool>(memBudget)
                               : nullptr;
-    detMiss.resize(num_disks);
-    residentByNext.resize(num_disks);
+    detMiss.resize(future.numDisks());
+    residentByNext.resize(future.numDisks());
     if (spillPool) {
         for (auto &s : detMiss)
             s.attach(*spillPool);
@@ -47,58 +48,15 @@ BasicOpgPolicy<F>::resetState(std::size_t num_disks, Time last)
             s.attach(*spillPool);
     }
     evictOrder.clear();
-    ready = true;
+    // S starts as the set of all cold misses (first references).
+    for (const auto &seed : future.coldSeeds())
+        detMiss[seed.disk].insert({seed.idx, seed.time});
 }
 
-template <typename F>
-void
-BasicOpgPolicy<F>::prepare(const std::vector<BlockAccess> &accs)
-{
-    if constexpr (F::kStreaming) {
-        (void)accs;
-        PACACHE_FATAL("windowed OPG cannot materialize an access "
-                      "stream; feed it via prepareWindowed()");
-    } else {
-        future = F::build(accs);
-        std::size_t num_disks = 1;
-        Time last = 0;
-        for (const auto &a : accs) {
-            num_disks =
-                std::max<std::size_t>(num_disks, a.block.disk + 1);
-            last = std::max(last, a.time);
-        }
-        resetState(num_disks, last);
-        // S starts as the set of all cold misses (first references).
-        for (std::size_t i = 0; i < accs.size(); ++i) {
-            if (future.isFirstReference(i))
-                detMiss[accs[i].block.disk].insert({i, accs[i].time});
-        }
-    }
-}
-
-template <typename F>
-void
-BasicOpgPolicy<F>::prepareWindowed(F &&fut)
-{
-    if constexpr (!F::kStreaming) {
-        (void)fut;
-        PACACHE_FATAL("prepareWindowed on the materialized oracle; "
-                      "use prepare()");
-    } else {
-        PACACHE_ASSERT(fut.built(),
-                       "prepareWindowed requires a built future");
-        future = std::move(fut);
-        resetState(future.numDisks(), future.endTime());
-        for (const auto &seed : future.coldSeeds())
-            detMiss[seed.disk].insert({seed.idx, seed.time});
-    }
-}
-
-template <typename F>
 Energy
-BasicOpgPolicy<F>::computePenalty(DiskId disk, FutureAccess next) const
+OpgPolicy::computePenalty(DiskId disk, FutureAccess next) const
 {
-    if (next.idx == F::kNever)
+    if (next.idx == WindowedFuture::kNever)
         return 0.0; // never re-referenced: eviction costs nothing
 
     const auto nb = detMiss[disk].neighbors(next);
@@ -117,28 +75,26 @@ BasicOpgPolicy<F>::computePenalty(DiskId disk, FutureAccess next) const
     return std::max<Energy>(penalty, 0.0);
 }
 
-template <typename F>
 void
-BasicOpgPolicy<F>::insertResident(const BlockId &block,
+OpgPolicy::insertResident(const BlockId &block,
                                   FutureAccess next)
 {
     const Energy penalty =
         std::max(computePenalty(block.disk, next), theta);
     const Handle h =
         evictOrder.push(EvictKey{penalty, next.idx, block.packed()});
-    if (next.idx != F::kNever) {
+    if (next.idx != WindowedFuture::kNever) {
         const bool fresh = residentByNext[block.disk].insert(
             next.idx, NextEntry{next.time, h});
         PACACHE_ASSERT(fresh, "OPG next-use index collision");
     }
 }
 
-template <typename F>
 FutureAccess
-BasicOpgPolicy<F>::unindex(const EvictKey &key)
+OpgPolicy::unindex(const EvictKey &key)
 {
-    if (key.nextIdx == F::kNever)
-        return {F::kNever, 0};
+    if (key.nextIdx == WindowedFuture::kNever)
+        return {WindowedFuture::kNever, 0};
     NextEntry e{};
     const bool indexed =
         residentByNext[BlockId::fromPacked(key.block).disk].take(
@@ -147,9 +103,8 @@ BasicOpgPolicy<F>::unindex(const EvictKey &key)
     return {key.nextIdx, e.time};
 }
 
-template <typename F>
 void
-BasicOpgPolicy<F>::repriceGap(DiskId disk, FutureAccess lo, bool has_lo,
+OpgPolicy::repriceGap(DiskId disk, FutureAccess lo, bool has_lo,
                               FutureAccess hi, bool has_hi)
 {
     // Every resident with next access inside (lo, hi) shares the same
@@ -157,7 +112,7 @@ BasicOpgPolicy<F>::repriceGap(DiskId disk, FutureAccess lo, bool has_lo,
     const Time t_lo = lo.time;
     const Time t_hi = hi.time;
     const std::size_t lo_key = has_lo ? lo.idx : 0;
-    const std::size_t hi_key = has_hi ? hi.idx : F::kNever;
+    const std::size_t hi_key = has_hi ? hi.idx : WindowedFuture::kNever;
     // A missing end always prices as the cached E(bigTime), exactly
     // what computePenalty substitutes. The whole-gap term is NOT
     // hoisted as E(t_hi - t_lo) even though l + f is mathematically
@@ -183,11 +138,10 @@ BasicOpgPolicy<F>::repriceGap(DiskId disk, FutureAccess lo, bool has_lo,
         });
 }
 
-template <typename F>
 void
-BasicOpgPolicy<F>::detInsert(DiskId disk, FutureAccess miss)
+OpgPolicy::detInsert(DiskId disk, FutureAccess miss)
 {
-    typename DetSet::Neighbors nb;
+    DetSet::Neighbors nb;
     const bool fresh = detMiss[disk].insertWithNeighbors(miss, nb);
     PACACHE_ASSERT(fresh, "duplicate deterministic miss");
     // miss split its gap in two: residents below it now follow it,
@@ -196,11 +150,10 @@ BasicOpgPolicy<F>::detInsert(DiskId disk, FutureAccess miss)
     repriceGap(disk, miss, true, nb.succ, nb.hasSucc);
 }
 
-template <typename F>
 void
-BasicOpgPolicy<F>::detErase(DiskId disk, std::size_t idx)
+OpgPolicy::detErase(DiskId disk, std::size_t idx)
 {
-    typename DetSet::Neighbors nb;
+    DetSet::Neighbors nb;
     // Entries compare by index alone, so the probe needs no time.
     const bool was = detMiss[disk].eraseWithNeighbors({idx, 0}, nb);
     PACACHE_ASSERT(was, "miss not in deterministic-miss set");
@@ -208,9 +161,8 @@ BasicOpgPolicy<F>::detErase(DiskId disk, std::size_t idx)
     repriceGap(disk, nb.pred, nb.hasPred, nb.succ, nb.hasSucc);
 }
 
-template <typename F>
 void
-BasicOpgPolicy<F>::beforeMiss(const BlockId &block, Time,
+OpgPolicy::beforeMiss(const BlockId &block, Time,
                               std::size_t idx)
 {
     // The access happening now is, by definition, a deterministic
@@ -218,12 +170,12 @@ BasicOpgPolicy<F>::beforeMiss(const BlockId &block, Time,
     detErase(block.disk, idx);
 }
 
-template <typename F>
 void
-BasicOpgPolicy<F>::onAccess(const BlockId &block, CacheSlot, Time,
+OpgPolicy::onAccess(const BlockId &block, CacheSlot, Time,
                             std::size_t idx, bool hit)
 {
-    PACACHE_ASSERT(ready, "OPG requires prepare() before use");
+    PACACHE_ASSERT(future.built(),
+                   "OPG requires prepareWindowed() before use");
     const FutureAccess next = future.nextUse(idx);
     if (!hit) {
         insertResident(block, next);
@@ -244,29 +196,27 @@ BasicOpgPolicy<F>::onAccess(const BlockId &block, CacheSlot, Time,
         std::max(computePenalty(block.disk, next), theta);
     evictOrder.update(e.handle,
                       EvictKey{penalty, next.idx, block.packed()});
-    if (next.idx != F::kNever) {
+    if (next.idx != WindowedFuture::kNever) {
         const bool fresh = residentByNext[block.disk].insert(
             next.idx, NextEntry{next.time, e.handle});
         PACACHE_ASSERT(fresh, "OPG next-use index collision");
     }
 }
 
-template <typename F>
 void
-BasicOpgPolicy<F>::onRemove(const BlockId &block, CacheSlot)
+OpgPolicy::onRemove(const BlockId &block, CacheSlot)
 {
     // External removal behaves like an eviction: the block's next
     // reference becomes a deterministic miss.
     const Handle h = findResident(block);
     const FutureAccess next = unindex(evictOrder.key(h));
     evictOrder.erase(h);
-    if (next.idx != F::kNever)
+    if (next.idx != WindowedFuture::kNever)
         detInsert(block.disk, next);
 }
 
-template <typename F>
 BlockId
-BasicOpgPolicy<F>::evict(Time, std::size_t)
+OpgPolicy::evict(Time, std::size_t)
 {
     PACACHE_ASSERT(!evictOrder.empty(), "OPG evict on empty cache");
     // The victim is the heap top: no handle lookup needed, and pop()
@@ -275,14 +225,13 @@ BasicOpgPolicy<F>::evict(Time, std::size_t)
     const BlockId victim = BlockId::fromPacked(key.block);
     const FutureAccess next = unindex(key);
     evictOrder.pop();
-    if (next.idx != F::kNever)
+    if (next.idx != WindowedFuture::kNever)
         detInsert(victim.disk, next);
     return victim;
 }
 
-template <typename F>
-typename BasicOpgPolicy<F>::Handle
-BasicOpgPolicy<F>::findResident(const BlockId &block) const
+OpgPolicy::Handle
+OpgPolicy::findResident(const BlockId &block) const
 {
     std::optional<Handle> found;
     evictOrder.forEach([&](Handle h, const EvictKey &key) {
@@ -293,23 +242,20 @@ BasicOpgPolicy<F>::findResident(const BlockId &block) const
     return *found;
 }
 
-template <typename F>
 Energy
-BasicOpgPolicy<F>::penaltyOf(const BlockId &block) const
+OpgPolicy::penaltyOf(const BlockId &block) const
 {
     return evictOrder.key(findResident(block)).penalty;
 }
 
-template <typename F>
 std::size_t
-BasicOpgPolicy<F>::deterministicMissCount(DiskId disk) const
+OpgPolicy::deterministicMissCount(DiskId disk) const
 {
     return disk < detMiss.size() ? detMiss[disk].size() : 0;
 }
 
-template <typename F>
 void
-BasicOpgPolicy<F>::validateInternalState(bool full) const
+OpgPolicy::validateInternalState(bool full) const
 {
     // Cheap size-drift invariant, always on.
     std::size_t indexed = 0;
@@ -332,7 +278,7 @@ BasicOpgPolicy<F>::validateInternalState(bool full) const
                        "block resident twice in the victim heap");
         const BlockId block = BlockId::fromPacked(key.block);
         FutureAccess next{key.nextIdx, 0};
-        if (key.nextIdx != F::kNever) {
+        if (key.nextIdx != WindowedFuture::kNever) {
             ++finite;
             // Copied out: pricing below may page the chunk away.
             const NextEntry *e =
@@ -351,8 +297,5 @@ BasicOpgPolicy<F>::validateInternalState(bool full) const
     PACACHE_ASSERT(indexed == finite,
                    "next-use index holds stale entries");
 }
-
-template class BasicOpgPolicy<FutureKnowledge>;
-template class BasicOpgPolicy<WindowedFuture>;
 
 } // namespace pacache

@@ -52,14 +52,12 @@
  *    for Practical), bit-identical to the legacy per-call scans.
  *
  * Every time OPG prices with is stored beside the index it belongs
- * to: the future provider returns it with nextUse() and with the cold
- * seeds, and it travels with the index into S and the next-use index.
- * The policy is a template over that provider F: FutureKnowledge
- * (materialized arrays; OpgPolicy, the classic fits-in-RAM fast path)
- * or WindowedFuture (exact out-of-core next-use streaming over a .pct
- * sidecar; WindowedOpgPolicy, fed by prepareWindowed() instead of
- * prepare()). Both instantiations live in opg.cc — the replay loops
- * are identical, only where nextUse() reads from differs.
+ * to: the future (WindowedFuture, cache/future_window.hh) returns it
+ * with nextUse() and with the cold seeds, and it travels with the
+ * index into S and the next-use index. prepareWindowed() arms the
+ * policy with a built future, whether it was built in memory from an
+ * expanded trace or out of core from a .pct file; the replay is the
+ * same either way.
  *
  * The per-disk sets and indexes live in RAM unless the constructor's
  * mem_budget is non-zero: then they all attach to one SpillPool of
@@ -87,9 +85,8 @@
 namespace pacache
 {
 
-/** The off-line power-aware greedy policy over future provider F. */
-template <typename F>
-class BasicOpgPolicy : public ReplacementPolicy
+/** The off-line power-aware greedy policy. */
+class OpgPolicy : public ReplacementPolicy
 {
   public:
     /**
@@ -99,19 +96,17 @@ class BasicOpgPolicy : public ReplacementPolicy
      * @param mem_budget  SpillPool budget in bytes for the oracle's
      *                    ordered state (0 = keep it all in RAM)
      */
-    BasicOpgPolicy(const PowerModel &pm, DpmKind kind,
-                   Energy theta = 0, std::size_t mem_budget = 0);
+    OpgPolicy(const PowerModel &pm, DpmKind kind, Energy theta = 0,
+              std::size_t mem_budget = 0);
 
     const char *name() const override { return "OPG"; }
 
-    void prepare(const std::vector<BlockAccess> &accesses) override;
-
     /**
-     * Streaming counterpart of prepare(): adopt an already-built
-     * windowed future (F = WindowedFuture only) whose cold seeds
-     * initialize the deterministic-miss sets.
+     * Arm the policy: adopt a built future, whose cold seeds
+     * initialize the deterministic-miss sets. Required before the
+     * first access; it also resets any earlier replay's state.
      */
-    void prepareWindowed(F &&fut);
+    void prepareWindowed(WindowedFuture &&fut);
 
     void beforeMiss(const BlockId &block, Time now,
                     std::size_t idx) override;
@@ -120,8 +115,6 @@ class BasicOpgPolicy : public ReplacementPolicy
     void onRemove(const BlockId &block, CacheSlot slot) override;
     BlockId evict(Time now, std::size_t idx) override;
     bool supportsPrefetch() const override { return false; }
-    bool isOffline() const override { return true; }
-    bool streamReady() const override { return ready; }
 
     /** Energy penalty of a resident block (test hook; O(n) scan). */
     Energy penaltyOf(const BlockId &block) const;
@@ -172,7 +165,7 @@ class BasicOpgPolicy : public ReplacementPolicy
     };
 
     using EvictHeap = IndexedHeap<EvictKey>;
-    using Handle = typename EvictHeap::Handle;
+    using Handle = EvictHeap::Handle;
     using DetSet = OrderedSet<FutureAccess>;
 
     /** A resident's next access: its time and the victim-heap handle. */
@@ -189,9 +182,6 @@ class BasicOpgPolicy : public ReplacementPolicy
                                           : pm->practicalEnergy(t);
     }
     Energy computePenalty(DiskId disk, FutureAccess next) const;
-
-    /** Shared part of both prepares: sentinel, empty tables, ready. */
-    void resetState(std::size_t num_disks, Time last);
 
     void insertResident(const BlockId &block, FutureAccess next);
     /**
@@ -217,8 +207,7 @@ class BasicOpgPolicy : public ReplacementPolicy
     Energy theta;
     std::size_t memBudget; //!< SpillPool bytes (0 = no pool)
 
-    F future;
-    bool ready = false;
+    WindowedFuture future;
     Time bigTime = 0;  //!< stands in for "no leader/follower"
     Energy eBig = 0;   //!< cached idleEnergy(bigTime)
 
@@ -234,16 +223,8 @@ class BasicOpgPolicy : public ReplacementPolicy
     EvictHeap evictOrder; //!< every resident, keyed for eviction
 };
 
-// All instantiations are compiled once, in opg.cc, so the hot replay
-// loops keep the exact same single-TU codegen the non-template policy
-// had (micro_opg's OPG/LRU ceiling is sensitive to this).
-extern template class BasicOpgPolicy<FutureKnowledge>;
-extern template class BasicOpgPolicy<WindowedFuture>;
-
-/** The classic materialized oracle. */
-using OpgPolicy = BasicOpgPolicy<FutureKnowledge>;
-/** The exact out-of-core oracle (streaming replay only). */
-using WindowedOpgPolicy = BasicOpgPolicy<WindowedFuture>;
+/** The former name of the out-of-core instantiation; the same class. */
+using WindowedOpgPolicy = OpgPolicy;
 
 } // namespace pacache
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <utility>
 
 #include "cache/cache.hh"
 #include "util/logging.hh"
@@ -58,12 +60,18 @@ class OptimalSolver
     OptimalSolver(const std::vector<BlockAccess> &accs,
                   std::size_t capacity, const SchedulePricing &pricing)
         : accesses(accs), cap(capacity), cfg(pricing),
-          future(FutureKnowledge::build(accs))
+          nextUse(accs.size(), kNever)
     {
+        // The search revisits accesses as it backtracks, so it keeps
+        // its own next-use chain instead of a consuming future.
         std::size_t num_disks = 1;
-        for (const auto &a : accs) {
+        std::map<BlockId, std::size_t> later;
+        for (std::size_t i = accs.size(); i-- > 0;) {
             num_disks =
-                std::max<std::size_t>(num_disks, a.block.disk + 1);
+                std::max<std::size_t>(num_disks, accs[i].block.disk + 1);
+            auto [it, first_seen] = later.try_emplace(accs[i].block, i);
+            if (!first_seen)
+                nextUse[i] = std::exchange(it->second, i);
         }
         lastMiss.assign(num_disks, 0.0);
     }
@@ -81,6 +89,9 @@ class OptimalSolver
     }
 
   private:
+    /** Next use of an access whose block is never accessed again. */
+    static constexpr std::size_t kNever = static_cast<std::size_t>(-1);
+
     struct Resident
     {
         BlockId block;
@@ -123,7 +134,7 @@ class OptimalSolver
             const std::size_t pos =
                 static_cast<std::size_t>(it - resident.begin());
             const std::size_t saved = resident[pos].nextUse;
-            resident[pos].nextUse = future.nextUse(idx).idx;
+            resident[pos].nextUse = nextUse[idx];
             dfs(idx + 1, cost, misses);
             resident[pos].nextUse = saved;
             return;
@@ -138,7 +149,7 @@ class OptimalSolver
         lastMiss[d] = acc.time;
 
         if (resident.size() < cap) {
-            resident.push_back({acc.block, future.nextUse(idx).idx});
+            resident.push_back({acc.block, nextUse[idx]});
             dfs(idx + 1, new_cost, misses + 1);
             resident.pop_back();
         } else {
@@ -147,17 +158,17 @@ class OptimalSolver
             // evicting it is weakly optimal — no need to branch.
             auto dead = std::find_if(
                 resident.begin(), resident.end(), [](const Resident &r) {
-                    return r.nextUse == FutureKnowledge::kNever;
+                    return r.nextUse == kNever;
                 });
             if (dead != resident.end()) {
                 const Resident saved = *dead;
-                *dead = {acc.block, future.nextUse(idx).idx};
+                *dead = {acc.block, nextUse[idx]};
                 dfs(idx + 1, new_cost, misses + 1);
                 *dead = saved;
             } else {
                 for (std::size_t v = 0; v < resident.size(); ++v) {
                     const Resident saved = resident[v];
-                    resident[v] = {acc.block, future.nextUse(idx).idx};
+                    resident[v] = {acc.block, nextUse[idx]};
                     dfs(idx + 1, new_cost, misses + 1);
                     resident[v] = saved;
                 }
@@ -169,7 +180,7 @@ class OptimalSolver
     const std::vector<BlockAccess> &accesses;
     std::size_t cap;
     SchedulePricing cfg;
-    FutureKnowledge future;
+    std::vector<std::size_t> nextUse; //!< next access to the same block
 
     std::vector<Resident> resident;
     std::vector<Time> lastMiss;
@@ -203,7 +214,6 @@ policyScheduleEnergy(const std::vector<BlockAccess> &accesses,
         num_disks = std::max<std::size_t>(num_disks, a.block.disk + 1);
 
     Cache cache(capacity, policy);
-    policy.prepare(accesses);
     std::vector<std::vector<Time>> miss_times(num_disks);
     for (std::size_t i = 0; i < accesses.size(); ++i) {
         if (!cache.access(accesses[i].block, accesses[i].time, i).hit)

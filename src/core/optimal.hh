@@ -72,9 +72,10 @@ OptimalResult optimalEnergy(const std::vector<BlockAccess> &accesses,
                             const SchedulePricing &pricing);
 
 /**
- * Convenience: run an off-line policy over the stream and price its
- * miss schedule with the same model, for comparison against
- * optimalEnergy().
+ * Convenience: run a policy over the stream and price its miss
+ * schedule with the same model, for comparison against
+ * optimalEnergy(). An off-line @p policy must already be armed with
+ * the stream's future (prepareWindowed, or NaiveOracle::prepare).
  */
 Energy policyScheduleEnergy(const std::vector<BlockAccess> &accesses,
                             std::size_t capacity,

@@ -10,7 +10,6 @@
 #include "core/opg.hh"
 #include "core/pa_lru.hh"
 #include "obs/observer.hh"
-#include "obs/profiler.hh"
 #include "tracefmt/trace_source.hh"
 #include "util/logging.hh"
 
@@ -42,44 +41,13 @@ opgThetaOf(const ExperimentConfig &cfg, const PowerModel &pm)
         : pm.mode(firstEnvelopeNap(pm)).transitionEnergy();
 }
 
-/** Off-line policy armed with windowed future knowledge. */
-std::unique_ptr<ReplacementPolicy>
-makeWindowedPolicy(const ExperimentConfig &config, const PowerModel &pm,
-                   const WindowedOracle &windowed)
-{
-    // The backward pass over the .pct file replaces prepare()'s
-    // whole-trace oracle indexing.
-    obs::ProfileScope scope(config.profiler, "oracle_precompute");
-    WindowedFuture::Options wopts;
-    wopts.windowEntries = windowed.windowEntries;
-    if (windowed.chunkAccesses > 0)
-        wopts.chunkAccesses = windowed.chunkAccesses;
-    WindowedFuture fut(windowed.pctPath, wopts);
-    if (config.policy == PolicyKind::OPG) {
-        // The whole budget goes to the policy's SpillPool, as on the
-        // materialized path: the future itself keeps no per-block map.
-        auto opg = std::make_unique<WindowedOpgPolicy>(
-            pm, opgPricing(config), opgThetaOf(config, pm),
-            config.oracleMemBudget);
-        opg->prepareWindowed(std::move(fut));
-        return opg;
-    }
-    PACACHE_ASSERT(config.policy == PolicyKind::Belady,
-                   "windowed oracle supports Belady/OPG only");
-    auto min = std::make_unique<WindowedBeladyPolicy>();
-    min->prepareWindowed(std::move(fut));
-    return min;
-}
-
 } // namespace
 
 std::unique_ptr<ReplacementPolicy>
 makeReplacementPolicy(const ExperimentConfig &cfg, const PowerModel &pm,
-                      const PaClassifier *classifier, std::size_t capacity)
+                      const PaClassifier *classifier, std::size_t capacity,
+                      WindowedFuture future)
 {
-    const DpmKind pricing = opgPricing(cfg);
-    const Energy theta = opgThetaOf(cfg, pm);
-
     switch (cfg.policy) {
       case PolicyKind::LRU:
       case PolicyKind::InfiniteCache:
@@ -94,11 +62,20 @@ makeReplacementPolicy(const ExperimentConfig &cfg, const PowerModel &pm,
         return std::make_unique<MqPolicy>();
       case PolicyKind::LIRS:
         return std::make_unique<LirsPolicy>(capacity);
-      case PolicyKind::Belady:
-        return std::make_unique<BeladyPolicy>();
-      case PolicyKind::OPG:
-        return std::make_unique<OpgPolicy>(pm, pricing, theta,
-                                           cfg.oracleMemBudget);
+      case PolicyKind::Belady: {
+        auto min = std::make_unique<BeladyPolicy>();
+        min->prepareWindowed(std::move(future));
+        return min;
+      }
+      case PolicyKind::OPG: {
+        // The whole budget goes to the policy's SpillPool: the future
+        // itself keeps no per-block map.
+        auto opg = std::make_unique<OpgPolicy>(
+            pm, opgPricing(cfg), opgThetaOf(cfg, pm),
+            cfg.oracleMemBudget);
+        opg->prepareWindowed(std::move(future));
+        return opg;
+      }
       case PolicyKind::PALRU:
         PACACHE_ASSERT(classifier, "PA-LRU needs a classifier");
         return std::make_unique<PaLruPolicy>(*classifier);
@@ -117,7 +94,7 @@ makeReplacementPolicy(const ExperimentConfig &cfg, const PowerModel &pm,
 }
 
 SimStack::SimStack(const ExperimentConfig &config, std::size_t num_disks,
-                   std::size_t capacity, const WindowedOracle *windowed)
+                   std::size_t capacity, WindowedFuture future)
     : cfg(config), numDisks(num_disks), pm(config.spec),
       sm(config.spec, config.service), practical(pm), adaptive(pm),
       oracle(pm)
@@ -126,9 +103,8 @@ SimStack::SimStack(const ExperimentConfig &config, std::size_t num_disks,
         classifier = std::make_unique<PaClassifier>(
             numDisks, resolvePaParams(cfg, pm));
     }
-    policy = windowed
-        ? makeWindowedPolicy(cfg, pm, *windowed)
-        : makeReplacementPolicy(cfg, pm, classifier.get(), capacity);
+    policy = makeReplacementPolicy(cfg, pm, classifier.get(), capacity,
+                                   std::move(future));
     cache = std::make_unique<Cache>(capacity, *policy);
 
     // Observability wiring. configureRun() must precede disk
@@ -205,17 +181,6 @@ SimStack::~SimStack() = default;
 void
 SimStack::run(const Trace &trace)
 {
-    // Off-line policies (Belady/OPG) index the whole future here; the
-    // expanded stream must outlive the replay (OPG reads it back).
-    std::vector<BlockAccess> accesses;
-    if (!policy->streamReady()) {
-        {
-            obs::ProfileScope scope(cfg.profiler, "expand_trace");
-            accesses = expandTrace(trace);
-        }
-        obs::ProfileScope scope(cfg.profiler, "oracle_precompute");
-        policy->prepare(accesses);
-    }
     tracefmt::MemorySource source(trace);
     run(source);
 }

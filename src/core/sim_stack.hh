@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/experiment.hh"
@@ -25,30 +24,21 @@
 namespace pacache
 {
 
-/**
- * Out-of-core oracle request: build windowed future knowledge over
- * this .pct file instead of indexing a materialized access stream.
- */
-struct WindowedOracle
-{
-    std::string pctPath;
-    std::size_t windowEntries = 0;
-    std::size_t chunkAccesses = 0; //!< 0 = WindowedFuture default
-};
-
 class SimStack
 {
   public:
-    /** @p windowed: the oracle of an out-of-core off-line replay. */
+    /**
+     * @p future arms an off-line policy (Belady, OPG) and must then be
+     * built, in memory or out of core; on-line policies ignore it.
+     */
     SimStack(const ExperimentConfig &config, std::size_t num_disks,
-             std::size_t capacity,
-             const WindowedOracle *windowed = nullptr);
+             std::size_t capacity, WindowedFuture future = {});
     ~SimStack();
 
     SimStack(const SimStack &) = delete;
     SimStack &operator=(const SimStack &) = delete;
 
-    /** Replay @p trace, first indexing it for an off-line policy. */
+    /** Replay @p trace. */
     void run(const Trace &trace);
 
     /** Stream @p source through the storage system. */

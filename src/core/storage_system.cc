@@ -48,10 +48,6 @@ void
 StorageSystem::run(tracefmt::TraceSource &source)
 {
     PACACHE_ASSERT(!finished, "StorageSystem::run after finish");
-    PACACHE_ASSERT(cache.policy().streamReady(),
-                   cache.policy().name(),
-                   " cannot replay before its future knowledge is "
-                   "attached");
     // Progress counts records: the one unit every source can hint.
     if (observer) {
         const uint64_t hint = source.sizeHint();

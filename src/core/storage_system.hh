@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "cache/cache.hh"
+#include "cache/future.hh"
 #include "core/pa_classifier.hh"
 #include "core/write_policy.hh"
 #include "core/wtdu_log.hh"
@@ -108,10 +109,9 @@ class StorageSystem
 
     /**
      * Pull every record from @p source through step() and close the
-     * run with finish() at the last arrival. Requires a policy whose
-     * streamReady() holds: on-line policies always, off-line ones
-     * once their future knowledge is attached. Every record's disk id
-     * must be < disks.numDisks().
+     * run with finish() at the last arrival. An off-line policy must
+     * already be armed with its future. Every record's disk id must
+     * be < disks.numDisks().
      */
     void run(tracefmt::TraceSource &source);
 

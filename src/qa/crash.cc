@@ -139,7 +139,8 @@ class CrashRig
   public:
     CrashRig(const FuzzCase &c, FaultInjector *inj)
         : trace(c.trace), cfg(c.experimentConfig(inj)),
-          stack(cfg, diskCount(), cfg.cacheBlocks)
+          stack(cfg, diskCount(), cfg.cacheBlocks,
+                buildFuture(trace, cfg))
     {
     }
 

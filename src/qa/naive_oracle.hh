@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache/future.hh"
 #include "cache/policy.hh"
 #include "disk/power_model.hh"
 #include "util/logging.hh"
@@ -52,8 +53,9 @@ class NaiveOracle : public ReplacementPolicy
         return pm ? "OPG-naive" : "Belady-naive";
     }
 
+    /** Arm over the whole stream; required before the first access. */
     void
-    prepare(const std::vector<BlockAccess> &accesses) override
+    prepare(const std::vector<BlockAccess> &accesses)
     {
         times.assign(accesses.size(), 0);
         next.assign(accesses.size(), kNever);
@@ -137,7 +139,6 @@ class NaiveOracle : public ReplacementPolicy
     }
 
     bool supportsPrefetch() const override { return false; }
-    bool isOffline() const override { return true; }
 
     /** OPG penalty of a resident block, priced from scratch. */
     Energy

@@ -12,7 +12,7 @@
 #include "obs/energy_ledger.hh"
 #include "util/log_histogram.hh"
 #include "cache/cache.hh"
-#include "cache/future.hh"
+#include "cache/future_window.hh"
 #include "cache/lru.hh"
 #include "core/experiment.hh"
 #include "core/opg.hh"
@@ -61,12 +61,6 @@ class RecordingPolicy : public ReplacementPolicy
     const char *name() const override { return inner->name(); }
 
     void
-    prepare(const std::vector<BlockAccess> &accesses) override
-    {
-        inner->prepare(accesses);
-    }
-
-    void
     onAccess(const BlockId &block, CacheSlot slot, Time now,
              std::size_t idx, bool hit) override
     {
@@ -97,7 +91,6 @@ class RecordingPolicy : public ReplacementPolicy
     {
         return inner->supportsPrefetch();
     }
-    bool isOffline() const override { return inner->isOffline(); }
 
     std::vector<BlockId> victims;
 
@@ -117,7 +110,6 @@ replayPolicy(const FuzzCase &c, ReplacementPolicy &policy)
     const std::vector<BlockAccess> accesses = expandTrace(c.trace);
     RecordingPolicy rec(policy);
     Cache cache(c.cfg.cacheBlocks > 0 ? c.cfg.cacheBlocks : 1, rec);
-    rec.prepare(accesses);
     for (std::size_t i = 0; i < accesses.size(); ++i)
         cache.access(accesses[i].block, accesses[i].time, i);
     return {std::move(rec.victims), cache.stats()};
@@ -193,16 +185,22 @@ PropertyResult
 propOpgMatchesRef(const FuzzCase &c)
 {
     const PowerModel pm = c.powerModel();
+    const std::vector<BlockAccess> accesses = expandTrace(c.trace);
     OpgPolicy fast(pm, c.cfg.dpmKind, c.cfg.theta);
+    fast.prepareWindowed(WindowedFuture(accesses));
     NaiveOracle ref(pm, c.cfg.dpmKind, c.cfg.theta);
+    ref.prepare(accesses);
     return checkPolicyDifferential(c, fast, ref);
 }
 
 PropertyResult
 propBeladyMatchesRef(const FuzzCase &c)
 {
+    const std::vector<BlockAccess> accesses = expandTrace(c.trace);
     BeladyPolicy fast;
+    fast.prepareWindowed(WindowedFuture(accesses));
     NaiveOracle ref;
+    ref.prepare(accesses);
     return checkPolicyDifferential(c, fast, ref);
 }
 
@@ -345,8 +343,8 @@ propSpilledOracleEquivalence(const FuzzCase &c)
                            diff);
     }
 
-    // The windowed oracle takes its times from the sidecar entries
-    // rather than the materialized arrays, so fuzz the window
+    // The out-of-core build hands its entries over through a sidecar
+    // file and a window rather than all at once, so fuzz the window
     // geometry along with the budget.
     ExperimentConfig wcfg = cfg;
     const std::size_t accesses =
@@ -590,11 +588,12 @@ hitsAt(const Trace &trace, std::size_t capacity, bool belady)
     const std::vector<BlockAccess> accesses = expandTrace(trace);
     LruPolicy lru;
     BeladyPolicy min;
+    if (belady)
+        min.prepareWindowed(WindowedFuture(accesses));
     ReplacementPolicy &policy =
         belady ? static_cast<ReplacementPolicy &>(min)
                : static_cast<ReplacementPolicy &>(lru);
     Cache cache(capacity, policy);
-    policy.prepare(accesses);
     for (std::size_t i = 0; i < accesses.size(); ++i)
         cache.access(accesses[i].block, accesses[i].time, i);
     return cache.stats().hits;
@@ -759,9 +758,8 @@ propOpgIncrementalConsistent(const FuzzCase &c)
     const PowerModel pm = c.powerModel();
     OpgPolicy policy(pm, c.cfg.dpmKind, c.cfg.theta);
     const std::vector<BlockAccess> accesses = expandTrace(c.trace);
-    RecordingPolicy rec(policy);
-    Cache cache(c.cfg.cacheBlocks > 0 ? c.cfg.cacheBlocks : 1, rec);
-    rec.prepare(accesses);
+    policy.prepareWindowed(WindowedFuture(accesses));
+    Cache cache(c.cfg.cacheBlocks > 0 ? c.cfg.cacheBlocks : 1, policy);
     for (std::size_t i = 0; i < accesses.size(); ++i) {
         cache.access(accesses[i].block, accesses[i].time, i);
         if (i % 64 == 63) {

@@ -70,8 +70,9 @@ PropertyResult runProperty(const PropertyDef &prop, const FuzzCase &c);
 /**
  * The differential-replay harness behind the policy-equivalence
  * properties: drive @p candidate and @p reference through identical
- * caches over the case's expanded access stream and demand the same
- * victim sequence and counters. Exposed so tests can inject a
+ * caches over the case's expanded access stream (expandTrace(c.trace),
+ * which an off-line policy must already be armed with) and demand the
+ * same victim sequence and counters. Exposed so tests can inject a
  * deliberately faulty candidate and watch the harness (and the
  * shrinker) catch it.
  */

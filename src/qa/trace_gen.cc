@@ -72,8 +72,8 @@ genCaseConfig(const CaseProfile &profile)
         cfg.cacheBlocks =
             intIn(profile.minCacheBlocks, profile.maxCacheBlocks)(rng);
         // Experiment-level properties need every policy family; the
-        // off-line ones also exercise transparent materialization on
-        // the streaming path.
+        // off-line ones also exercise the out-of-core future on the
+        // streaming path.
         cfg.policy = elementOf<PolicyKind>(
             {PolicyKind::LRU, PolicyKind::FIFO, PolicyKind::CLOCK,
              PolicyKind::ARC, PolicyKind::MQ, PolicyKind::LIRS,

@@ -123,18 +123,14 @@ runShardedExperiment(const std::string &pct_path,
         opts.shards, 1, static_cast<uint64_t>(num_disks)));
     splitCapacity(config.cacheBlocks, shards, 0); // fail before replay
 
-    // Per-shard configuration: headless, a common finishRun horizon,
-    // and out-of-core oracles even for shards that own no record
-    // (materialization would reject an empty trace).
+    // Per-shard configuration: headless, with a common finishRun
+    // horizon. Off-line shards build their futures out of core, so a
+    // shard that owns no record replays an empty stream.
     ExperimentConfig shard_cfg = config;
     shard_cfg.observer = nullptr;
     shard_cfg.profiler = nullptr;
     shard_cfg.storage.endTimeFloor =
         std::max(config.storage.endTimeFloor, info.endTime);
-    const bool offline = config.policy == PolicyKind::Belady ||
-                         config.policy == PolicyKind::OPG;
-    if (offline && shard_cfg.windowAccesses == 0)
-        shard_cfg.windowAccesses = std::size_t(1) << 20;
     // The budget caps the whole run's oracle state, so concurrent
     // shards split it evenly (max() keeps a tiny budget nonzero —
     // zero would silently mean unbounded).

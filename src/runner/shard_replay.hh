@@ -58,11 +58,10 @@ struct ShardReplayOptions
  * and its located error is the one thrown, at any job count. A shard
  * replays an unusually long record only once the checksum has
  * matched, so a damaged length field cannot stall it. Off-line
- * policies (Belady/OPG) run out-of-core on windowed future knowledge
- * per shard, each over a spill of its own records —
- * config.windowAccesses == 0 gets a default window rather than
- * materializing, so a shard that owns no record still replays and
- * idles its replicas to the shared horizon. config.storage.endTimeFloor
+ * policies (Belady/OPG) run out of core on windowed future knowledge
+ * per shard, each over a spill of its own records, so a shard that
+ * owns no record still replays (an empty stream) and idles its
+ * replicas to the shared horizon. config.storage.endTimeFloor
  * is raised to the trace's end time for every shard for the same
  * reason. The observer/profiler hooks of @p config apply only to the
  * orchestration (replay/merge phases), not to the per-shard stacks.

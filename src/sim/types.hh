@@ -45,21 +45,34 @@ struct BlockId
     friend bool operator==(const BlockId &, const BlockId &) = default;
     friend auto operator<=>(const BlockId &, const BlockId &) = default;
 
+    /** packed()'s key space: 16 disk bits, 48 block bits. */
+    static constexpr uint64_t kDiskLimit = uint64_t{1} << 16;
+    static constexpr uint64_t kBlockLimit = uint64_t{1} << 48;
+
+    /**
+     * True if every block of the extent [first, first + count) on
+     * @p disk fits the packed key. Trace readers reject an extent
+     * that does not with a located error, so packed() never sees one.
+     */
+    static constexpr bool
+    packable(uint64_t disk, uint64_t first, uint64_t count)
+    {
+        return disk < kDiskLimit && count <= kBlockLimit &&
+               first <= kBlockLimit - count;
+    }
+
     /**
      * Pack into a single 64-bit key (for hashing / residency and
-     * handle maps / Bloom filters). The key holds 16 disk bits and 48
-     * block bits; an id outside that range would silently alias
-     * another block in every packed-keyed structure, so it panics
-     * here instead (no real trace comes close: 2^48 blocks is 1 EiB
-     * of 4 KiB sectors per disk).
+     * handle maps / Bloom filters). An id outside the key space would
+     * silently alias another block in every packed-keyed structure,
+     * so it panics here instead (no real trace comes close: 2^48
+     * blocks is 1 EiB of 4 KiB sectors per disk).
      */
     uint64_t
     packed() const
     {
-        PACACHE_ASSERT(disk < (uint64_t{1} << 16) &&
-                           block < (uint64_t{1} << 48),
-                       "BlockId (", disk, ", ", block,
-                       ") overflows the 16/48-bit packed key");
+        PACACHE_ASSERT(packable(disk, block, 1), "BlockId (", disk, ", ",
+                       block, ") overflows the 16/48-bit packed key");
         return (static_cast<uint64_t>(disk) << 48) |
                (block & 0xffffffffffffULL);
     }

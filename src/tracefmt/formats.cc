@@ -34,11 +34,6 @@ mapExtent(const IngestOptions &opt, uint64_t offset_bytes,
     const uint64_t count = last - rec.block + 1;
     if (count > 0x7fffffffULL)
         parseFail(at, "request spans too many blocks");
-    // Residency/handle maps key on 48 block bits (BlockId::packed);
-    // reject over-range sector addresses here with a located parse
-    // error instead of panicking deep inside the cache.
-    if (last >= (uint64_t{1} << 48))
-        parseFail(at, "block number beyond 2^48 (packed-key limit)");
     rec.numBlocks = static_cast<uint32_t>(count);
 }
 

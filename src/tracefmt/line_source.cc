@@ -35,6 +35,15 @@ LineSource::next(TraceRecord &out)
             continue;
         if (!parseLine(sv, at, out))
             continue;
+        // Every format's ids must fit BlockId's packed key, which the
+        // cache, the policies and the oracles all hash on.
+        if (!BlockId::packable(out.disk, out.block, out.numBlocks)) {
+            parseFail(at, detail::concat(
+                              "extent (disk ", out.disk, ", block ",
+                              out.block, ", len ", out.numBlocks,
+                              ") is outside the packed key space "
+                              "(disk < 2^16, block < 2^48)"));
+        }
 
         // The first accepted record anchors the (optional) rebase so
         // that every pass over the source yields identical times.

@@ -3,7 +3,8 @@
  * LineSource — shared machinery for line-oriented trace formats:
  * file/stream line iteration with 1-based line accounting (for
  * error context), '#'-comment and blank-line skipping, arrival-order
- * enforcement, and optional rebasing of the first arrival to t = 0.
+ * enforcement, the packed-key range check on every record's extent,
+ * and optional rebasing of the first arrival to t = 0.
  */
 
 #ifndef PACACHE_TRACEFMT_LINE_SOURCE_HH

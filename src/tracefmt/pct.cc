@@ -109,10 +109,8 @@ decodeRecord(const unsigned char *p, TraceRecord &rec,
                       "' (zero length or out-of-order time)");
     }
     checkDisk(rec.disk, path, index, num_disks);
-    // Every block of the extent must fit BlockId's packed key: 16
-    // disk bits, 48 block bits (numBlocks < 2^31, so no wrap).
-    constexpr uint64_t kBlockLimit = uint64_t(1) << 48;
-    if (rec.disk >= (1u << 16) || rec.block > kBlockLimit - rec.numBlocks) {
+    // Every block of the extent must fit BlockId's packed key.
+    if (!BlockId::packable(rec.disk, rec.block, rec.numBlocks)) {
         PACACHE_FATAL(".pct record ", index, " in '", path, "': (disk ",
                       rec.disk, ", block ", rec.block, ", len ",
                       rec.numBlocks, ") overflows the 16-bit-disk/"
@@ -379,8 +377,8 @@ mapPctFile(const std::string &path, std::size_t &map_len,
 } // namespace
 
 PctMmapSource::PctMmapSource(const std::string &path_,
-                             PctReadOptions opts_)
-    : path(path_), opts(opts_)
+                             PctReadOptions opts)
+    : path(path_)
 {
     base = mapPctFile(path, mapLen, info);
     ::madvise(const_cast<unsigned char *>(base), mapLen,
@@ -405,19 +403,16 @@ PctMmapSource::next(TraceRecord &out)
                  lastTime, info.numDisks);
     lastTime = out.time;
     ++pos;
-    const uint64_t cadence =
-        opts.hintRecords ? opts.hintRecords : kReplayHintRecords;
-    if (pos - releaseMark >= cadence) {
+    if (pos - releaseMark >= kReplayHintRecords) {
         // Forward replay never revisits consumed records: drop the
         // pages behind the cursor and pre-fault the next batch.
-        if (opts.releaseBehind)
-            adviseRange(base, records + releaseMark * kPctRecordBytes,
-                        static_cast<std::size_t>((pos - releaseMark) *
-                                                 kPctRecordBytes),
-                        MADV_DONTNEED);
-        if (opts.prefetchAhead && pos < info.records) {
-            const uint64_t ahead =
-                std::min<uint64_t>(cadence, info.records - pos);
+        adviseRange(base, records + releaseMark * kPctRecordBytes,
+                    static_cast<std::size_t>((pos - releaseMark) *
+                                             kPctRecordBytes),
+                    MADV_DONTNEED);
+        if (pos < info.records) {
+            const uint64_t ahead = std::min<uint64_t>(
+                kReplayHintRecords, info.records - pos);
             adviseRange(base, records + pos * kPctRecordBytes,
                         static_cast<std::size_t>(ahead *
                                                  kPctRecordBytes),

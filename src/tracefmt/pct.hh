@@ -90,28 +90,16 @@ struct PctReadOptions
 {
     /** Verify the record checksum on open (one extra pass). */
     bool verifyChecksum = true;
-    /**
-     * During forward replay, periodically MADV_DONTNEED the pages
-     * behind the read position so a sequential pass over a
-     * file-larger-than-RAM keeps a bounded resident set. Dropped
-     * pages refault from the file (the mapping is read-only), so
-     * rewind() stays correct.
-     */
-    bool releaseBehind = true;
-    /** Pair the release with an MADV_WILLNEED for the next chunk. */
-    bool prefetchAhead = true;
-    /**
-     * Replay-hint cadence and look-ahead in records: every
-     * hintRecords consumed records, the mmap source drops the pages
-     * behind the cursor (releaseBehind) and pre-faults the next
-     * hintRecords ahead (prefetchAhead). 0 = the built-in default
-     * (64Ki records). Larger windows batch the madvise syscalls;
-     * smaller ones tighten the resident set.
-     */
-    std::uint64_t hintRecords = 0;
 };
 
-/** Zero-copy .pct reader over an mmap'd file. */
+/**
+ * Zero-copy .pct reader over an mmap'd file. Every 64Ki records, the
+ * forward replay drops the pages behind the cursor (MADV_DONTNEED)
+ * and pre-faults the next batch (MADV_WILLNEED), so a sequential pass
+ * over a file larger than RAM keeps a bounded resident set. Dropped
+ * pages refault from the file (the mapping is read-only), so
+ * rewind() stays correct.
+ */
 class PctMmapSource : public TraceSource
 {
   public:
@@ -138,7 +126,6 @@ class PctMmapSource : public TraceSource
     std::size_t mapLen = 0;
     const unsigned char *records = nullptr;
     PctInfo info;
-    PctReadOptions opts;
     uint64_t pos = 0;
     uint64_t releaseMark = 0; //!< first record not yet MADV_DONTNEEDed
     Time lastTime = 0;

@@ -22,12 +22,12 @@ stream(std::initializer_list<BlockNum> blocks)
     return out;
 }
 
+/** Replay @p accs through @p p, which arrives armed if off-line. */
 uint64_t
 missesWith(ReplacementPolicy &p, const std::vector<BlockAccess> &accs,
            std::size_t capacity)
 {
     Cache c(capacity, p);
-    p.prepare(accs);
     for (std::size_t i = 0; i < accs.size(); ++i)
         c.access(accs[i].block, accs[i].time, i);
     return c.stats().misses;
@@ -39,6 +39,7 @@ TEST(BeladyTest, TextbookExample)
     // 2,3,1,5,4 and the second-to-last 2 -> 6 misses.
     const auto accs = stream({2, 3, 2, 1, 5, 2, 4, 5, 3, 2, 5, 2});
     BeladyPolicy p;
+    p.prepareWindowed(WindowedFuture(accs));
     EXPECT_EQ(missesWith(p, accs, 3), 6u);
 }
 
@@ -47,7 +48,7 @@ TEST(BeladyTest, EvictsFurthestNextUse)
     const auto accs = stream({1, 2, 3, 4, 1, 2, 3});
     BeladyPolicy p;
     Cache c(3, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     c.access(accs[0].block, 0, 0);
     c.access(accs[1].block, 1, 1);
     c.access(accs[2].block, 2, 2);
@@ -76,6 +77,7 @@ TEST(BeladyTest, NeverWorseThanLruOnRandomTraces)
         const auto accs = expandTrace(t);
 
         BeladyPolicy belady;
+        belady.prepareWindowed(WindowedFuture(accs));
         LruPolicy lru;
         const uint64_t bm = missesWith(belady, accs, 64);
         const uint64_t lm = missesWith(lru, accs, 64);
@@ -89,7 +91,7 @@ TEST(BeladyTest, InfiniteReuseDistanceBlocksGoFirst)
     const auto accs = stream({1, 2, 9, 1, 2, 3, 1, 2, 3});
     BeladyPolicy p;
     Cache c(3, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     for (std::size_t i = 0; i < 5; ++i)
         c.access(accs[i].block, accs[i].time, i);
     const auto r = c.access(accs[5].block, accs[5].time, 5);
@@ -105,6 +107,7 @@ TEST(BeladyTest, PerfectOnCyclicWorkloadWithEnoughRoom)
                         BlockId{0, static_cast<BlockNum>(i % 4)}, false,
                         static_cast<std::size_t>(i)});
     BeladyPolicy p;
+    p.prepareWindowed(WindowedFuture(accs));
     EXPECT_EQ(missesWith(p, accs, 4), 4u);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/future.hh"
+#include "cache/future_window.hh"
 
 namespace pacache
 {
@@ -35,51 +36,73 @@ TEST(ExpandTrace, SplitsMultiBlockRequests)
     EXPECT_FALSE(accs[3].write);
 }
 
-TEST(FutureKnowledgeTest, NextUseChains)
+/** Consume @p fut's whole stream, in order, as the replay does. */
+std::vector<FutureAccess>
+drain(WindowedFuture &fut)
+{
+    std::vector<FutureAccess> out;
+    for (std::size_t i = 0; i < fut.size(); ++i)
+        out.push_back(fut.nextUse(i));
+    return out;
+}
+
+TEST(InMemoryFuture, NextUseChains)
 {
     // A B A C B A
-    const auto accs = stream({1, 2, 1, 3, 2, 1});
-    const auto fk = FutureKnowledge::build(accs);
-    EXPECT_EQ(fk.nextUse(0).idx, 2u);
-    EXPECT_EQ(fk.nextUse(1).idx, 4u);
-    EXPECT_EQ(fk.nextUse(2).idx, 5u);
-    EXPECT_EQ(fk.nextUse(3).idx, FutureKnowledge::kNever);
-    EXPECT_EQ(fk.nextUse(4).idx, FutureKnowledge::kNever);
-    EXPECT_EQ(fk.nextUse(5).idx, FutureKnowledge::kNever);
+    WindowedFuture fut(stream({1, 2, 1, 3, 2, 1}));
+    const auto next = drain(fut);
+    ASSERT_EQ(next.size(), 6u);
+    EXPECT_EQ(next[0].idx, 2u);
+    EXPECT_EQ(next[1].idx, 4u);
+    EXPECT_EQ(next[2].idx, 5u);
+    EXPECT_EQ(next[3].idx, WindowedFuture::kNever);
+    EXPECT_EQ(next[4].idx, WindowedFuture::kNever);
+    EXPECT_EQ(next[5].idx, WindowedFuture::kNever);
     // The next access's time rides along (access i arrives at i s).
-    EXPECT_EQ(fk.nextUse(0).time, 2.0);
-    EXPECT_EQ(fk.nextUse(1).time, 4.0);
-    EXPECT_EQ(fk.nextUse(2).time, 5.0);
+    EXPECT_EQ(next[0].time, 2.0);
+    EXPECT_EQ(next[1].time, 4.0);
+    EXPECT_EQ(next[2].time, 5.0);
 }
 
-TEST(FutureKnowledgeTest, FirstReferences)
+TEST(InMemoryFuture, FirstReferences)
 {
-    const auto accs = stream({1, 2, 1, 3, 2, 1});
-    const auto fk = FutureKnowledge::build(accs);
-    EXPECT_TRUE(fk.isFirstReference(0));
-    EXPECT_TRUE(fk.isFirstReference(1));
-    EXPECT_FALSE(fk.isFirstReference(2));
-    EXPECT_TRUE(fk.isFirstReference(3));
-    EXPECT_FALSE(fk.isFirstReference(4));
-    EXPECT_FALSE(fk.isFirstReference(5));
+    // The cold seeds are the first references, ascending by index,
+    // each with its disk and its own arrival time.
+    const WindowedFuture fut(stream({1, 2, 1, 3, 2, 1}));
+    const auto &seeds = fut.coldSeeds();
+    ASSERT_EQ(seeds.size(), 3u);
+    const std::size_t want[] = {0, 1, 3};
+    for (std::size_t k = 0; k < 3; ++k) {
+        EXPECT_EQ(seeds[k].idx, want[k]);
+        EXPECT_EQ(seeds[k].disk, 0u);
+        EXPECT_EQ(seeds[k].time, static_cast<Time>(want[k]));
+    }
 }
 
-TEST(FutureKnowledgeTest, DisksAreDistinct)
+TEST(InMemoryFuture, DisksAreDistinct)
 {
     std::vector<BlockAccess> accs;
     accs.push_back({0.0, BlockId{0, 5}, false, 0});
     accs.push_back({1.0, BlockId{1, 5}, false, 1}); // same block, other disk
     accs.push_back({2.0, BlockId{0, 5}, false, 2});
-    const auto fk = FutureKnowledge::build(accs);
-    EXPECT_EQ(fk.nextUse(0).idx, 2u);
-    EXPECT_EQ(fk.nextUse(1).idx, FutureKnowledge::kNever);
-    EXPECT_TRUE(fk.isFirstReference(1));
+    WindowedFuture fut(accs);
+    EXPECT_EQ(fut.numDisks(), 2u);
+    const auto next = drain(fut);
+    EXPECT_EQ(next[0].idx, 2u);
+    EXPECT_EQ(next[1].idx, WindowedFuture::kNever);
+    ASSERT_EQ(fut.coldSeeds().size(), 2u);
+    EXPECT_EQ(fut.coldSeeds()[1].idx, 1u);
+    EXPECT_EQ(fut.coldSeeds()[1].disk, 1u);
 }
 
-TEST(FutureKnowledgeTest, EmptyStream)
+TEST(InMemoryFuture, EmptyStream)
 {
-    const auto fk = FutureKnowledge::build({});
-    EXPECT_EQ(fk.size(), 0u);
+    WindowedFuture fut(std::vector<BlockAccess>{});
+    EXPECT_TRUE(fut.built());
+    EXPECT_EQ(fut.size(), 0u);
+    EXPECT_EQ(fut.numDisks(), 1u);
+    EXPECT_TRUE(fut.coldSeeds().empty());
+    EXPECT_ANY_THROW(fut.nextUse(0));
 }
 
 } // namespace

@@ -1,13 +1,19 @@
 /**
  * @file
- * WindowedFuture must reproduce FutureKnowledge exactly: the
- * backward chunked pass over the .pct file, stitched across chunk
- * boundaries by the carry map, yields the *global* next-use chain for
- * every window and chunk size — including window 1 and a chunk
- * smaller than one multi-block request.
+ * Both WindowedFuture builds must reproduce a reference written here
+ * from the definition (a std::map backward scan, as NaiveOracle
+ * does), so neither fast build is the other's only check: the
+ * in-memory pass, and the backward chunked pass over the .pct file,
+ * stitched across chunk boundaries by the carry map, yield the
+ * *global* next-use chain for every window and chunk size —
+ * including window 1 and a chunk smaller than one multi-block
+ * request.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
 
 #include "cache/future.hh"
 #include "cache/future_window.hh"
@@ -64,42 +70,98 @@ writeTracePct(const Trace &t, const std::string &name)
     return path;
 }
 
+/** What a future must report for a trace, from the definition. */
+struct Reference
+{
+    std::vector<FutureAccess> next; //!< per access: index and time
+    std::vector<WindowedFuture::ColdSeed> cold; //!< ascending index
+    std::size_t numDisks = 1;
+    Time endTime = 0;
+};
+
+Reference
+referenceOf(const Trace &t)
+{
+    const std::vector<BlockAccess> accesses = expandTrace(t);
+    Reference ref;
+    ref.next.assign(accesses.size(), {WindowedFuture::kNever, 0.0});
+    std::map<BlockId, std::size_t> later; // block -> its next access
+    for (std::size_t i = accesses.size(); i-- > 0;) {
+        const BlockAccess &a = accesses[i];
+        ref.numDisks =
+            std::max<std::size_t>(ref.numDisks, a.block.disk + 1);
+        ref.endTime = std::max(ref.endTime, a.time);
+        auto [it, first_seen] = later.try_emplace(a.block, i);
+        if (!first_seen) {
+            ref.next[i] = {it->second, accesses[it->second].time};
+            it->second = i;
+        }
+    }
+    // `later` now holds each block's first access: the cold seeds.
+    for (const auto &[block, first] : later)
+        ref.cold.push_back({block.disk, first, accesses[first].time});
+    std::sort(ref.cold.begin(), ref.cold.end(),
+              [](const auto &a, const auto &b) { return a.idx < b.idx; });
+    return ref;
+}
+
 /**
  * Drive @p fut through the whole access stream in consumption order
- * and compare every cold seed and every next use — index and time —
- * against the materialized reference.
+ * and compare its size, disk count, end time, every cold seed and
+ * every next use — index and time — against the reference.
  */
 void
 expectMatchesReference(const Trace &t, WindowedFuture &fut)
 {
-    const std::vector<BlockAccess> accesses = expandTrace(t);
-    const FutureKnowledge ref = FutureKnowledge::build(accesses);
+    const Reference ref = referenceOf(t);
     ASSERT_TRUE(fut.built());
-    ASSERT_EQ(fut.size(), ref.size());
-    EXPECT_EQ(fut.numDisks(), t.numDisks());
-    EXPECT_EQ(fut.endTime(), t.endTime());
+    ASSERT_EQ(fut.size(), ref.next.size());
+    EXPECT_EQ(fut.numDisks(), ref.numDisks);
+    EXPECT_EQ(fut.endTime(), ref.endTime);
 
-    // Cold seeds are exactly the first-reference accesses, ascending,
-    // each with its own arrival time.
-    std::size_t seed_at = 0;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        if (!ref.isFirstReference(i))
-            continue;
-        ASSERT_LT(seed_at, fut.coldSeeds().size());
-        const WindowedFuture::ColdSeed &seed = fut.coldSeeds()[seed_at];
-        EXPECT_EQ(seed.idx, i);
-        EXPECT_EQ(seed.disk, accesses[i].block.disk);
-        EXPECT_EQ(seed.time, accesses[i].time) << "cold " << i;
-        ++seed_at;
+    ASSERT_EQ(fut.coldSeeds().size(), ref.cold.size());
+    for (std::size_t k = 0; k < ref.cold.size(); ++k) {
+        const WindowedFuture::ColdSeed &seed = fut.coldSeeds()[k];
+        EXPECT_EQ(seed.idx, ref.cold[k].idx) << "cold " << k;
+        EXPECT_EQ(seed.disk, ref.cold[k].disk) << "cold " << k;
+        EXPECT_EQ(seed.time, ref.cold[k].time) << "cold " << k;
     }
-    EXPECT_EQ(seed_at, fut.coldSeeds().size());
 
-    for (std::size_t i = 0; i < ref.size(); ++i) {
+    for (std::size_t i = 0; i < ref.next.size(); ++i) {
         const FutureAccess next = fut.nextUse(i);
-        EXPECT_EQ(next.idx, ref.nextUse(i).idx) << "idx " << i;
-        if (next.idx != WindowedFuture::kNever) {
-            EXPECT_EQ(next.time, accesses[next.idx].time)
-                << "successor of " << i;
+        EXPECT_EQ(next.idx, ref.next[i].idx) << "idx " << i;
+        EXPECT_EQ(next.time, ref.next[i].time) << "successor of " << i;
+    }
+}
+
+TEST(WindowedFuture, BothBuildsMatchTheReference)
+{
+    const Trace traces[] = {workload(), multiBlockWorkload(), Trace{}};
+    const char *names[] = {"synthetic", "multi-block", "empty"};
+    for (std::size_t k = 0; k < 3; ++k) {
+        const Trace &t = traces[k];
+        SCOPED_TRACE(names[k]);
+        {
+            SCOPED_TRACE("in memory");
+            WindowedFuture fut(expandTrace(t));
+            expectMatchesReference(t, fut);
+        }
+        const std::string pct = writeTracePct(
+            t, std::string("winfut_both_") + std::to_string(k) + ".pct");
+        const std::size_t windows[] = {
+            1, 7, std::max<std::size_t>(t.numBlockAccesses(), 1)};
+        const std::size_t chunks[] = {
+            1, 3, WindowedFuture::Options{}.chunkAccesses};
+        for (const std::size_t window : windows) {
+            for (const std::size_t chunk : chunks) {
+                WindowedFuture::Options opts;
+                opts.windowEntries = window;
+                opts.chunkAccesses = chunk;
+                WindowedFuture fut(pct, opts);
+                SCOPED_TRACE(".pct window " + std::to_string(window) +
+                             " chunk " + std::to_string(chunk));
+                expectMatchesReference(t, fut);
+            }
         }
     }
 }
@@ -154,16 +216,15 @@ TEST(WindowedFuture, MoveTransfersTheStream)
     opts.windowEntries = 16;
     opts.chunkAccesses = 50;
     WindowedFuture a(pct, opts);
-    const std::vector<BlockAccess> accesses = expandTrace(t);
-    const FutureKnowledge ref = FutureKnowledge::build(accesses);
+    const Reference ref = referenceOf(t);
 
     // Consume a prefix, move, and continue on the target.
-    const std::size_t half = ref.size() / 2;
+    const std::size_t half = ref.next.size() / 2;
     for (std::size_t i = 0; i < half; ++i)
-        ASSERT_EQ(a.nextUse(i).idx, ref.nextUse(i).idx);
+        ASSERT_EQ(a.nextUse(i).idx, ref.next[i].idx);
     WindowedFuture b(std::move(a));
-    for (std::size_t i = half; i < ref.size(); ++i)
-        ASSERT_EQ(b.nextUse(i).idx, ref.nextUse(i).idx);
+    for (std::size_t i = half; i < ref.next.size(); ++i)
+        ASSERT_EQ(b.nextUse(i).idx, ref.next[i].idx);
 }
 
 } // namespace

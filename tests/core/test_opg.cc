@@ -23,7 +23,7 @@ TEST(Opg, ColdMissesSeedDeterministicSet)
     const auto accs = stream({{0, 1}, {1, 2}, {2, 1}, {3, 3}});
     const PowerModel pm;
     OpgPolicy p(pm, DpmKind::Oracle);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     // Cold misses: first refs of 1, 2, 3.
     EXPECT_EQ(p.deterministicMissCount(0), 3u);
 }
@@ -34,7 +34,7 @@ TEST(Opg, MissRemovesItselfFromSet)
     const PowerModel pm;
     OpgPolicy p(pm, DpmKind::Oracle);
     Cache c(4, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     c.access(accs[0].block, 0, 0);
     EXPECT_EQ(p.deterministicMissCount(0), 1u);
     c.access(accs[1].block, 1, 1);
@@ -48,7 +48,7 @@ TEST(Opg, EvictionAddsNextReferenceToSet)
     const PowerModel pm;
     OpgPolicy p(pm, DpmKind::Oracle);
     Cache c(2, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     c.access(accs[0].block, 0, 0);
     c.access(accs[1].block, 1, 1);
     const std::size_t before = p.deterministicMissCount(0);
@@ -64,7 +64,7 @@ TEST(Opg, PenaltyOfNeverReusedBlockIsZeroFloored)
     const PowerModel pm;
     OpgPolicy p(pm, DpmKind::Oracle, /*theta=*/0);
     Cache c(4, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     c.access(accs[0].block, 0, 0);
     EXPECT_DOUBLE_EQ(p.penaltyOf(accs[0].block), 0.0);
 }
@@ -78,7 +78,7 @@ TEST(Opg, PrefersEvictingNeverReusedBlock)
     const PowerModel pm;
     OpgPolicy p(pm, DpmKind::Oracle, 0);
     Cache c(2, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     c.access(accs[0].block, 0, 0);
     c.access(accs[1].block, 1, 1);
     const auto r = c.access(accs[2].block, 2, 2);
@@ -96,7 +96,7 @@ TEST(Opg, PenaltyIsSubadditivityGap)
     const PowerModel pm;
     OpgPolicy p(pm, DpmKind::Oracle, 0);
     Cache c(4, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     c.access(accs[0].block, 0, 0); // resident 1, next at idx 2 (t=100)
     // Leader: cold miss of 2 at t=50; follower: cold miss of 3 at 150.
     const Energy expect =
@@ -111,8 +111,8 @@ TEST(Opg, PracticalPricingDiffersFromOracle)
     OpgPolicy oracle(pm, DpmKind::Oracle, 0);
     OpgPolicy practical(pm, DpmKind::Practical, 0);
     Cache c1(4, oracle), c2(4, practical);
-    oracle.prepare(accs);
-    practical.prepare(accs);
+    oracle.prepareWindowed(WindowedFuture(accs));
+    practical.prepareWindowed(WindowedFuture(accs));
     c1.access(accs[0].block, 0, 0);
     c2.access(accs[0].block, 0, 0);
     const Energy expect = pm.practicalEnergy(50.0) +
@@ -129,7 +129,7 @@ TEST(Opg, ThetaRoundsSmallPenaltiesUp)
     const PowerModel pm;
     OpgPolicy p(pm, DpmKind::Oracle, /*theta=*/1e6);
     Cache c(4, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     c.access(accs[0].block, 0, 0);
     EXPECT_DOUBLE_EQ(p.penaltyOf(accs[0].block), 1e6);
 }
@@ -143,7 +143,7 @@ TEST(Opg, HugeThetaDegradesToBelady)
     const PowerModel pm;
     OpgPolicy p(pm, DpmKind::Oracle, 1e9);
     Cache c(3, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     c.access(accs[0].block, 0, 0);
     c.access(accs[1].block, 1, 1);
     c.access(accs[2].block, 2, 2);
@@ -165,7 +165,7 @@ TEST(Opg, PenaltiesArePerDisk)
     const PowerModel pm;
     OpgPolicy p(pm, DpmKind::Oracle, 0);
     Cache c(4, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     EXPECT_EQ(p.deterministicMissCount(0), 1u);
     EXPECT_EQ(p.deterministicMissCount(1), 2u);
     c.access(accs[0].block, 0.0, 0);
@@ -182,7 +182,7 @@ TEST(Opg, HitUpdatesNextUse)
     const PowerModel pm;
     OpgPolicy p(pm, DpmKind::Oracle, 0);
     Cache c(4, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     c.access(accs[0].block, 0, 0);
     const Energy before = p.penaltyOf(accs[0].block);
     c.access(accs[1].block, 10, 1); // hit; next use now at t=500
@@ -220,7 +220,7 @@ TEST(Opg, GapRescanStaysConsistentAtNonAssociativeTimes)
         const PowerModel pm;
         OpgPolicy p(pm, kind, 0);
         Cache c(2, p);
-        p.prepare(accs);
+        p.prepareWindowed(WindowedFuture(accs));
         c.access(accs[0].block, accs[0].time, 0);
         c.access(accs[1].block, accs[1].time, 1);
         const CacheResult r = c.access(accs[2].block, accs[2].time, 2);
@@ -240,7 +240,7 @@ TEST(Opg, RemoveBehavesLikeEviction)
     const PowerModel pm;
     OpgPolicy p(pm, DpmKind::Oracle, 0);
     Cache c(4, p);
-    p.prepare(accs);
+    p.prepareWindowed(WindowedFuture(accs));
     c.access(accs[0].block, 0, 0);
     const std::size_t before = p.deterministicMissCount(0);
     p.onRemove(accs[0].block, 0); // the first miss took slot 0

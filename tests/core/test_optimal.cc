@@ -82,6 +82,7 @@ TEST(Optimal, LowerBoundsBeladyOnFigure3Pattern)
     const auto opt = optimalEnergy(accs, 4, cfg);
 
     BeladyPolicy belady;
+    belady.prepareWindowed(WindowedFuture(accs));
     const Energy belady_e = policyScheduleEnergy(accs, 4, belady, cfg);
     EXPECT_LE(opt.energy, belady_e + 1e-9);
 }
@@ -100,6 +101,7 @@ TEST(Optimal, StrictlyBeatsBeladyWhenClusteringPays)
 
     const auto opt = optimalEnergy(accs, 1, cfg);
     BeladyPolicy belady;
+    belady.prepareWindowed(WindowedFuture(accs));
     const Energy belady_e = policyScheduleEnergy(accs, 1, belady, cfg);
     EXPECT_LE(opt.energy, belady_e + 1e-9);
     EXPECT_GT(opt.statesVisited, 0u);
@@ -131,8 +133,10 @@ TEST_P(OptimalSweep, LowerBoundsEveryPolicyOnRandomTinyTraces)
         const auto opt = optimalEnergy(accs, 3, cfg);
 
         BeladyPolicy belady;
+        belady.prepareWindowed(WindowedFuture(accs));
         LruPolicy lru;
         OpgPolicy opg(pm, DpmKind::Oracle, 0);
+        opg.prepareWindowed(WindowedFuture(accs));
         const Energy be = policyScheduleEnergy(accs, 3, belady, cfg);
         const Energy le = policyScheduleEnergy(accs, 3, lru, cfg);
         const Energy oe = policyScheduleEnergy(accs, 3, opg, cfg);
@@ -164,6 +168,7 @@ TEST(Optimal, OpgTracksOptimalBetterThanLruOnAverage)
         const SchedulePricing cfg = pricing(pm, t + 50.0);
         const auto opt = optimalEnergy(accs, 3, cfg);
         OpgPolicy opg(pm, DpmKind::Oracle, 0);
+        opg.prepareWindowed(WindowedFuture(accs));
         LruPolicy lru;
         opg_gap += policyScheduleEnergy(accs, 3, opg, cfg) - opt.energy;
         lru_gap += policyScheduleEnergy(accs, 3, lru, cfg) - opt.energy;

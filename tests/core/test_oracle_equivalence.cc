@@ -40,12 +40,6 @@ class RecordingPolicy : public ReplacementPolicy
     const char *name() const override { return inner->name(); }
 
     void
-    prepare(const std::vector<BlockAccess> &accesses) override
-    {
-        inner->prepare(accesses);
-    }
-
-    void
     onAccess(const BlockId &block, CacheSlot slot, Time now,
              std::size_t idx, bool hit) override
     {
@@ -75,7 +69,6 @@ class RecordingPolicy : public ReplacementPolicy
     {
         return inner->supportsPrefetch();
     }
-    bool isOffline() const override { return inner->isOffline(); }
 
     std::vector<BlockId> victims;
 
@@ -91,14 +84,19 @@ struct ReplayResult
     std::vector<std::size_t> detMiss0;
 };
 
+/** Arm @p policy over @p accesses, unless the bare interface hides
+ *  its arming (the caller arms it then), and replay them. */
 template <typename Policy>
 ReplayResult
 replay(Policy &policy, const std::vector<BlockAccess> &accesses,
        std::size_t capacity)
 {
+    if constexpr (requires { policy.prepareWindowed(WindowedFuture{}); })
+        policy.prepareWindowed(WindowedFuture(accesses));
+    else if constexpr (requires { policy.prepare(accesses); })
+        policy.prepare(accesses);
     RecordingPolicy rec(policy);
     Cache cache(capacity, rec);
-    rec.prepare(accesses);
     ReplayResult out;
     out.detMiss0.reserve(accesses.size());
     for (std::size_t i = 0; i < accesses.size(); ++i) {
@@ -170,7 +168,9 @@ TEST_P(OpgEquivalence, OltpReplayIsByteIdentical)
     // Priced schedule energy must be exactly equal, not approximately.
     SchedulePricing pricing{&pm, 0.05, accesses.back().time + 1};
     OpgPolicy fast2(pm, kind, theta);
+    fast2.prepareWindowed(WindowedFuture(accesses));
     NaiveOracle ref2(pm, kind, theta);
+    ref2.prepare(accesses);
     const Energy fastE =
         policyScheduleEnergy(accesses, capacity, fast2, pricing);
     const Energy refE =
@@ -203,7 +203,7 @@ TEST_P(OpgEquivalence, PenaltiesMatchReferenceMidReplay)
     NaiveOracle ref(pm, kind, theta);
     Cache fastCache(64, fast);
     Cache refCache(64, ref);
-    fast.prepare(accesses);
+    fast.prepareWindowed(WindowedFuture(accesses));
     ref.prepare(accesses);
     for (std::size_t i = 0; i < accesses.size(); ++i) {
         fastCache.access(accesses[i].block, accesses[i].time, i);
@@ -264,8 +264,8 @@ TEST(SpilledOpgEquivalence, PenaltiesMatchUnderTightBudget)
                       /*mem_budget=*/4096);
     Cache plainCache(64, plain);
     Cache spilledCache(64, spilled);
-    plain.prepare(accesses);
-    spilled.prepare(accesses);
+    plain.prepareWindowed(WindowedFuture(accesses));
+    spilled.prepareWindowed(WindowedFuture(accesses));
     for (std::size_t i = 0; i < accesses.size(); ++i) {
         plainCache.access(accesses[i].block, accesses[i].time, i);
         spilledCache.access(accesses[i].block, accesses[i].time, i);
@@ -285,9 +285,10 @@ TEST(BeladyEquivalence, OltpReplayIsByteIdentical)
     BeladyPolicy fast;
     NaiveOracle ref;
     const auto fastRun = replay(fast, accesses, 256);
-    // MIN has no deterministic-miss trajectory to compare: replay the
-    // reference through the bare policy interface, so neither side
-    // samples one.
+    // MIN has no deterministic-miss trajectory to compare: arm the
+    // reference here and replay it through the bare policy interface,
+    // so neither side samples one.
+    ref.prepare(accesses);
     const auto refRun = replay<ReplacementPolicy>(ref, accesses, 256);
     expectIdentical(fastRun, refRun);
 }
@@ -299,6 +300,7 @@ TEST(BeladyEquivalence, SyntheticReplayIsByteIdentical)
         BeladyPolicy fast;
         NaiveOracle ref;
         const auto fastRun = replay(fast, accesses, 96);
+        ref.prepare(accesses);
         const auto refRun = replay<ReplacementPolicy>(ref, accesses, 96);
         expectIdentical(fastRun, refRun);
     }

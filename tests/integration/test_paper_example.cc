@@ -45,9 +45,9 @@ runAccessPattern(const std::vector<Time> &times, Time end)
     return disk.energy();
 }
 
-/** Misses produced by a policy on the Figure-3 request sequence. */
+/** Misses produced by MIN on the Figure-3 request sequence. */
 std::vector<Time>
-missTimes(ReplacementPolicy &policy)
+missTimes(BeladyPolicy &policy)
 {
     // Requests: A B C D E B E C D at t=0..8, then A at t=16.
     const BlockNum A = 1, B = 2, C = 3, D = 4, E = 5;
@@ -60,7 +60,7 @@ missTimes(ReplacementPolicy &policy)
         accs.push_back({t, BlockId{0, n}, false, accs.size()});
 
     Cache cache(4, policy);
-    policy.prepare(accs);
+    policy.prepareWindowed(WindowedFuture(accs));
     std::vector<Time> misses;
     for (std::size_t i = 0; i < accs.size(); ++i) {
         if (!cache.access(accs[i].block, accs[i].time, i).hit)

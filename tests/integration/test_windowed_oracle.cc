@@ -4,9 +4,9 @@
  * disk-sharded replay (PR: windowed offline oracles + disk-sharded
  * streaming).
  *
- * The windowed replay (runExperiment over a streaming source with
- * config.windowAccesses > 0) must be BIT-identical to the
- * materialized oracle on the same workload — evictions, counters,
+ * The windowed replay (runExperiment over a streaming source, which
+ * builds the oracle's future out of core) must be BIT-identical to
+ * the in-memory oracle on the same workload — evictions, counters,
  * every energy cell of the per-disk ledger breakdown — for every
  * window size, including window 1 and windows straddling the
  * backward-pass chunk size. The sharded replay must be invariant in
@@ -134,9 +134,10 @@ TEST_P(WindowedOracleEquivalence, MatchesMaterializedForEveryWindow)
 
     const std::size_t chunk = 256;
     cfg.oracleChunkAccesses = chunk;
-    // The satellite matrix: 1, chunk-1, chunk, chunk+1, "infinite".
+    // The satellite matrix: 1, chunk-1, chunk, chunk+1, "infinite",
+    // and 0, the default window.
     const std::size_t windows[] = {1, chunk - 1, chunk, chunk + 1,
-                                   std::size_t(1) << 20};
+                                   std::size_t(1) << 20, 0};
     for (const std::size_t w : windows) {
         SCOPED_TRACE("window " + std::to_string(w));
         cfg.windowAccesses = w;

@@ -92,8 +92,11 @@ divergingCase()
 TEST(PolicyDifferential, EquivalentPoliciesPass)
 {
     const FuzzCase c = divergingCase();
+    const std::vector<BlockAccess> accesses = expandTrace(c.trace);
     BeladyPolicy fast;
+    fast.prepareWindowed(WindowedFuture(accesses));
     NaiveOracle ref;
+    ref.prepare(accesses);
     const PropertyResult result = checkPolicyDifferential(c, fast, ref);
     EXPECT_TRUE(result.passed) << result.message;
 }
@@ -101,8 +104,11 @@ TEST(PolicyDifferential, EquivalentPoliciesPass)
 TEST(PolicyDifferential, CatchesInjectedNearestNextFault)
 {
     const FuzzCase c = divergingCase();
+    const std::vector<BlockAccess> accesses = expandTrace(c.trace);
     test::NearestNextPolicy buggy;
+    buggy.prepareWindowed(WindowedFuture(accesses));
     NaiveOracle ref;
+    ref.prepare(accesses);
     const PropertyResult result = checkPolicyDifferential(c, buggy, ref);
     ASSERT_FALSE(result.passed)
         << "harness must flag the inverted eviction order";
@@ -123,8 +129,11 @@ TEST(PolicyDifferential, CatchesFaultAcrossGeneratedCases)
     int caught = 0;
     for (uint64_t i = 0; i < 6; ++i) {
         const FuzzCase c = makeCase(777, i, profile);
+        const std::vector<BlockAccess> accesses = expandTrace(c.trace);
         test::NearestNextPolicy buggy;
+        buggy.prepareWindowed(WindowedFuture(accesses));
         NaiveOracle ref;
+        ref.prepare(accesses);
         if (!checkPolicyDifferential(c, buggy, ref).passed)
             ++caught;
     }
@@ -147,12 +156,17 @@ TEST(PolicyDifferential, CatchesMispricedOpgAcrossGeneratedCases)
         const DpmKind other = c.cfg.dpmKind == DpmKind::Oracle
             ? DpmKind::Practical
             : DpmKind::Oracle;
+        const std::vector<BlockAccess> accesses = expandTrace(c.trace);
         OpgPolicy mispriced(pm, other, c.cfg.theta);
+        mispriced.prepareWindowed(WindowedFuture(accesses));
         NaiveOracle ref(pm, c.cfg.dpmKind, c.cfg.theta);
+        ref.prepare(accesses);
         if (!checkPolicyDifferential(c, mispriced, ref).passed)
             ++otherCurve;
         OpgPolicy pure(pm, c.cfg.dpmKind, 0.0);
+        pure.prepareWindowed(WindowedFuture(accesses));
         NaiveOracle floored(pm, c.cfg.dpmKind, 29.6);
+        floored.prepare(accesses);
         if (!checkPolicyDifferential(c, pure, floored).passed)
             ++wrongTheta;
     }

@@ -105,8 +105,11 @@ TEST(Shrink, PreservesTimeMonotonicityThroughout)
 TEST(Shrink, InjectedBeladyFaultShrinksToAtMostTwentyRecords)
 {
     const FailFn showsFault = [](const FuzzCase &c) {
+        const std::vector<BlockAccess> accesses = expandTrace(c.trace);
         test::NearestNextPolicy buggy;
+        buggy.prepareWindowed(WindowedFuture(accesses));
         NaiveOracle ref;
+        ref.prepare(accesses);
         return !checkPolicyDifferential(c, buggy, ref).passed;
     };
 

@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "cache/future_window.hh"
 #include "cache/policy.hh"
 #include "util/logging.hh"
 
@@ -27,10 +28,9 @@ class NearestNextPolicy : public ReplacementPolicy
     const char *name() const override { return "Belady-nearest"; }
 
     void
-    prepare(const std::vector<BlockAccess> &accesses) override
+    prepareWindowed(WindowedFuture &&fut)
     {
-        future = FutureKnowledge::build(accesses);
-        prepared = true;
+        future = std::move(fut);
         byNextUse.clear();
         nextOf.clear();
     }
@@ -39,7 +39,7 @@ class NearestNextPolicy : public ReplacementPolicy
     onAccess(const BlockId &block, CacheSlot, Time, std::size_t idx,
              bool hit) override
     {
-        PACACHE_ASSERT(prepared, "prepare() required");
+        PACACHE_ASSERT(future.built(), "prepareWindowed() required");
         const std::size_t next = future.nextUse(idx).idx;
         if (hit) {
             auto it = nextOf.find(block);
@@ -74,11 +74,9 @@ class NearestNextPolicy : public ReplacementPolicy
     }
 
     bool supportsPrefetch() const override { return false; }
-    bool isOffline() const override { return true; }
 
   private:
-    FutureKnowledge future;
-    bool prepared = false;
+    WindowedFuture future;
     std::set<std::pair<std::size_t, BlockId>> byNextUse;
     std::unordered_map<BlockId, std::size_t> nextOf;
 };

@@ -15,6 +15,8 @@
 #include "temp_file.hh"
 #include "tracefmt/formats.hh"
 #include "tracefmt/pct.hh"
+#include "tracefmt/text_source.hh"
+#include "tracefmt/trace_source.hh"
 
 namespace pacache
 {
@@ -167,6 +169,46 @@ TEST(SpcErrors, SectorBeyondPackedKeyLimitIsFatal)
     TraceRecord rec;
     const std::string msg = messageOf([&] { src.next(rec); });
     EXPECT_NE(msg.find("2^48"), std::string::npos) << msg;
+}
+
+TEST(LineErrors, UnpackableRecordsFailWithTheirLine)
+{
+    // A record whose extent does not fit BlockId's packed key (16
+    // disk bits, 48 block bits) must fail as a located input error at
+    // its own line in every line-based reader, not panic inside the
+    // cache: a text record at block 2^50, a text extent crossing
+    // 2^48, a text disk of 2^16, and an SPC ASU of 2^16.
+    const struct
+    {
+        const char *name;
+        const char *bad;
+        bool spc;
+    } cases[] = {
+        {"block_2_50.txt", "1.0 0 1125899906842624 1 R", false},
+        {"extent_across_2_48.txt", "1.0 0 281474976710655 2 W", false},
+        {"disk_2_16.txt", "1.0 65536 7 1 R", false},
+        {"asu_2_16.csv", "65536,100,4096,R,1.0", true},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string path = writeTempFile(
+            c.name, c.spc ? std::string("0,16,4096,r,0.0\n") + c.bad +
+                                "\n0,32,4096,r,2.0\n"
+                          : std::string("0.0 0 1 1 R\n") + c.bad +
+                                "\n2.0 0 3 1 R\n");
+        const std::string msg = inputErrorOf([&] {
+            if (c.spc) {
+                tracefmt::SpcSource src(path);
+                tracefmt::readAll(src);
+            } else {
+                tracefmt::TextSource src(path);
+                tracefmt::readAll(src);
+            }
+        });
+        EXPECT_NE(msg.find(path + ":2"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("packed key space"), std::string::npos)
+            << msg;
+    }
 }
 
 TEST(SpcErrors, NonNumericFieldNamesLineAndColumn)

@@ -186,37 +186,28 @@ TEST(Pct, ChecksumCatchesFlippedRecordBytes)
 
 TEST(Pct, MadviseOptionsDoNotChangeDecoding)
 {
-    // Enough records that a tiny hint cadence fires many batches:
-    // the madvise knobs (look-ahead window, release-behind, both
-    // off) tune paging behavior only and must never alter what the
-    // reader decodes, including across a rewind.
+    // More than two replay-hint batches (64Ki records each): the
+    // release-behind and prefetch madvise calls tune paging only and
+    // must never alter what the reader decodes, including across a
+    // rewind that re-reads pages an earlier batch already dropped.
     Trace t;
-    for (int i = 0; i < 100; ++i)
+    constexpr int kRecords = 2 * 65536 + 1000;
+    for (int i = 0; i < kRecords; ++i)
         t.append({i * 0.25, static_cast<DiskId>(i % 4),
                   static_cast<BlockNum>(i) * 131, 1, i % 3 == 0});
     const std::string path = writePctOf(t, "madvise.pct");
 
-    tracefmt::PctReadOptions variants[3];
-    variants[0].hintRecords = 8; // 12 full batches over 100 records
-    variants[1].hintRecords = 8;
-    variants[1].releaseBehind = false; // sharded-replay configuration
-    variants[2].prefetchAhead = false;
-    variants[2].releaseBehind = false; // no hints at all
-    for (const auto &opts : variants) {
-        tracefmt::PctMmapSource src(path, opts);
-        TraceRecord rec;
-        for (std::size_t i = 0; i < t.size(); ++i) {
-            ASSERT_TRUE(src.next(rec)) << "record " << i;
-            ASSERT_EQ(rec, t[i]) << "record " << i;
-        }
-        EXPECT_FALSE(src.next(rec));
-        // Rewind replays the full sequence identically even after
-        // release-behind batches already dropped those pages.
-        src.rewind();
-        for (std::size_t i = 0; i < t.size(); ++i) {
-            ASSERT_TRUE(src.next(rec)) << "rewound record " << i;
-            ASSERT_EQ(rec, t[i]) << "rewound record " << i;
-        }
+    tracefmt::PctMmapSource src(path);
+    TraceRecord rec;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        ASSERT_TRUE(src.next(rec)) << "record " << i;
+        ASSERT_EQ(rec, t[i]) << "record " << i;
+    }
+    EXPECT_FALSE(src.next(rec));
+    src.rewind();
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        ASSERT_TRUE(src.next(rec)) << "rewound record " << i;
+        ASSERT_EQ(rec, t[i]) << "rewound record " << i;
     }
 }
 

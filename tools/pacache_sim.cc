@@ -56,16 +56,16 @@ workload selection (one of):
   --stream               drive the simulation straight from the trace
                          file instead of loading it into memory, so
                          traces larger than RAM work (requires --trace;
-                         off-line policies materialize unless --window
-                         gives them out-of-core future knowledge)
-  --window N             with --stream and belady/opg: build windowed
-                         future knowledge over the .pct file (exact;
-                         bit-identical to the materialized oracle) and
-                         keep peak memory bounded by N look-ahead
-                         accesses instead of the trace length
-  --window-chunk N       with --window: backward-pass chunk size in
-                         accesses (default: 4Mi; smaller = less build
-                         memory)
+                         off-line policies build their future knowledge
+                         out of core over the .pct file, spilling other
+                         formats to a temporary one)
+  --window N             with --stream and belady/opg: keep N
+                         look-ahead accesses of the out-of-core future
+                         in memory (default: 1Mi); results are
+                         bit-identical to the in-memory oracle for any N
+  --window-chunk N       with --stream and belady/opg: backward-pass
+                         chunk size in accesses (default: 4Mi; smaller
+                         = less build memory)
   --oracle-mem-budget M  with opg: cap the oracle's in-RAM replay
                          state (deterministic-miss sets and next-use
                          indexes) at M MiB, spilling overflow pages
@@ -399,17 +399,16 @@ try {
     if (cfg.oracleMemBudget > 0 && cfg.policy != PolicyKind::OPG)
         PACACHE_FATAL("--oracle-mem-budget applies to --policy opg "
                       "only (Belady keeps O(capacity) state)");
-    for (const char *flag : {"window", "window-chunk"})
-        if (args.has(flag) && cfg.policy != PolicyKind::Belady &&
-            cfg.policy != PolicyKind::OPG)
+    for (const char *flag : {"window", "window-chunk"}) {
+        if (!args.has(flag))
+            continue;
+        if (!policyNeedsNextUse(cfg.policy))
             PACACHE_FATAL("--", flag, " applies to --policy belady or "
                           "opg only");
-    if (args.has("window-chunk") && cfg.windowAccesses == 0)
-        PACACHE_FATAL("--window-chunk needs --window (without it the "
-                      "oracle materializes and builds no chunks)");
-    if (cfg.windowAccesses > 0 && !streaming)
-        PACACHE_FATAL("--window needs --stream (the in-memory path "
-                      "already holds the whole future)");
+        if (!streaming)
+            PACACHE_FATAL("--", flag, " needs --stream (the in-memory "
+                          "path builds the whole future in memory)");
+    }
 
     // Observability sinks, attached only when requested; the null
     // observer default keeps the un-instrumented hot path unchanged.
