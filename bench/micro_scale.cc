@@ -195,9 +195,6 @@ main()
     // Trace = 10x window: the oracle must page future knowledge.
     cfg.windowAccesses =
         static_cast<std::size_t>(std::max<uint64_t>(requests / 10, 1));
-    // Several backward-pass chunks, so stitching is on the timed path.
-    cfg.oracleChunkAccesses =
-        static_cast<std::size_t>(std::max<uint64_t>(requests / 8, 1024));
 
     std::cout << requests << " requests, " << disks
               << " disks (scaled oltp), window " << cfg.windowAccesses

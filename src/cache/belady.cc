@@ -10,6 +10,7 @@ BeladyPolicy::prepareWindowed(WindowedFuture &&fut)
 {
     PACACHE_ASSERT(fut.built(), "prepareWindowed requires a built future");
     future = std::move(fut);
+    future.takeColdSeeds(); // MIN reads next uses only
     byNextUse.clear();
     handleOf.clear();
 }

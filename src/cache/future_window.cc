@@ -19,8 +19,8 @@ namespace pacache
 namespace
 {
 
-/** Records decoded between page-release batches in the scans. */
-constexpr uint64_t kScanDropRecords = 1 << 20;
+/** Records walked between page releases (1.5 MiB of mapping). */
+constexpr uint64_t kDropRecords = 1 << 16;
 
 void
 pwriteFully(int fd, const void *data, std::size_t n, uint64_t offset)
@@ -119,10 +119,11 @@ WindowedFuture::WindowedFuture(const std::string &pct_path)
 
 WindowedFuture::WindowedFuture(const std::string &pct_path,
                                Options opts_)
-    : opts(opts_)
+    : WindowedFuture() // from here a throw runs the destructor, which
+                       // closes the sidecar of a failed build
 {
+    opts = opts_;
     opts.windowEntries = std::max<std::size_t>(opts.windowEntries, 1);
-    opts.chunkAccesses = std::max<std::size_t>(opts.chunkAccesses, 1);
     build(pct_path);
 }
 
@@ -169,107 +170,77 @@ void
 WindowedFuture::build(const std::string &pct_path)
 {
     // No checksum pass: the replay source verifies the same file on
-    // open, and the backward pass decodes (and validates) every
-    // record anyway.
+    // open, and the walk decodes (and validates) every record anyway.
     tracefmt::PctReadOptions ropts;
     ropts.verifyChecksum = false;
     tracefmt::PctMapping map(pct_path, ropts);
     const tracefmt::PctInfo &info = map.header();
     lastTime = info.endTime;
 
-    // Forward boundary scan: expanded access count, disk count and
-    // the record/access index of every chunk boundary (record()
-    // rejects an extent outside the packed key space, located).
-    // Pages are released behind the scan.
-    struct Bound
-    {
-        uint64_t firstRecord;
-        uint64_t firstAccess;
-    };
-    std::vector<Bound> bounds;
-    uint64_t access = 0;
-    uint64_t last_drop = 0;
-    TraceRecord rec;
-    for (uint64_t r = 0; r < info.records; ++r) {
-        map.record(r, rec);
-        diskCount = std::max<std::size_t>(diskCount, rec.disk + 1);
-        if (bounds.empty() ||
-            access - bounds.back().firstAccess >= opts.chunkAccesses)
-            bounds.push_back(Bound{r, access});
-        access += rec.numBlocks;
-        if (r - last_drop >= kScanDropRecords) {
-            map.dropRange(last_drop, r - last_drop);
-            last_drop = r;
-        }
-    }
-    map.dropRange(last_drop, info.records - last_drop);
-    total = static_cast<std::size_t>(access);
-
     sidecarFd = makeUnlinkedTempFile("pacache-sidecar-");
-    if (total > 0 &&
-        ::ftruncate(sidecarFd,
-                    static_cast<off_t>(access * sizeof(SideEntry))) !=
-            0)
-        PACACHE_FATAL("cannot size sidecar file: ",
-                      std::strerror(errno));
 
-    // Backward pass in reverse chunk order. The carry map holds, for
-    // every block seen in the processed suffix, its earliest access
-    // there — crossing chunk boundaries is what makes the stitching
-    // exact for any window. Entries that survive to the front are
-    // the first-ever (cold) references.
+    // One backward walk numbers the accesses from the end of the
+    // stream (the last access is ordinal 0), since the total is not
+    // known until the walk ends. The carry map holds, for every block
+    // seen so far, its earliest access in the walked suffix, so each
+    // entry is the global next use. Entries leave through the window,
+    // the write buffer here, into the sidecar in walk order; refill()
+    // reads them back and turns ordinals into indices. What is left
+    // in the carry map is each block's first (cold) reference.
     struct Prev
     {
-        uint64_t idx;
+        uint64_t rev;
         double time;
     };
     FlatMap<std::uint64_t, Prev> carry;
     carry.reserve(std::size_t(1) << 16);
-    std::vector<std::pair<std::uint64_t, double>> chunk_acc;
-    std::vector<SideEntry> sidecar;
-    for (std::size_t c = bounds.size(); c-- > 0;) {
-        const uint64_t rec_begin = bounds[c].firstRecord;
-        const uint64_t rec_end = c + 1 < bounds.size()
-                                     ? bounds[c + 1].firstRecord
-                                     : info.records;
-        const uint64_t acc_begin = bounds[c].firstAccess;
-        const uint64_t acc_end = c + 1 < bounds.size()
-                                     ? bounds[c + 1].firstAccess
-                                     : access;
-        const std::size_t count =
-            static_cast<std::size_t>(acc_end - acc_begin);
-        chunk_acc.clear();
-        chunk_acc.reserve(count);
-        for (uint64_t r = rec_begin; r < rec_end; ++r) {
-            map.record(r, rec);
-            for (uint32_t b = 0; b < rec.numBlocks; ++b)
-                chunk_acc.emplace_back(
-                    BlockId{rec.disk, rec.block + b}.packed(),
-                    rec.time);
-        }
-        sidecar.resize(count);
-        for (std::size_t i = count; i-- > 0;) {
-            const uint64_t idx = acc_begin + i;
-            auto [slot, inserted] = carry.emplace(
-                chunk_acc[i].first, Prev{idx, chunk_acc[i].second});
-            if (!inserted) {
-                sidecar[i] = SideEntry{slot->idx, slot->time};
-                *slot = Prev{idx, chunk_acc[i].second};
+    // Until the walk knows the access count, the record count keeps
+    // a short trace from allocating a whole default window.
+    window.resize(std::min<uint64_t>(opts.windowEntries,
+                                     std::max<uint64_t>(info.records,
+                                                        1)));
+    std::size_t held = 0;
+    uint64_t written = 0;
+    const auto flush = [&] {
+        pwriteFully(sidecarFd, window.data(), held * sizeof(SideEntry),
+                    written * sizeof(SideEntry));
+        written += held;
+        held = 0;
+    };
+    uint64_t walked = 0;
+    uint64_t kept = info.records; // records [kept, N) are released
+    TraceRecord rec;
+    for (uint64_t r = info.records; r-- > 0;) {
+        map.record(r, rec);
+        diskCount = std::max<std::size_t>(diskCount, rec.disk + 1);
+        for (uint32_t b = rec.numBlocks; b-- > 0;) {
+            auto [slot, inserted] =
+                carry.emplace(BlockId{rec.disk, rec.block + b}.packed(),
+                              Prev{walked, rec.time});
+            if (inserted) {
+                window[held] = SideEntry{kNever64, 0.0};
             } else {
-                sidecar[i] = SideEntry{kNever64, 0.0};
+                window[held] = SideEntry{slot->rev, slot->time};
+                *slot = Prev{walked, rec.time};
             }
+            ++walked;
+            if (++held == window.size())
+                flush();
         }
-        pwriteFully(sidecarFd, sidecar.data(),
-                    count * sizeof(SideEntry),
-                    acc_begin * sizeof(SideEntry));
-        map.dropRange(rec_begin, rec_end - rec_begin);
+        if (kept - r >= kDropRecords) {
+            map.dropRange(r, kept - r);
+            kept = r;
+        }
     }
+    flush();
+    map.dropRange(0, kept);
+    total = static_cast<std::size_t>(walked);
 
-    // Carry leftovers are each block's first reference.
     cold.reserve(carry.size());
     carry.forEach([&](std::uint64_t packed, const Prev &p) {
         cold.push_back(ColdSeed{BlockId::fromPacked(packed).disk,
-                                static_cast<std::size_t>(p.idx),
+                                static_cast<std::size_t>(total - 1 -
+                                                         p.rev),
                                 p.time});
     });
     std::sort(cold.begin(), cold.end(),
@@ -290,11 +261,19 @@ WindowedFuture::refill(std::size_t from)
 {
     PACACHE_ASSERT(from < total, "access index ", from,
                    " out of range (", total, " accesses)");
+    // Indices [from, from + n) are ordinals [total - from - n,
+    // total - from) of the walk, stored last index first.
     winBase = from;
     winCount = std::min(window.size(), total - from);
-    preadFully(sidecarFd, window.data(),
-               winCount * sizeof(SideEntry),
-               static_cast<uint64_t>(from) * sizeof(SideEntry));
+    preadFully(sidecarFd, window.data(), winCount * sizeof(SideEntry),
+               static_cast<uint64_t>(total - from - winCount) *
+                   sizeof(SideEntry));
+    std::reverse(window.begin(),
+                 window.begin() + static_cast<std::ptrdiff_t>(winCount));
+    for (std::size_t i = 0; i < winCount; ++i) {
+        if (window[i].next != kNever64)
+            window[i].next = total - 1 - window[i].next;
+    }
 }
 
 } // namespace pacache

@@ -15,18 +15,20 @@
  *
  *  - Out of core, from a .pct file, without ever holding the trace in
  *    memory:
- *     1. A backward pass walks the mmap'd file chunk by chunk in
- *        reverse order. A carry map (block -> earliest access seen so
- *        far in the processed suffix) crosses every chunk boundary,
- *        so the stitching is exact for any look-ahead: each access's
- *        next use is the global one, not a per-chunk approximation.
- *        Each chunk emits its 16-byte entries into an unlinked
- *        temporary sidecar file via pwrite, then the chunk's pages
- *        are released (MADV_DONTNEED).
- *     2. Forward replay consumes sidecar entries strictly in order
- *        through a bounded window buffer refilled by pread, so peak
- *        RSS is bounded by max(chunk, window, one entry per unique
- *        block) — never by the trace length.
+ *     1. One backward walk over the mmap'd records, last access
+ *        first, numbers each access by its distance from the end of
+ *        the stream (its reverse ordinal). A carry map (block -> its
+ *        earliest access in the walked suffix) gives each access its
+ *        global next use, so the entries are exact for any window.
+ *        They leave through the window buffer into an unlinked
+ *        temporary sidecar file via pwrite, and the records' pages
+ *        are released behind the walk (MADV_DONTNEED).
+ *     2. Forward replay consumes the entries strictly in order
+ *        through the same window, refilled by pread: each refill
+ *        reads a run of reverse ordinals, reverses it and maps the
+ *        ordinals back to indices. Peak RSS is bounded by
+ *        max(window, one carry entry and one cold seed per unique
+ *        block), never by the trace length.
  *
  * Each entry carries the next access's arrival time beside its index,
  * and each cold seed carries its own time, so a consumer that prices
@@ -41,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/future.hh"
@@ -59,10 +62,8 @@ class WindowedFuture
 
     struct Options
     {
-        /** Sidecar read-buffer entries (the look-ahead window). */
+        /** Look-ahead window entries (also the build's write buffer). */
         std::size_t windowEntries = std::size_t(1) << 20;
-        /** Backward-pass chunk size in block accesses. */
-        std::size_t chunkAccesses = std::size_t(1) << 22;
         /**
          * Has no effect: times travel with nextUse() and the cold
          * seeds. Kept only because perfbench/layers.cc still sets
@@ -85,7 +86,7 @@ class WindowedFuture
      * the window holds the whole stream and no sidecar file exists.
      */
     explicit WindowedFuture(const std::vector<BlockAccess> &accesses);
-    /** Run the backward pass over @p pct_path (fatal on I/O error). */
+    /** Walk @p pct_path backward (fatal on I/O or record error). */
     explicit WindowedFuture(const std::string &pct_path);
     WindowedFuture(const std::string &pct_path, Options opts);
     ~WindowedFuture();
@@ -122,8 +123,9 @@ class WindowedFuture
         return {static_cast<std::size_t>(e.next), e.time};
     }
 
-    /** First-reference accesses, ascending by index. */
-    const std::vector<ColdSeed> &coldSeeds() const { return cold; }
+    /** Hand over the first-reference accesses, ascending by index
+     *  (the future keeps none: a second call returns nothing). */
+    std::vector<ColdSeed> takeColdSeeds() { return std::exchange(cold, {}); }
 
   private:
     /** Sidecar record: next access index (~0 = never) and its time. */

@@ -131,8 +131,6 @@ runExperiment(tracefmt::TraceSource &source,
         WindowedFuture::Options wopts;
         if (config.windowAccesses > 0)
             wopts.windowEntries = config.windowAccesses;
-        if (config.oracleChunkAccesses > 0)
-            wopts.chunkAccesses = config.oracleChunkAccesses;
         future = WindowedFuture(pct, wopts);
     }
     SimStack stack(config, disks, capacity, std::move(future));

@@ -81,12 +81,6 @@ struct ExperimentConfig
      * overload builds the whole future in memory and ignores this.
      */
     std::size_t windowAccesses = 0;
-    /**
-     * Backward-pass chunk size in block accesses for the streaming
-     * overload's out-of-core build (bounds the build's peak RSS).
-     * 0 = WindowedFuture's default.
-     */
-    std::size_t oracleChunkAccesses = 0;
 
     /**
      * Byte budget for the oracle's in-RAM replay state (OPG only).

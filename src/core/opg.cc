@@ -48,8 +48,9 @@ OpgPolicy::prepareWindowed(WindowedFuture &&fut)
             s.attach(*spillPool);
     }
     evictOrder.clear();
-    // S starts as the set of all cold misses (first references).
-    for (const auto &seed : future.coldSeeds())
+    // S starts as the set of all cold misses (first references); the
+    // seeds are freed once S holds them.
+    for (const auto &seed : future.takeColdSeeds())
         detMiss[seed.disk].insert({seed.idx, seed.time});
 }
 

@@ -275,21 +275,18 @@ propWindowedOracleEquivalence(const FuzzCase &c)
 {
     if (c.trace.empty())
         return PropertyResult::ok();
-    // Fuzz the out-of-core geometry: window and backward-pass chunk
-    // sizes from one access up to past the trace length, so chunk
-    // stitching, window refills, and the single-chunk degenerate
-    // case all get exercised.
+    // Fuzz the out-of-core geometry: windows from one access up to
+    // past the trace length, so build flushes, window refills, and
+    // the single-window degenerate case all get exercised.
     Rng rng(deriveSeed(c.seed, 0x5ca1e));
     const std::size_t accesses =
         std::max<std::size_t>(c.trace.numBlockAccesses(), 1);
     ExperimentConfig cfg = c.experimentConfig();
     cfg.policy = rng.chance(0.5) ? PolicyKind::OPG : PolicyKind::Belady;
     cfg.windowAccesses = 1 + rng.below(accesses + 8);
-    cfg.oracleChunkAccesses = 1 + rng.below(accesses + 8);
 
     ExperimentConfig mat_cfg = cfg;
     mat_cfg.windowAccesses = 0;
-    mat_cfg.oracleChunkAccesses = 0;
     const ExperimentResult mat = runExperiment(c.trace, mat_cfg);
 
     const ScopedTempFile tmp("pacache-qa-", ".pct");
@@ -302,8 +299,7 @@ propWindowedOracleEquivalence(const FuzzCase &c)
     const std::string diff = diffResults(mat, windowed);
     if (!diff.empty())
         return failMsg("windowed oracle (window=", cfg.windowAccesses,
-                       ", chunk=", cfg.oracleChunkAccesses, ", ",
-                       policyKindName(cfg.policy),
+                       ", ", policyKindName(cfg.policy),
                        ") diverges from the materialized oracle: ",
                        diff);
     return PropertyResult::ok();
@@ -324,7 +320,6 @@ propSpilledOracleEquivalence(const FuzzCase &c)
     ExperimentConfig cfg = c.experimentConfig();
     cfg.policy = rng.chance(0.8) ? PolicyKind::OPG : PolicyKind::Belady;
     cfg.windowAccesses = 0;
-    cfg.oracleChunkAccesses = 0;
     cfg.oracleMemBudget = 0;
     const ExperimentResult want = runExperiment(c.trace, cfg);
 
@@ -350,7 +345,6 @@ propSpilledOracleEquivalence(const FuzzCase &c)
     const std::size_t accesses =
         std::max<std::size_t>(c.trace.numBlockAccesses(), 1);
     wcfg.windowAccesses = 1 + rng.below(accesses + 8);
-    wcfg.oracleChunkAccesses = 1 + rng.below(accesses + 8);
     wcfg.oracleMemBudget = 1 + rng.below(std::size_t{16} << 10);
     const ScopedTempFile tmp("pacache-qa-", ".pct");
     {
@@ -363,8 +357,7 @@ propSpilledOracleEquivalence(const FuzzCase &c)
     if (!diff.empty())
         return failMsg("budget=", wcfg.oracleMemBudget,
                        " windowed (window=", wcfg.windowAccesses,
-                       ", chunk=", wcfg.oracleChunkAccesses, ", ",
-                       policyKindName(cfg.policy),
+                       ", ", policyKindName(cfg.policy),
                        ") diverges from unbounded in-memory: ", diff);
     return PropertyResult::ok();
 }
@@ -958,7 +951,7 @@ allProperties()
          propStreamingMatchesMaterialized},
         {"windowed_oracle_equivalence",
          "Off-line replay on windowed out-of-core future knowledge "
-         "(fuzzed window and chunk sizes) is bit-identical to the "
+         "(fuzzed window sizes) is bit-identical to the "
          "materialized oracle",
          propWindowedOracleEquivalence},
         {"spilled_oracle_equivalence",

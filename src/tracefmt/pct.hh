@@ -133,11 +133,11 @@ class PctMmapSource : public TraceSource
 
 /**
  * Random-access mmap view of a .pct file for out-of-core passes
- * (the windowed-oracle backward scan, the sharded replay's per-shard
+ * (the windowed-oracle backward walk, the sharded replay's per-shard
  * streams). Unlike the TraceSource readers this exposes record(i)
  * and diskOf(i) at any index plus explicit residency control, so a
- * pass can walk chunks in any order, or skip the records it does not
- * own, while keeping only the active chunk resident.
+ * pass can walk the records backward, or skip the records it does
+ * not own, while keeping only the records near it resident.
  */
 class PctMapping
 {

@@ -68,8 +68,8 @@ TEST(InMemoryFuture, FirstReferences)
 {
     // The cold seeds are the first references, ascending by index,
     // each with its disk and its own arrival time.
-    const WindowedFuture fut(stream({1, 2, 1, 3, 2, 1}));
-    const auto &seeds = fut.coldSeeds();
+    WindowedFuture fut(stream({1, 2, 1, 3, 2, 1}));
+    const auto seeds = fut.takeColdSeeds();
     ASSERT_EQ(seeds.size(), 3u);
     const std::size_t want[] = {0, 1, 3};
     for (std::size_t k = 0; k < 3; ++k) {
@@ -90,9 +90,10 @@ TEST(InMemoryFuture, DisksAreDistinct)
     const auto next = drain(fut);
     EXPECT_EQ(next[0].idx, 2u);
     EXPECT_EQ(next[1].idx, WindowedFuture::kNever);
-    ASSERT_EQ(fut.coldSeeds().size(), 2u);
-    EXPECT_EQ(fut.coldSeeds()[1].idx, 1u);
-    EXPECT_EQ(fut.coldSeeds()[1].disk, 1u);
+    const auto seeds = fut.takeColdSeeds();
+    ASSERT_EQ(seeds.size(), 2u);
+    EXPECT_EQ(seeds[1].idx, 1u);
+    EXPECT_EQ(seeds[1].disk, 1u);
 }
 
 TEST(InMemoryFuture, EmptyStream)
@@ -101,7 +102,7 @@ TEST(InMemoryFuture, EmptyStream)
     EXPECT_TRUE(fut.built());
     EXPECT_EQ(fut.size(), 0u);
     EXPECT_EQ(fut.numDisks(), 1u);
-    EXPECT_TRUE(fut.coldSeeds().empty());
+    EXPECT_TRUE(fut.takeColdSeeds().empty());
     EXPECT_ANY_THROW(fut.nextUse(0));
 }
 

@@ -3,16 +3,17 @@
  * Both WindowedFuture builds must reproduce a reference written here
  * from the definition (a std::map backward scan, as NaiveOracle
  * does), so neither fast build is the other's only check: the
- * in-memory pass, and the backward chunked pass over the .pct file,
- * stitched across chunk boundaries by the carry map, yield the
- * *global* next-use chain for every window and chunk size —
- * including window 1 and a chunk smaller than one multi-block
- * request.
+ * in-memory pass, and the backward walk over the .pct file, whose
+ * entries leave through the window in reverse order and are read
+ * back through it, yield the *global* next-use chain for every
+ * window size — including window 1 and windows smaller than one
+ * multi-block request.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <map>
 
 #include "cache/future.hh"
@@ -21,6 +22,8 @@
 #include "trace/trace.hh"
 #include "tracefmt/pct.hh"
 #include "tracefmt/trace_source.hh"
+
+#include "support/raw_pct.hh"
 
 #include "../tracefmt/temp_file.hh"
 
@@ -41,7 +44,7 @@ workload(uint64_t seed = 5)
     return generateSynthetic(p);
 }
 
-/** A few multi-block requests, so expansion crosses chunk bounds. */
+/** A few multi-block requests, so build flushes split a request. */
 Trace
 multiBlockWorkload()
 {
@@ -119,9 +122,10 @@ expectMatchesReference(const Trace &t, WindowedFuture &fut)
     EXPECT_EQ(fut.numDisks(), ref.numDisks);
     EXPECT_EQ(fut.endTime(), ref.endTime);
 
-    ASSERT_EQ(fut.coldSeeds().size(), ref.cold.size());
+    const auto cold = fut.takeColdSeeds();
+    ASSERT_EQ(cold.size(), ref.cold.size());
     for (std::size_t k = 0; k < ref.cold.size(); ++k) {
-        const WindowedFuture::ColdSeed &seed = fut.coldSeeds()[k];
+        const WindowedFuture::ColdSeed &seed = cold[k];
         EXPECT_EQ(seed.idx, ref.cold[k].idx) << "cold " << k;
         EXPECT_EQ(seed.disk, ref.cold[k].disk) << "cold " << k;
         EXPECT_EQ(seed.time, ref.cold[k].time) << "cold " << k;
@@ -149,61 +153,48 @@ TEST(WindowedFuture, BothBuildsMatchTheReference)
         const std::string pct = writeTracePct(
             t, std::string("winfut_both_") + std::to_string(k) + ".pct");
         const std::size_t windows[] = {
-            1, 7, std::max<std::size_t>(t.numBlockAccesses(), 1)};
-        const std::size_t chunks[] = {
-            1, 3, WindowedFuture::Options{}.chunkAccesses};
+            1, 7, std::max<std::size_t>(t.numBlockAccesses(), 1),
+            WindowedFuture::Options{}.windowEntries};
         for (const std::size_t window : windows) {
-            for (const std::size_t chunk : chunks) {
-                WindowedFuture::Options opts;
-                opts.windowEntries = window;
-                opts.chunkAccesses = chunk;
-                WindowedFuture fut(pct, opts);
-                SCOPED_TRACE(".pct window " + std::to_string(window) +
-                             " chunk " + std::to_string(chunk));
-                expectMatchesReference(t, fut);
-            }
+            WindowedFuture::Options opts;
+            opts.windowEntries = window;
+            WindowedFuture fut(pct, opts);
+            SCOPED_TRACE(".pct window " + std::to_string(window));
+            expectMatchesReference(t, fut);
         }
     }
 }
 
-TEST(WindowedFuture, ExactForEveryWindowAndChunkSize)
+TEST(WindowedFuture, ExactForEveryWindowSize)
 {
+    // The window is the build's flush size and the replay's refill
+    // size: 1, around a power of two, and past the trace length.
     const Trace t = workload();
     const std::string pct = writeTracePct(t, "winfut_sizes.pct");
-    struct Geometry
-    {
-        std::size_t window;
-        std::size_t chunk;
-    };
-    // Windows 1, chunk-1, chunk, chunk+1 and "infinite" at chunk 64,
-    // plus window 32 over chunk 100.
-    const Geometry geometries[] = {
-        {1, 64}, {63, 64}, {64, 64}, {65, 64},
-        {std::size_t(1) << 20, 64}, {32, 100}};
-    for (const Geometry &g : geometries) {
+    for (const std::size_t window :
+         {std::size_t(1), std::size_t(32), std::size_t(63),
+          std::size_t(64), std::size_t(65), std::size_t(1) << 20}) {
         WindowedFuture::Options opts;
-        opts.windowEntries = g.window;
-        opts.chunkAccesses = g.chunk;
+        opts.windowEntries = window;
         WindowedFuture fut(pct, opts);
-        SCOPED_TRACE("window " + std::to_string(g.window) + " chunk " +
-                     std::to_string(g.chunk));
+        SCOPED_TRACE("window " + std::to_string(window));
         expectMatchesReference(t, fut);
     }
 }
 
-TEST(WindowedFuture, ChunkBoundariesInsideMultiBlockRequests)
+TEST(WindowedFuture, FlushBoundariesInsideMultiBlockRequests)
 {
     const Trace t = multiBlockWorkload();
     const std::string pct = writeTracePct(t, "winfut_multiblock.pct");
-    // Chunks smaller than the largest request force the backward
-    // pass to split a single record's expansion across chunks.
-    for (const std::size_t chunk : {std::size_t(1), std::size_t(7),
-                                    std::size_t(16)}) {
+    // Windows 1, 4 and 7, below the largest request (8 blocks), and
+    // 16 make the walk flush, and refills start, inside a record's
+    // expansion.
+    for (const std::size_t window : {std::size_t(1), std::size_t(4),
+                                     std::size_t(7), std::size_t(16)}) {
         WindowedFuture::Options opts;
-        opts.windowEntries = 4;
-        opts.chunkAccesses = chunk;
+        opts.windowEntries = window;
         WindowedFuture fut(pct, opts);
-        SCOPED_TRACE("chunk " + std::to_string(chunk));
+        SCOPED_TRACE("window " + std::to_string(window));
         expectMatchesReference(t, fut);
     }
 }
@@ -214,7 +205,6 @@ TEST(WindowedFuture, MoveTransfersTheStream)
     const std::string pct = writeTracePct(t, "winfut_move.pct");
     WindowedFuture::Options opts;
     opts.windowEntries = 16;
-    opts.chunkAccesses = 50;
     WindowedFuture a(pct, opts);
     const Reference ref = referenceOf(t);
 
@@ -225,6 +215,54 @@ TEST(WindowedFuture, MoveTransfersTheStream)
     WindowedFuture b(std::move(a));
     for (std::size_t i = half; i < ref.next.size(); ++i)
         ASSERT_EQ(b.nextUse(i).idx, ref.next[i].idx);
+}
+
+TEST(WindowedFuture, ColdSeedsAreHandedOverOnce)
+{
+    // OPG takes the seeds into its own sets and Belady drops them; a
+    // future that kept a copy would hold one seed per unique block
+    // for the whole replay.
+    const Trace t = workload(7);
+    const std::size_t seeds = referenceOf(t).cold.size();
+    ASSERT_GT(seeds, 0u);
+    WindowedFuture in_memory(expandTrace(t));
+    WindowedFuture out_of_core(writeTracePct(t, "winfut_seeds.pct"));
+    for (WindowedFuture *fut : {&in_memory, &out_of_core}) {
+        EXPECT_EQ(fut->takeColdSeeds().size(), seeds);
+        EXPECT_TRUE(fut->takeColdSeeds().empty());
+    }
+}
+
+/** Open descriptors of this process. */
+std::size_t
+openDescriptors()
+{
+    const auto fds = std::filesystem::directory_iterator("/proc/self/fd");
+    return static_cast<std::size_t>(std::distance(
+        fds, std::filesystem::directory_iterator{}));
+}
+
+TEST(WindowedFuture, FailedBuildClosesItsSidecar)
+{
+    if (!std::filesystem::exists("/proc/self/fd"))
+        GTEST_SKIP() << "no descriptor listing on this host";
+    // The walk opens the sidecar before it meets the bad record (a
+    // disk beyond the header's count), so the throw must close it.
+    std::vector<test::RawRecord> recs;
+    for (uint32_t i = 0; i < 100; ++i)
+        recs.push_back({0.5 * i, i % 17, i % 4, 1, false});
+    recs[40].disk = 4;
+    const std::string pct =
+        test::writeRawPct(test::tempPath("winfut_bad_disk.pct"), recs, 4u);
+    const std::size_t before = openDescriptors();
+    for (int k = 0; k < 3; ++k) {
+        const std::string error =
+            test::inputErrorOf([&] { WindowedFuture fut(pct); });
+        EXPECT_NE(error.find("corrupt .pct record 40"),
+                  std::string::npos)
+            << error;
+    }
+    EXPECT_EQ(openDescriptors(), before);
 }
 
 } // namespace

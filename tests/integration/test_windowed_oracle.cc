@@ -8,8 +8,8 @@
  * builds the oracle's future out of core) must be BIT-identical to
  * the in-memory oracle on the same workload — evictions, counters,
  * every energy cell of the per-disk ledger breakdown — for every
- * window size, including window 1 and windows straddling the
- * backward-pass chunk size. The sharded replay must be invariant in
+ * window size, including window 1 and windows past the trace
+ * length. The sharded replay must be invariant in
  * the worker count, must equal per-shard streams merged by owner,
  * at one shard must degenerate to the plain streaming run, and must
  * fail a corrupt input with the reader's own error.
@@ -132,11 +132,9 @@ TEST_P(WindowedOracleEquivalence, MatchesMaterializedForEveryWindow)
     cfg.cacheBlocks = 220;
     const ExperimentResult materialized = runExperiment(t, cfg);
 
-    const std::size_t chunk = 256;
-    cfg.oracleChunkAccesses = chunk;
-    // The satellite matrix: 1, chunk-1, chunk, chunk+1, "infinite",
-    // and 0, the default window.
-    const std::size_t windows[] = {1, chunk - 1, chunk, chunk + 1,
+    // Windows 1, around a power of two, "infinite", and 0, the
+    // default window.
+    const std::size_t windows[] = {1, 255, 256, 257,
                                    std::size_t(1) << 20, 0};
     for (const std::size_t w : windows) {
         SCOPED_TRACE("window " + std::to_string(w));
@@ -162,7 +160,6 @@ TEST_P(WindowedOracleEquivalence, PracticalDpmAndWriteBackMatch)
     const ExperimentResult materialized = runExperiment(t, cfg);
 
     cfg.windowAccesses = 100;
-    cfg.oracleChunkAccesses = 333;
     tracefmt::PctMmapSource src(pct);
     const ExperimentResult windowed = runExperiment(src, cfg);
     expectIdentical(materialized, windowed);

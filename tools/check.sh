@@ -163,10 +163,12 @@ step "sharded streaming determinism smoke (Release)"
 # Reduced-scale version of the billion-request workflow: stream a
 # 1e7-record x 64-disk scaled OLTP trace to .pct (never
 # materialized), then replay it disk-sharded with the windowed OPG
-# oracle under a tight oracle memory budget (64 MiB across 8 shards
-# — every tier spills: the deterministic-miss sets, the next-use
-# indexes and the cold-miss bitmap) at --jobs 1 and --jobs 8, plus
-# once unbudgeted. All three reports must be byte-identical: worker count
+# oracle under a tight oracle memory budget (64 MiB across 8 shards,
+# so the deterministic-miss sets and the next-use indexes spill; the
+# cold-miss set is outside that budget, and the scaled OLTP's block
+# numbers stay under its dense-bitmap limit, so it never spills here)
+# at --jobs 1 and --jobs 8, plus once unbudgeted. All three reports
+# must be byte-identical: worker count
 # only changes scheduling, and spilling only changes where oracle
 # bytes live — never statistics. The benchmark's on-line sharded
 # configuration (LRU, WTDU, practical DPM, 65536 blocks over 8

@@ -146,18 +146,13 @@ workloadFlags()
     return flags;
 }
 
-Trace
-loadWorkload(const Args &args, const std::string &default_workload)
+namespace
 {
-    if (args.has("trace")) {
-        const auto src = tracefmt::openTraceSource(
-            args.get("trace", ""),
-            tracefmt::parseTraceFormat(
-                args.get("trace-format", "auto")));
-        return tracefmt::readAll(*src);
-    }
 
-    const std::string name = args.get("workload", default_workload);
+/** The built-in generator @p name, driven by the workload flags. */
+Trace
+generateWorkload(const Args &args, const std::string &name)
+{
     if (name == "oltp") {
         OltpParams p;
         p.duration = args.getDouble("duration", p.duration);
@@ -191,6 +186,29 @@ loadWorkload(const Args &args, const std::string &default_workload)
         return generateSynthetic(p);
     }
     PACACHE_FATAL("unknown workload '", name, "'");
+}
+
+} // namespace
+
+Trace
+loadWorkload(const Args &args, const std::string &default_workload)
+{
+    if (args.has("trace")) {
+        const std::string path = args.get("trace", "");
+        const auto src = tracefmt::openTraceSource(
+            path,
+            tracefmt::parseTraceFormat(
+                args.get("trace-format", "auto")));
+        Trace trace = tracefmt::readAll(*src);
+        if (trace.empty())
+            PACACHE_FATAL("trace '", path, "' has no records");
+        return trace;
+    }
+    const std::string name = args.get("workload", default_workload);
+    Trace trace = generateWorkload(args, name);
+    if (trace.empty())
+        PACACHE_FATAL("workload '", name, "' has no records");
+    return trace;
 }
 
 } // namespace pacache::cli

@@ -30,7 +30,6 @@
 #include "runner/shard_replay.hh"
 #include "runner/sweep.hh"
 #include "runner/thread_pool.hh"
-#include "trace/stats.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_io.hh"
 #include "trace/workloads.hh"
@@ -63,9 +62,6 @@ workload selection (one of):
                          look-ahead accesses of the out-of-core future
                          in memory (default: 1Mi); results are
                          bit-identical to the in-memory oracle for any N
-  --window-chunk N       with --stream and belady/opg: backward-pass
-                         chunk size in accesses (default: 4Mi; smaller
-                         = less build memory)
   --oracle-mem-budget M  with opg: cap the oracle's in-RAM replay
                          state (deterministic-miss sets and next-use
                          indexes) at M MiB, spilling overflow pages
@@ -149,7 +145,8 @@ observability:
  */
 void
 writeMetricsJson(std::ostream &os, const cli::Args &args,
-                 const TraceStats &st, const ExperimentConfig &cfg,
+                 const tracefmt::ScanSummary &st,
+                 const ExperimentConfig &cfg,
                  const ExperimentResult &r,
                  const std::vector<std::string> &mode_names,
                  const obs::EnergyLedger &ledger,
@@ -171,8 +168,8 @@ writeMetricsJson(std::ostream &os, const cli::Args &args,
     json.kv("dpm", args.get("dpm", "practical"));
     json.kv("write_policy", writePolicyName(cfg.storage.writePolicy));
     json.kv("cache_blocks", static_cast<uint64_t>(cfg.cacheBlocks));
-    json.kv("requests", st.requests);
-    json.kv("disks", static_cast<uint64_t>(st.disks));
+    json.kv("requests", st.records);
+    json.kv("disks", static_cast<uint64_t>(st.numDisks));
     json.endObject();
 
     json.kv("total_energy_joules", r.totalEnergy);
@@ -319,7 +316,7 @@ main(int argc, char **argv)
 try {
     const cli::Args args(argc, argv);
     std::set<std::string> known{
-        "stream", "window", "window-chunk", "oracle-mem-budget",
+        "stream", "window", "oracle-mem-budget",
         "shards", "policy", "dpm",
         "write", "cache-blocks", "epoch",
         "opg-theta", "per-disk", "energy-ledger", "metrics-out",
@@ -342,10 +339,9 @@ try {
         return runSweepMode(args);
     }
 
-    // --stream skips materialization: the workload line's statistics
-    // come from a constant-memory scan (same formulas as
-    // characterize(), so the printed report matches the in-memory
-    // path byte for byte).
+    // --stream skips materialization. Both paths compute the workload
+    // line with one constant-memory scan, so their reports match byte
+    // for byte.
     const bool streaming = args.has("stream");
     if (streaming && !args.has("trace"))
         PACACHE_FATAL("--stream requires --trace (generated workloads "
@@ -359,23 +355,21 @@ try {
 
     Trace trace;
     std::unique_ptr<tracefmt::TraceSource> source;
-    TraceStats st;
+    tracefmt::ScanSummary st;
     {
         const obs::ProfileScope ingest(prof, "ingest");
         if (streaming) {
+            const std::string path = args.get("trace", "");
             source = tracefmt::openTraceSource(
-                args.get("trace", ""),
-                tracefmt::parseTraceFormat(
-                    args.get("trace-format", "auto")));
-            const tracefmt::ScanSummary sum = tracefmt::scan(*source);
-            st.requests = sum.records;
-            st.disks = static_cast<uint32_t>(sum.numDisks);
-            st.writeRatio = sum.writeRatio();
-            st.meanInterArrival = sum.meanInterArrival();
-            st.duration = sum.endTime;
+                path, tracefmt::parseTraceFormat(
+                          args.get("trace-format", "auto")));
+            st = tracefmt::scan(*source);
+            if (st.records == 0)
+                PACACHE_FATAL("trace '", path, "' has no records");
         } else {
             trace = cli::loadWorkload(args, "oltp");
-            st = characterize(trace);
+            tracefmt::MemorySource src(trace);
+            st = tracefmt::scan(src);
         }
     }
 
@@ -389,8 +383,6 @@ try {
     cfg.opgTheta = args.getDouble("opg-theta", -1.0);
     cfg.windowAccesses =
         static_cast<std::size_t>(args.getUint("window", 0));
-    cfg.oracleChunkAccesses =
-        static_cast<std::size_t>(args.getUint("window-chunk", 0));
     const uint64_t budget_mb = args.getUint("oracle-mem-budget", 0);
     if (budget_mb > (std::numeric_limits<std::size_t>::max() >> 20))
         PACACHE_FATAL("--oracle-mem-budget ", budget_mb,
@@ -399,15 +391,13 @@ try {
     if (cfg.oracleMemBudget > 0 && cfg.policy != PolicyKind::OPG)
         PACACHE_FATAL("--oracle-mem-budget applies to --policy opg "
                       "only (Belady keeps O(capacity) state)");
-    for (const char *flag : {"window", "window-chunk"}) {
-        if (!args.has(flag))
-            continue;
+    if (args.has("window")) {
         if (!policyNeedsNextUse(cfg.policy))
-            PACACHE_FATAL("--", flag, " applies to --policy belady or "
-                          "opg only");
+            PACACHE_FATAL("--window applies to --policy belady or opg "
+                          "only");
         if (!streaming)
-            PACACHE_FATAL("--", flag, " needs --stream (the in-memory "
-                          "path builds the whole future in memory)");
+            PACACHE_FATAL("--window needs --stream (the in-memory path "
+                          "builds the whole future in memory)");
     }
 
     // Observability sinks, attached only when requested; the null
@@ -483,7 +473,7 @@ try {
     if (args.has("metrics-out")) {
         registry.gauge("run.wall_ms").set(wall.count());
         registry.gauge("run.requests_per_sec")
-            .set(wall.count() > 0 ? static_cast<double>(st.requests) *
+            .set(wall.count() > 0 ? static_cast<double>(st.records) *
                                         1000.0 / wall.count()
                                   : 0.0);
     }
@@ -529,11 +519,11 @@ try {
 
     {
         const obs::ProfileScope report_scope(prof, "report");
-        std::cout << "workload: " << st.requests << " requests, "
-                  << st.disks << " disks, "
-                  << fmtPct(st.writeRatio, 1)
+        std::cout << "workload: " << st.records << " requests, "
+                  << st.numDisks << " disks, "
+                  << fmtPct(st.writeRatio(), 1)
                   << " writes, mean inter-arrival "
-                  << fmt(st.meanInterArrival * 1000.0, 2) << " ms\n";
+                  << fmt(st.meanInterArrival() * 1000.0, 2) << " ms\n";
         std::cout << "system:   policy " << r.policyName << ", dpm "
                   << args.get("dpm", "practical") << ", write "
                   << writePolicyName(cfg.storage.writePolicy)
