@@ -169,12 +169,15 @@ WindowedFuture::closeFd()
 void
 WindowedFuture::build(const std::string &pct_path)
 {
-    // No checksum pass: the replay source verifies the same file on
-    // open, and the walk decodes (and validates) every record anyway.
-    tracefmt::PctReadOptions ropts;
-    ropts.verifyChecksum = false;
-    tracefmt::PctMapping map(pct_path, ropts);
+    // No checksum pass: the replay source folds the checksum as it
+    // decodes the same file, and the walk decodes (and validates)
+    // every record anyway. Only a record longer than
+    // kUncheckedBlocks waits for the sum: a damaged length field
+    // (up to 2^31 - 1 blocks) would otherwise fill a 32 GiB sidecar
+    // before the replay could fail.
+    tracefmt::PctMapping map(pct_path);
     const tracefmt::PctInfo &info = map.header();
+    bool summed = false;
     lastTime = info.endTime;
 
     sidecarFd = makeUnlinkedTempFile("pacache-sidecar-");
@@ -212,6 +215,10 @@ WindowedFuture::build(const std::string &pct_path)
     TraceRecord rec;
     for (uint64_t r = info.records; r-- > 0;) {
         map.record(r, rec);
+        if (rec.numBlocks > tracefmt::kUncheckedBlocks && !summed) {
+            map.verifyChecksum();
+            summed = true;
+        }
         diskCount = std::max<std::size_t>(diskCount, rec.disk + 1);
         for (uint32_t b = rec.numBlocks; b-- > 0;) {
             auto [slot, inserted] =

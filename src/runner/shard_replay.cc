@@ -18,20 +18,11 @@ namespace
 /** Records between drops of the pages behind a shard's cursor. */
 constexpr uint64_t kReleaseRecords = uint64_t(1) << 16;
 
-/**
- * A record of more blocks than this waits for the checksum before a
- * shard replays it: a damaged length field (up to 2^31 - 1 blocks)
- * would otherwise keep the shard busy for minutes before the
- * checksum fails. Real requests stay far below it (16 MiB of 4 KiB
- * blocks); a longer one that is sound only waits.
- */
-constexpr uint32_t kUncheckedBlocks = 1u << 12;
-
 /** How far the validation pass has come. */
 enum class Validation
 {
-    Running, //!< the checksum is not known yet
-    Summed,  //!< the checksum matched; the decode checks go on
+    Running, //!< the pass has not read the whole file yet
+    Summed,  //!< every record decoded and the checksum matched
     Failed,  //!< the pass threw
 };
 
@@ -40,10 +31,12 @@ enum class Validation
  * input: the records whose disk it owns, in file order. Every
  * record's disk field is peeked and range-checked; only owned
  * records are decoded, with PctMmapSource::next's checks against the
- * shard's previous record. The source reports the header's disk
+ * shard's previous record. A record longer than
+ * tracefmt::kUncheckedBlocks waits for the validation pass
+ * (@p validation) to end. The source reports the header's disk
  * count, so the shard's stack builds a full-size disk-array replica
- * and ids stay global. It ends early once the validation pass
- * (@p validation) has failed.
+ * and ids stay global. It ends early once the validation pass has
+ * failed.
  */
 class ShardSource : public tracefmt::TraceSource
 {
@@ -52,7 +45,7 @@ class ShardSource : public tracefmt::TraceSource
                 unsigned shards_,
                 const std::atomic<Validation> &validation_)
         // The validation pass checks the sum once for every shard.
-        : map(path, {.verifyChecksum = false}), shard(shard_),
+        : map(path), shard(shard_),
           shards(shards_), validation(validation_)
     {
     }
@@ -74,7 +67,7 @@ class ShardSource : public tracefmt::TraceSource
             if (map.diskOf(r) % shards != shard)
                 continue;
             map.record(r, out, lastTime);
-            if (out.numBlocks > kUncheckedBlocks) {
+            if (out.numBlocks > tracefmt::kUncheckedBlocks) {
                 validation.wait(Validation::Running);
                 if (validation == Validation::Failed)
                     break;
@@ -138,14 +131,15 @@ runShardedExperiment(const std::string &pct_path,
         shard_cfg.oracleMemBudget = std::max<std::size_t>(
             shard_cfg.oracleMemBudget / shards, 1);
 
-    // Index 0 validates the input beside the shard replays: the
-    // checksum, then every record's decode checks. Index s + 1
-    // replays shard s into its pre-assigned slot; the job count only
-    // decides scheduling, never the statistics. A shard checks only
-    // what it reads, so a corrupt input always fails the validator,
-    // whose error parallelFor rethrows as the lowest failing index.
-    // parallelFor claims index 0 first, so a shard that waits for the
-    // checksum never waits on a pass that no thread runs.
+    // Index 0 validates the input beside the shard replays: one
+    // drain of a PctMmapSource runs every record's decode checks and
+    // folds the checksum. Index s + 1 replays shard s into its
+    // pre-assigned slot; the job count only decides scheduling, never
+    // the statistics. A shard checks only what it reads, so a corrupt
+    // input always fails the validator, whose error parallelFor
+    // rethrows as the lowest failing index. parallelFor claims index
+    // 0 first, so a shard that waits for the validator never waits on
+    // a pass that no thread runs.
     std::vector<ExperimentResult> results(shards);
     std::atomic<Validation> validation{Validation::Running};
     {
@@ -156,11 +150,11 @@ runShardedExperiment(const std::string &pct_path,
                 if (i == 0) {
                     try {
                         tracefmt::PctMmapSource src(pct_path);
-                        validation = Validation::Summed;
-                        validation.notify_all();
                         TraceRecord rec;
                         while (src.next(rec)) {
                         }
+                        validation = Validation::Summed;
+                        validation.notify_all();
                     } catch (...) {
                         validation = Validation::Failed;
                         validation.notify_all();

@@ -53,11 +53,12 @@ struct ShardReplayOptions
 
 /**
  * Replay @p pct_path disk-sharded, all shards in parallel, and merge.
- * One validation pass (the checksum and every record's decode checks)
- * runs beside the shard replays; if it fails, the shards stop early
- * and its located error is the one thrown, at any job count. A shard
- * replays an unusually long record only once the checksum has
- * matched, so a damaged length field cannot stall it. Off-line
+ * One validation pass (one drain of the file, which runs every
+ * record's decode checks and folds the checksum) runs beside the
+ * shard replays; if it fails, the shards stop early and its located
+ * error is the one thrown, at any job count. A shard replays a record
+ * longer than tracefmt::kUncheckedBlocks only once that pass has
+ * succeeded, so a damaged length field cannot stall it. Off-line
  * policies (Belady/OPG) run out of core on windowed future knowledge
  * per shard, each over a spill of its own records, so a shard that
  * owns no record still replays (an empty stream) and idles its

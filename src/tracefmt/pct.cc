@@ -68,18 +68,19 @@ getLe64(const unsigned char *p)
            (static_cast<uint64_t>(getLe32(p + 4)) << 32);
 }
 
+/** Byte offsets of the disk and length fields inside a record. */
+constexpr std::size_t kDiskOffset = 16;
+constexpr std::size_t kLenOffset = 20;
+
 void
 encodeRecord(unsigned char *p, const TraceRecord &rec)
 {
     putLe64(p, std::bit_cast<uint64_t>(rec.time));
     putLe64(p + 8, rec.block);
-    putLe32(p + 16, rec.disk);
-    putLe32(p + 20, (rec.numBlocks & 0x7fffffffu) |
-                        (rec.write ? 0x80000000u : 0u));
+    putLe32(p + kDiskOffset, rec.disk);
+    putLe32(p + kLenOffset, (rec.numBlocks & 0x7fffffffu) |
+                                (rec.write ? 0x80000000u : 0u));
 }
-
-/** Byte offset of the disk field inside a record. */
-constexpr std::size_t kDiskOffset = 16;
 
 /** Consumers size their disk arrays from the header's count. */
 void
@@ -101,7 +102,7 @@ decodeRecord(const unsigned char *p, TraceRecord &rec,
     rec.time = std::bit_cast<Time>(getLe64(p));
     rec.block = getLe64(p + 8);
     rec.disk = getLe32(p + kDiskOffset);
-    const uint32_t len_flags = getLe32(p + 20);
+    const uint32_t len_flags = getLe32(p + kLenOffset);
     rec.write = (len_flags & 0x80000000u) != 0;
     rec.numBlocks = len_flags & 0x7fffffffu;
     if (rec.numBlocks == 0 || !(rec.time >= last_time)) {
@@ -211,17 +212,17 @@ adviseRange(const unsigned char *map_base, const unsigned char *p,
 constexpr uint64_t kChecksumChunkRecords = 1 << 19; // 12 MiB
 
 /**
- * Verify the record checksum of a mapping chunk-by-chunk, releasing
- * each verified chunk so the pass touches the whole file without
- * ever holding more than one chunk resident.
+ * Fold records [from, info.records) of a mapping into @p h, then
+ * check the sum against the header (fatal on a mismatch). Each
+ * hashed chunk is released, so the pass never holds more than one
+ * chunk resident.
  */
 void
-verifyMappedChecksum(const unsigned char *map_base,
-                     const unsigned char *records, const PctInfo &info,
-                     const std::string &path)
+settleChecksum(uint64_t h, uint64_t from, const unsigned char *map_base,
+               const unsigned char *records, const PctInfo &info,
+               const std::string &path)
 {
-    uint64_t h = kFnvOffset;
-    for (uint64_t first = 0; first < info.records;
+    for (uint64_t first = from; first < info.records;
          first += kChecksumChunkRecords) {
         const uint64_t n =
             std::min<uint64_t>(kChecksumChunkRecords,
@@ -365,27 +366,44 @@ mapPctFile(const std::string &path, std::size_t &map_len,
         ::close(fd);
         PACACHE_FATAL("'", path, "' is too small to be a .pct trace");
     }
+    // Read the header from the file, not through the mapping: a fault
+    // on the mapping's first page can map the whole page-cache folio
+    // around it (up to MiBs), which would stay resident until a pass
+    // first releases pages, e.g. through a whole oracle build.
+    unsigned char header[kPctHeaderBytes];
+    if (::pread(fd, header, kPctHeaderBytes, 0) !=
+        static_cast<ssize_t>(kPctHeaderBytes)) {
+        ::close(fd);
+        PACACHE_FATAL("read error on '", path, "'");
+    }
+    try {
+        info = decodeHeader(header, path, map_len);
+    } catch (...) {
+        ::close(fd);
+        throw;
+    }
     void *map = ::mmap(nullptr, map_len, PROT_READ, MAP_PRIVATE, fd, 0);
     ::close(fd); // the mapping keeps its own reference
     if (map == MAP_FAILED)
         PACACHE_FATAL("cannot mmap '", path, "'");
-    const unsigned char *base = static_cast<const unsigned char *>(map);
-    info = decodeHeader(base, path, map_len);
-    return base;
+    return static_cast<const unsigned char *>(map);
 }
 
 } // namespace
 
 PctMmapSource::PctMmapSource(const std::string &path_,
                              PctReadOptions opts)
-    : path(path_)
+    : path(path_), folding(opts.verifyChecksum), sum(kFnvOffset)
 {
     base = mapPctFile(path, mapLen, info);
     ::madvise(const_cast<unsigned char *>(base), mapLen,
               MADV_SEQUENTIAL);
     records = base + kPctHeaderBytes;
-    if (opts.verifyChecksum)
-        verifyMappedChecksum(base, records, info, path);
+    if (folding && info.records == 0) {
+        // No record will settle the sum of an empty file.
+        settleChecksum(sum, 0, base, records, info, path);
+        folding = false;
+    }
 }
 
 PctMmapSource::~PctMmapSource()
@@ -399,8 +417,19 @@ PctMmapSource::next(TraceRecord &out)
 {
     if (pos >= info.records)
         return false;
-    decodeRecord(records + pos * kPctRecordBytes, out, path, pos,
-                 lastTime, info.numDisks);
+    const unsigned char *p = records + pos * kPctRecordBytes;
+    if (folding) {
+        sum = fnv1a(sum, p, kPctRecordBytes);
+        // The last record, or one too long to hand on unchecked,
+        // settles the sum (hashing whatever is left) before it is
+        // decoded.
+        if (pos + 1 == info.records ||
+            (getLe32(p + kLenOffset) & 0x7fffffffu) > kUncheckedBlocks) {
+            settleChecksum(sum, pos + 1, base, records, info, path);
+            folding = false;
+        }
+    }
+    decodeRecord(p, out, path, pos, lastTime, info.numDisks);
     lastTime = out.time;
     ++pos;
     if (pos - releaseMark >= kReplayHintRecords) {
@@ -429,15 +458,13 @@ PctMmapSource::rewind()
     pos = 0;
     releaseMark = 0;
     lastTime = 0;
+    sum = kFnvOffset;
 }
 
-PctMapping::PctMapping(const std::string &path_, PctReadOptions opts)
-    : path(path_)
+PctMapping::PctMapping(const std::string &path_) : path(path_)
 {
     base = mapPctFile(path, mapLen, info);
     records = base + kPctHeaderBytes;
-    if (opts.verifyChecksum)
-        verifyMappedChecksum(base, records, info, path);
 }
 
 PctMapping::~PctMapping()
@@ -475,6 +502,12 @@ PctMapping::dropRange(uint64_t first, uint64_t count) const
     adviseRange(base, records + first * kPctRecordBytes,
                 static_cast<std::size_t>(count * kPctRecordBytes),
                 MADV_DONTNEED);
+}
+
+void
+PctMapping::verifyChecksum() const
+{
+    settleChecksum(kFnvOffset, 0, base, records, info, path);
 }
 
 } // namespace pacache::tracefmt

@@ -85,10 +85,20 @@ PctInfo writePct(const std::string &path, TraceSource &src);
 /** Read and validate just the header of a .pct file. */
 PctInfo readPctInfo(const std::string &path);
 
-/** Reader options for PctMmapSource and PctMapping. */
+/**
+ * A record of more blocks than this waits for the checksum before a
+ * pass hands it on: a damaged length field (up to 2^31 - 1 blocks)
+ * would otherwise keep a replay busy for minutes, or fill a 32 GiB
+ * oracle sidecar, before the checksum fails. Real requests stay far
+ * below it (16 MiB of 4 KiB blocks); a longer one that is sound only
+ * waits.
+ */
+inline constexpr uint32_t kUncheckedBlocks = 1u << 12;
+
+/** Reader options for PctMmapSource. */
 struct PctReadOptions
 {
-    /** Verify the record checksum on open (one extra pass). */
+    /** Verify the record checksum as the records are decoded. */
     bool verifyChecksum = true;
 };
 
@@ -99,6 +109,15 @@ struct PctReadOptions
  * over a file larger than RAM keeps a bounded resident set. Dropped
  * pages refault from the file (the mapping is read-only), so
  * rewind() stays correct.
+ *
+ * Opening maps the file and decodes the header only. The checksum
+ * folds into next(): each record's bytes join a running FNV-1a sum,
+ * which next() settles before it returns the last record, or before
+ * it returns a record longer than kUncheckedBlocks (it hashes the
+ * rest of the file first). A mismatch throws from that call, so a
+ * corrupt file fails once it is read to the end; the records before
+ * the failure may already have been returned. rewind() restarts an
+ * unsettled sum; once the sum has matched, no pass hashes again.
  */
 class PctMmapSource : public TraceSource
 {
@@ -129,6 +148,8 @@ class PctMmapSource : public TraceSource
     uint64_t pos = 0;
     uint64_t releaseMark = 0; //!< first record not yet MADV_DONTNEEDed
     Time lastTime = 0;
+    bool folding;  //!< the checksum is wanted and not yet settled
+    uint64_t sum;  //!< FNV-1a of records [0, pos) while folding
 };
 
 /**
@@ -142,11 +163,8 @@ class PctMmapSource : public TraceSource
 class PctMapping
 {
   public:
-    /** Map @p path; checksum verification streams chunk-by-chunk
-     *  and releases each verified chunk, so it never inflates the
-     *  peak resident set by the file size. */
-    explicit PctMapping(const std::string &path,
-                        PctReadOptions opts = {});
+    /** Map @p path and decode its header; records are not summed. */
+    explicit PctMapping(const std::string &path);
     ~PctMapping();
 
     PctMapping(const PctMapping &) = delete;
@@ -174,6 +192,13 @@ class PctMapping
 
     /** MADV_DONTNEED the pages fully inside records [first, first+count). */
     void dropRange(uint64_t first, uint64_t count) const;
+
+    /**
+     * Check the record checksum (fatal on a mismatch). The pass
+     * releases each hashed chunk, so it never inflates the resident
+     * set by the file size.
+     */
+    void verifyChecksum() const;
 
   private:
     std::string path;

@@ -33,15 +33,20 @@ TextSink::finish()
         PACACHE_FATAL("write error on '", path, "'");
 }
 
+TraceFormat
+sinkFormat(const std::string &path, TraceFormat fmt)
+{
+    if (fmt != TraceFormat::Auto)
+        return fmt;
+    const bool pct = path.size() >= 4 &&
+                     path.compare(path.size() - 4, 4, ".pct") == 0;
+    return pct ? TraceFormat::Pct : TraceFormat::Text;
+}
+
 std::unique_ptr<TraceSink>
 openTraceSink(const std::string &path, TraceFormat fmt)
 {
-    if (fmt == TraceFormat::Auto) {
-        const bool pct = path.size() >= 4 &&
-                         path.compare(path.size() - 4, 4, ".pct") == 0;
-        fmt = pct ? TraceFormat::Pct : TraceFormat::Text;
-    }
-    switch (fmt) {
+    switch (sinkFormat(path, fmt)) {
       case TraceFormat::Text:
         return std::make_unique<TextSink>(path);
       case TraceFormat::Pct:

@@ -69,9 +69,12 @@ class PctSink : public TraceSink
 };
 
 /**
- * Open a sink for @p path. Auto format picks .pct for a ".pct"
- * extension and native text otherwise.
+ * The format a sink for @p path writes: @p fmt, or for Auto, .pct for
+ * a ".pct" extension and native text otherwise.
  */
+TraceFormat sinkFormat(const std::string &path, TraceFormat fmt);
+
+/** Open a sink for @p path in sinkFormat(path, fmt). */
 std::unique_ptr<TraceSink>
 openTraceSink(const std::string &path,
               TraceFormat fmt = TraceFormat::Auto);

@@ -1,6 +1,9 @@
 #include "util/bloom_filter.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -19,29 +22,29 @@ mix(uint64_t z)
     return z ^ (z >> 31);
 }
 
+/** Kirsch-Mitzenmacher double hashing: probe i is h1 + i * h2. */
+std::pair<uint64_t, uint64_t>
+hashPair(uint64_t key)
+{
+    return {mix(key), mix(key ^ 0x5851f42d4c957f2dULL) | 1};
+}
+
 } // namespace
 
 BloomFilter::BloomFilter(std::size_t num_bits, std::size_t num_hashes)
-    : bits((num_bits + 63) / 64, 0), numHashes(num_hashes)
+    : bits(std::bit_ceil(std::max<std::size_t>(num_bits, 64)) / 64, 0),
+      mask(sizeBits() - 1), numHashes(num_hashes)
 {
     PACACHE_ASSERT(num_bits > 0, "bloom filter needs at least one bit");
     PACACHE_ASSERT(num_hashes > 0, "bloom filter needs at least one hash");
 }
 
-std::size_t
-BloomFilter::probe(uint64_t key, std::size_t i) const
-{
-    // Kirsch-Mitzenmacher double hashing: h_i = h1 + i*h2.
-    const uint64_t h1 = mix(key);
-    const uint64_t h2 = mix(key ^ 0x5851f42d4c957f2dULL) | 1;
-    return (h1 + i * h2) % sizeBits();
-}
-
 void
 BloomFilter::insert(uint64_t key)
 {
+    const auto [h1, h2] = hashPair(key);
     for (std::size_t i = 0; i < numHashes; ++i) {
-        const std::size_t p = probe(key, i);
+        const uint64_t p = (h1 + i * h2) & mask;
         bits[p / 64] |= 1ULL << (p % 64);
     }
     ++numInsertions;
@@ -50,8 +53,9 @@ BloomFilter::insert(uint64_t key)
 bool
 BloomFilter::test(uint64_t key) const
 {
+    const auto [h1, h2] = hashPair(key);
     for (std::size_t i = 0; i < numHashes; ++i) {
-        const std::size_t p = probe(key, i);
+        const uint64_t p = (h1 + i * h2) & mask;
         if (!(bits[p / 64] & (1ULL << (p % 64))))
             return false;
     }
@@ -61,8 +65,15 @@ BloomFilter::test(uint64_t key) const
 bool
 BloomFilter::testAndInsert(uint64_t key)
 {
-    const bool present = test(key);
-    insert(key);
+    const auto [h1, h2] = hashPair(key);
+    bool present = true;
+    for (std::size_t i = 0; i < numHashes; ++i) {
+        const uint64_t p = (h1 + i * h2) & mask;
+        const uint64_t bit = 1ULL << (p % 64);
+        present &= (bits[p / 64] & bit) != 0;
+        bits[p / 64] |= bit;
+    }
+    ++numInsertions;
     return !present;
 }
 

@@ -24,7 +24,9 @@ class BloomFilter
 {
   public:
     /**
-     * @param num_bits    size of the bit vector (rounded up to 64)
+     * @param num_bits    size of the bit vector (rounded up to a power
+     *                    of two of at least 64, so a probe is masked,
+     *                    not divided)
      * @param num_hashes  number of hash probes per key (k >= 1)
      */
     explicit BloomFilter(std::size_t num_bits = 1u << 20,
@@ -37,7 +39,8 @@ class BloomFilter
     bool test(uint64_t key) const;
 
     /**
-     * Combined test-and-insert.
+     * Combined test-and-insert: one hash pair, and one loop that
+     * tests and sets each probed bit.
      * @return true iff the key was definitely NOT present before
      *         (i.e. this access is a cold miss).
      */
@@ -62,10 +65,8 @@ class BloomFilter
     double expectedFalsePositiveRate() const;
 
   private:
-    /** Derive the i-th probe position for a key. */
-    std::size_t probe(uint64_t key, std::size_t i) const;
-
     std::vector<uint64_t> bits;
+    uint64_t mask; //!< sizeBits() - 1
     std::size_t numHashes;
     std::size_t numInsertions = 0;
 };

@@ -14,19 +14,21 @@
  *  - splitmix64 finalizer over the raw key bits, so dense block
  *    numbers (the typical trace) spread uniformly regardless of the
  *    table size;
- *  - erase marks a tombstone; tombstones are reused by inserts and
- *    squashed wholesale when the occupied+tombstone load crosses the
- *    rehash threshold (7/8), which keeps probe chains short under the
- *    steady insert/erase churn of a full cache.
+ *  - erase deletes by backward shift: it walks the cluster after the
+ *    freed slot and moves back every entry whose probe path crosses
+ *    the gap, so no tombstone is left. Probe chains stay as short as
+ *    the live load alone makes them under the steady insert/erase
+ *    churn of a full cache, and the table grows only when live
+ *    entries reach 7/8 of it.
  *
- * Requirements: Key and T default-constructible; Key equality-
- * comparable. The default hasher accepts any integral key or any key
- * exposing `uint64_t packed() const` (BlockId).
+ * Requirements: Key and T default-constructible and move-assignable;
+ * Key equality-comparable. The default hasher accepts any integral
+ * key or any key exposing `uint64_t packed() const` (BlockId).
  *
  * Not provided (by design, nothing in the hot loop needs them):
  * iteration in a meaningful order, references that survive rehash,
  * copy-on-write. Pointers returned by find() are invalidated by any
- * insert.
+ * insert and by any erase (an erase may move other entries back).
  */
 
 #ifndef PACACHE_UTIL_FLAT_MAP_HH
@@ -75,18 +77,11 @@ struct FlatKeyHash
 template <typename Key, typename T, typename Hash = FlatKeyHash<Key>>
 class FlatMap
 {
-    enum : uint8_t
-    {
-        kEmpty = 0,
-        kFull = 1,
-        kTomb = 2
-    };
-
     struct Slot
     {
         Key key{};
         T value{};
-        uint8_t state = kEmpty;
+        bool full = false;
     };
 
   public:
@@ -100,9 +95,8 @@ class FlatMap
     clear()
     {
         for (Slot &s : slots)
-            s.state = kEmpty;
+            s.full = false;
         occupied = 0;
-        tombstones = 0;
     }
 
     /** Pre-size the table for @p n elements (no-op if large enough). */
@@ -118,27 +112,6 @@ class FlatMap
         while (want * 7 < n * 8)
             want <<= 1;
         if (want > slots.size())
-            rehash(want);
-    }
-
-    /**
-     * Rehash down after heavy erase churn. Tombstone squashing keeps
-     * probe chains short but never returns slot memory; shrink()
-     * does, rebuilding at the smallest power-of-two capacity that
-     * holds the live elements under the 7/8 load limit. Only acts
-     * when the table is at least 4x oversized, so calling it
-     * periodically (window transitions) cannot thrash. Invalidates
-     * pointers like any rehash.
-     */
-    void
-    shrink()
-    {
-        if (slots.empty())
-            return;
-        std::size_t want = kMinCapacity;
-        while (want * 7 < occupied * 8)
-            want <<= 1;
-        if (want * 4 <= slots.size())
             rehash(want);
     }
 
@@ -169,27 +142,17 @@ class FlatMap
     {
         maybeGrow();
         const std::size_t mask = slots.size() - 1;
-        std::size_t i = hasher(key) & mask;
-        std::size_t tomb = kNpos;
-        while (true) {
+        for (std::size_t i = hasher(key) & mask;; i = (i + 1) & mask) {
             Slot &s = slots[i];
-            if (s.state == kEmpty) {
-                Slot &dst = tomb == kNpos ? s : slots[tomb];
-                if (tomb != kNpos)
-                    --tombstones;
-                dst.key = key;
-                dst.value = std::move(value);
-                dst.state = kFull;
+            if (!s.full) {
+                s.key = key;
+                s.value = std::move(value);
+                s.full = true;
                 ++occupied;
-                return {&dst.value, true};
+                return {&s.value, true};
             }
-            if (s.state == kTomb) {
-                if (tomb == kNpos)
-                    tomb = i;
-            } else if (s.key == key) {
+            if (s.key == key)
                 return {&s.value, false};
-            }
-            i = (i + 1) & mask;
         }
     }
 
@@ -203,9 +166,7 @@ class FlatMap
         Slot *s = findSlot(key);
         if (!s)
             return false;
-        s->state = kTomb;
-        --occupied;
-        ++tombstones;
+        removeAt(static_cast<std::size_t>(s - slots.data()));
         return true;
     }
 
@@ -221,9 +182,7 @@ class FlatMap
         if (!s)
             return false;
         out = std::move(s->value);
-        s->state = kTomb;
-        --occupied;
-        ++tombstones;
+        removeAt(static_cast<std::size_t>(s - slots.data()));
         return true;
     }
 
@@ -233,17 +192,16 @@ class FlatMap
     forEach(Fn &&fn) const
     {
         for (const Slot &s : slots) {
-            if (s.state == kFull)
+            if (s.full)
                 fn(s.key, s.value);
         }
     }
 
-    /** Table size in slots (testing: rehash/tombstone behavior). */
+    /** Table size in slots (testing: rehash behavior). */
     std::size_t capacity() const { return slots.size(); }
 
   private:
     static constexpr std::size_t kMinCapacity = 16;
-    static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
     Slot *
     findSlot(const Key &key)
@@ -251,15 +209,36 @@ class FlatMap
         if (slots.empty())
             return nullptr;
         const std::size_t mask = slots.size() - 1;
-        std::size_t i = hasher(key) & mask;
-        while (true) {
+        for (std::size_t i = hasher(key) & mask;; i = (i + 1) & mask) {
             Slot &s = slots[i];
-            if (s.state == kEmpty)
+            if (!s.full)
                 return nullptr;
-            if (s.state == kFull && s.key == key)
+            if (s.key == key)
                 return &s;
-            i = (i + 1) & mask;
         }
+    }
+
+    /**
+     * Empty slot @p hole without breaking a probe chain: an entry
+     * further along the cluster moves back into the hole unless its
+     * home slot lies cyclically in (hole, j], where the probe for it
+     * starts past the hole anyway. The slot it leaves is the next
+     * hole; the walk ends at the cluster's first empty slot.
+     */
+    void
+    removeAt(std::size_t hole)
+    {
+        const std::size_t mask = slots.size() - 1;
+        for (std::size_t j = (hole + 1) & mask; slots[j].full;
+             j = (j + 1) & mask) {
+            const std::size_t home = hasher(slots[j].key) & mask;
+            if (((j - home) & mask) < ((j - hole) & mask))
+                continue;
+            slots[hole] = std::move(slots[j]);
+            hole = j;
+        }
+        slots[hole].full = false;
+        --occupied;
     }
 
     void
@@ -269,15 +248,10 @@ class FlatMap
             slots.resize(kMinCapacity);
             return;
         }
-        // Rehash at 7/8 combined load. Growing only when live
-        // elements dominate; otherwise rebuild at the same size to
-        // squash tombstones.
-        if ((occupied + tombstones + 1) * 8 < slots.size() * 7)
-            return;
-        const std::size_t next = occupied * 2 >= slots.size()
-                                     ? slots.size() * 2
-                                     : slots.size();
-        rehash(next);
+        // Double at 7/8 load; with no tombstones, churn at a steady
+        // size never rehashes.
+        if ((occupied + 1) * 8 >= slots.size() * 7)
+            rehash(slots.size() * 2);
     }
 
     void
@@ -285,25 +259,19 @@ class FlatMap
     {
         std::vector<Slot> old = std::move(slots);
         slots.assign(new_capacity, Slot{});
-        occupied = 0;
-        tombstones = 0;
         const std::size_t mask = new_capacity - 1;
         for (Slot &s : old) {
-            if (s.state != kFull)
+            if (!s.full)
                 continue;
             std::size_t i = hasher(s.key) & mask;
-            while (slots[i].state == kFull)
+            while (slots[i].full)
                 i = (i + 1) & mask;
-            slots[i].key = s.key;
-            slots[i].value = std::move(s.value);
-            slots[i].state = kFull;
-            ++occupied;
+            slots[i] = std::move(s);
         }
     }
 
     std::vector<Slot> slots;
     std::size_t occupied = 0;
-    std::size_t tombstones = 0;
     [[no_unique_address]] Hash hasher{};
 };
 

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -439,6 +440,44 @@ TEST(ShardedReplay, CorruptInputFailsWithTheReadersError)
                   std::string::npos);
     }
 
+    EXPECT_TRUE(fs::is_empty(dir / "tmp"));
+    fs::remove_all(dir);
+}
+
+TEST(WindowedOracle, LongRecordWaitsForTheChecksum)
+{
+    // Nothing verifies a file before the oracle's backward walk, so
+    // the walk must settle the checksum itself before it expands a
+    // record that claims 2^31 - 1 blocks (here record 8 of 200 000,
+    // met last): expanding it would write a 32 GiB sidecar before the
+    // replay could fail.
+    namespace fs = std::filesystem;
+    const fs::path dir = test::processScopedPath("oracle_long_record");
+    fs::remove_all(dir);
+    fs::create_directories(dir / "tmp");
+    std::vector<test::RawRecord> many;
+    for (uint32_t i = 0; i < 200000; ++i)
+        many.push_back({0.001 * i, i % 5000, i % 8, 1, i % 3 == 0});
+    const std::string huge =
+        test::writeRawPct((dir / "huge_extent.pct").string(), many);
+    patchFile(huge,
+              tracefmt::kPctHeaderBytes + 8 * tracefmt::kPctRecordBytes +
+                  20,
+              {0xff, 0xff, 0xff, 0x7f});
+
+    const ScopedTmpDir tmp((dir / "tmp").string());
+    ExperimentConfig cfg;
+    cfg.policy = PolicyKind::OPG;
+    cfg.windowAccesses = 4096;
+    cfg.cacheBlocks = 32;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_NE(test::inputErrorOf([&] {
+                  tracefmt::PctMmapSource src(huge);
+                  runExperiment(src, cfg);
+              }).find("checksum mismatch"),
+              std::string::npos);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
     EXPECT_TRUE(fs::is_empty(dir / "tmp"));
     fs::remove_all(dir);
 }

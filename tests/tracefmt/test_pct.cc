@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "support/raw_pct.hh"
 #include "temp_file.hh"
 #include "tracefmt/pct.hh"
 
@@ -22,6 +26,18 @@ sampleTrace()
     t.append({0.125, 3, 1ULL << 40, 1, true}); // > 32-bit block number
     t.append({0.125, 1, 20, 0x7fffffff, false}); // max request length
     t.append({2.5, 2, 30, 1, true});
+    return t;
+}
+
+/** Records no longer than kUncheckedBlocks: the sum settles last. */
+Trace
+shortTrace()
+{
+    Trace t;
+    for (int i = 0; i < 6; ++i)
+        t.append({0.5 * i, static_cast<DiskId>(i % 3),
+                  static_cast<BlockNum>(100 + 7 * i),
+                  static_cast<uint32_t>(1 + i % 4), i % 2 == 1});
     return t;
 }
 
@@ -170,8 +186,13 @@ TEST(Pct, ChecksumCatchesFlippedRecordBytes)
     bytes[tracefmt::kPctHeaderBytes + tracefmt::kPctRecordBytes + 9] ^=
         0x40;
     spit(path, bytes);
-    const std::string msg = messageOf(
-        [&] { tracefmt::PctMmapSource src(path); });
+    // Opening only maps the file; the drain settles the sum.
+    tracefmt::PctMmapSource src(path);
+    const std::string msg = messageOf([&] {
+        TraceRecord rec;
+        while (src.next(rec)) {
+        }
+    });
     EXPECT_NE(msg.find("checksum"), std::string::npos) << msg;
 
     // Opting out of verification reads the (wrong) record fine.
@@ -182,6 +203,102 @@ TEST(Pct, ChecksumCatchesFlippedRecordBytes)
     ASSERT_TRUE(lax.next(rec));
     ASSERT_TRUE(lax.next(rec));
     EXPECT_NE(rec.block, t[1].block);
+}
+
+TEST(Pct, FlippedLastRecordFailsBeforeItIsReturned)
+{
+    const Trace t = shortTrace();
+    const std::string path = writePctOf(t, "corrupt_last.pct");
+    std::string bytes = slurp(path);
+    // Flip a bit inside the last record's block-number field.
+    bytes[tracefmt::kPctHeaderBytes +
+          (t.size() - 1) * tracefmt::kPctRecordBytes + 9] ^= 0x10;
+    spit(path, bytes);
+
+    tracefmt::PctMmapSource src(path);
+    TraceRecord rec;
+    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+        ASSERT_TRUE(src.next(rec)) << "record " << i;
+        EXPECT_EQ(rec, t[i]) << "record " << i;
+    }
+    // The call that would return the last record throws instead and
+    // leaves the output record untouched.
+    const TraceRecord before = rec;
+    const std::string msg = messageOf([&] { src.next(rec); });
+    EXPECT_NE(msg.find("checksum mismatch in '" + path + "'"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(rec, before);
+}
+
+TEST(Pct, RewindRestartsTheChecksum)
+{
+    const Trace t = shortTrace();
+    const std::string clean = writePctOf(t, "rewind_clean.pct");
+    // A clean file drains twice without error, and so does a reader
+    // rewound halfway through its first pass.
+    tracefmt::PctMmapSource src(clean);
+    TraceRecord rec;
+    for (int pass = 0; pass < 2; ++pass) {
+        std::size_t n = 0;
+        while (src.next(rec))
+            EXPECT_EQ(rec, t[n++]);
+        EXPECT_EQ(n, t.size());
+        src.rewind();
+    }
+    tracefmt::PctMmapSource half(clean);
+    ASSERT_TRUE(half.next(rec));
+    ASSERT_TRUE(half.next(rec));
+    half.rewind();
+    std::size_t n = 0;
+    while (half.next(rec))
+        EXPECT_EQ(rec, t[n++]);
+    EXPECT_EQ(n, t.size());
+
+    // A corrupt file still fails a full drain after a rewind
+    // mid-stream.
+    std::string bytes = slurp(clean);
+    bytes[tracefmt::kPctHeaderBytes + 9] ^= 0x01; // record 0's block
+    const std::string corrupt = tempPath("rewind_corrupt.pct");
+    spit(corrupt, bytes);
+    tracefmt::PctMmapSource bad(corrupt);
+    ASSERT_TRUE(bad.next(rec));
+    ASSERT_TRUE(bad.next(rec));
+    bad.rewind();
+    const std::string msg = messageOf([&] {
+        while (bad.next(rec)) {
+        }
+    });
+    EXPECT_NE(msg.find("checksum mismatch"), std::string::npos) << msg;
+}
+
+TEST(Pct, LongRecordWaitsForTheChecksum)
+{
+    // Record 8 of 200 000 claims 2^31 - 1 blocks. The reader must
+    // settle the sum of the whole file before it hands that record
+    // on, so the damaged length never reaches a replay.
+    std::vector<test::RawRecord> recs;
+    for (uint32_t i = 0; i < 200000; ++i)
+        recs.push_back({0.001 * i, i % 5000, i % 8, 1, i % 3 == 0});
+    const std::string path =
+        test::writeRawPct(tempPath("long_record.pct"), recs);
+    std::string bytes = slurp(path);
+    const std::size_t len_at =
+        tracefmt::kPctHeaderBytes + 8 * tracefmt::kPctRecordBytes + 20;
+    bytes.replace(len_at, 4, "\xff\xff\xff\x7f");
+    spit(path, bytes);
+
+    const auto start = std::chrono::steady_clock::now();
+    tracefmt::PctMmapSource src(path);
+    TraceRecord rec;
+    for (int i = 0; i < 8; ++i)
+        ASSERT_TRUE(src.next(rec)) << "record " << i;
+    const TraceRecord before = rec;
+    const std::string msg = messageOf([&] { src.next(rec); });
+    EXPECT_NE(msg.find("checksum mismatch"), std::string::npos) << msg;
+    EXPECT_EQ(rec, before);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
 }
 
 TEST(Pct, MadviseOptionsDoNotChangeDecoding)
@@ -209,6 +326,50 @@ TEST(Pct, MadviseOptionsDoNotChangeDecoding)
         ASSERT_TRUE(src.next(rec)) << "rewound record " << i;
         ASSERT_EQ(rec, t[i]) << "rewound record " << i;
     }
+}
+
+/** Resident kB of this process's mappings of @p path (/proc/self/smaps). */
+long
+mappedResidentKb(const std::string &path)
+{
+    std::ifstream smaps("/proc/self/smaps");
+    std::string line;
+    bool ours = false;
+    long kb = 0;
+    while (std::getline(smaps, line)) {
+        if (line.rfind("Rss:", 0) == 0) {
+            if (ours)
+                kb += std::stol(line.substr(4));
+        } else if (line.find(':') == std::string::npos ||
+                   line.find(' ') < line.find(':')) {
+            // A mapping's header line: "lo-hi perms offset dev inode path".
+            ours = line.size() >= path.size() &&
+                   line.compare(line.size() - path.size(), path.size(),
+                                path) == 0;
+        }
+    }
+    return kb;
+}
+
+TEST(Pct, OpeningMapsNoPage)
+{
+    // Opening reads the header from the file, not through the mapping:
+    // a fault there can map the whole page-cache folio around it, which
+    // would stay resident until a pass first releases pages (through a
+    // whole oracle build, for the replay source).
+    Trace t;
+    for (int i = 0; i < 100000; ++i)
+        t.append({i * 0.01, static_cast<DiskId>(i % 4),
+                  static_cast<BlockNum>(i), 1, false});
+    const std::string path = writePctOf(t, "no_page_on_open.pct");
+    tracefmt::PctMmapSource src(path);
+    const tracefmt::PctMapping map(path);
+    EXPECT_EQ(src.header().records, t.size());
+    EXPECT_EQ(map.header().records, t.size());
+    EXPECT_EQ(mappedResidentKb(path), 0);
+    TraceRecord rec;
+    ASSERT_TRUE(src.next(rec));
+    EXPECT_GT(mappedResidentKb(path), 0); // the probe sees the mapping
 }
 
 TEST(Pct, MissingFileIsFatalWithPath)

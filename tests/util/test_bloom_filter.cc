@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/bloom_filter.hh"
 #include "util/random.hh"
 
@@ -66,6 +68,54 @@ TEST(BloomFilter, SizeRoundsUpToWords)
 {
     BloomFilter bf(65, 2);
     EXPECT_EQ(bf.sizeBits(), 128u);
+}
+
+TEST(BloomFilter, SizeRoundsUpToAPowerOfTwo)
+{
+    EXPECT_EQ(BloomFilter(1, 1).sizeBits(), 64u);
+    EXPECT_EQ(BloomFilter(64, 1).sizeBits(), 64u);
+    EXPECT_EQ(BloomFilter(129, 1).sizeBits(), 256u);
+    EXPECT_EQ(BloomFilter(3000, 1).sizeBits(), 4096u);
+    EXPECT_EQ(BloomFilter(1u << 22, 4).sizeBits(), std::size_t{1} << 22);
+    EXPECT_EQ(BloomFilter((1u << 22) + 1, 4).sizeBits(),
+              std::size_t{1} << 23);
+}
+
+TEST(BloomFilter, FusedTestAndInsertMatchesTestThenInsert)
+{
+    // testAndInsert hashes once and tests and sets each bit in one
+    // loop; its answers must be those of test() then insert() on a
+    // twin filter, for every size and probe count, so PA's cold-miss
+    // classes cannot move.
+    Rng rng(2024);
+    for (unsigned log_bits = 6; log_bits <= 22; log_bits += 4) {
+        for (std::size_t k = 1; k <= 8; ++k) {
+            SCOPED_TRACE("2^" + std::to_string(log_bits) + " bits, k " +
+                         std::to_string(k));
+            BloomFilter fused(std::size_t{1} << log_bits, k);
+            BloomFilter twin(std::size_t{1} << log_bits, k);
+            // Keys from a space a few times the filter's capacity,
+            // so the run sees repeats, false positives and fresh keys.
+            const uint64_t space = uint64_t{1} << (log_bits - 2);
+            const int keys = log_bits == 22 ? 1000000 : 20000;
+            int cold = 0;
+            for (int i = 0; i < keys; ++i) {
+                const uint64_t key = rng.below(space) * 0x9e3779b97f4a7c15ULL;
+                const bool expected = !twin.test(key);
+                twin.insert(key);
+                const bool got = fused.testAndInsert(key);
+                ASSERT_EQ(got, expected) << "key " << i;
+                cold += got;
+            }
+            EXPECT_GT(cold, 0);
+            EXPECT_LT(cold, keys);
+            EXPECT_EQ(fused.insertions(), twin.insertions());
+            for (int i = 0; i < 1000; ++i) {
+                const uint64_t key = rng.next64();
+                ASSERT_EQ(fused.test(key), twin.test(key));
+            }
+        }
+    }
 }
 
 TEST(BloomFilter, CountsInsertions)

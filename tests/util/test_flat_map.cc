@@ -68,11 +68,11 @@ TEST(FlatMap, GrowsAndKeepsEverything)
     EXPECT_EQ(m.find(n + 1), nullptr);
 }
 
-TEST(FlatMap, TombstoneChurnDoesNotGrowTable)
+TEST(FlatMap, EraseChurnDoesNotGrowTable)
 {
     // Steady-state insert/erase at fixed occupancy (the cache's
-    // access pattern) must stabilize the table size: tombstones are
-    // squashed by same-size rehashes, not by doubling forever.
+    // access pattern) must stabilize the table size: an erase leaves
+    // no tombstone, so the load never creeps up to a rehash.
     FlatMap<uint64_t, int> m;
     for (uint64_t k = 0; k < 64; ++k)
         m.emplace(k, 1);
@@ -88,7 +88,7 @@ TEST(FlatMap, TombstoneChurnDoesNotGrowTable)
         ASSERT_NE(m.find(k), nullptr);
 }
 
-TEST(FlatMap, EraseThenReinsertReusesTombstones)
+TEST(FlatMap, EraseThenReinsertKeepsEverything)
 {
     FlatMap<uint64_t, int> m;
     for (uint64_t k = 0; k < 1000; ++k)
@@ -203,42 +203,103 @@ TEST(FlatMap, ForEachVisitsAllLiveEntries)
         EXPECT_NE(k % 3, 0u);
 }
 
-TEST(FlatMap, ShrinkReturnsMemoryAfterEraseChurn)
+/** Every key of @p ref is in @p m with its value, and no other is. */
+void
+expectSame(const FlatMap<uint64_t, uint64_t> &m,
+           const std::unordered_map<uint64_t, uint64_t> &ref,
+           uint64_t key_space)
 {
-    FlatMap<uint64_t, uint64_t> m;
-    const uint64_t n = 100000;
-    for (uint64_t k = 0; k < n; ++k)
-        m.emplace(k, k);
-    const std::size_t peak = m.capacity();
-    // Drain to 1% of peak: the table stays at peak capacity (erase
-    // never shrinks)...
-    for (uint64_t k = 0; k < n - n / 100; ++k)
-        m.erase(k);
-    EXPECT_EQ(m.capacity(), peak);
-    // ...until shrink() rebuilds it at the smallest fitting size.
-    m.shrink();
-    EXPECT_LT(m.capacity(), peak / 4);
-    // Live contents survive the rebuild.
-    EXPECT_EQ(m.size(), n / 100);
-    for (uint64_t k = n - n / 100; k < n; ++k) {
-        ASSERT_NE(m.find(k), nullptr);
-        EXPECT_EQ(*m.find(k), k);
+    ASSERT_EQ(m.size(), ref.size());
+    for (uint64_t k = 0; k < key_space; ++k) {
+        const uint64_t *v = m.find(k);
+        const auto it = ref.find(k);
+        ASSERT_EQ(v != nullptr, it != ref.end()) << "key " << k;
+        if (v) {
+            ASSERT_EQ(*v, it->second) << "key " << k;
+        }
     }
 }
 
-TEST(FlatMap, ShrinkIsANoOpWhenRightSized)
+TEST(FlatMap, MatchesUnorderedMapWhenClustersWrap)
 {
-    FlatMap<uint64_t, int> m;
-    for (uint64_t k = 0; k < 1000; ++k)
-        m.emplace(k, 1);
+    // A 16-slot table held at up to 13 entries: clusters run past the
+    // last slot and wrap to the first, so backward-shift deletion must
+    // move entries across the wrap (and leave those whose home lies
+    // between the hole and them). Every key is checked after every
+    // operation.
+    FlatMap<uint64_t, uint64_t> m;
+    std::unordered_map<uint64_t, uint64_t> ref;
+    Rng rng(99);
+    constexpr uint64_t kKeys = 40;
+    for (int op = 0; op < 20000; ++op) {
+        const uint64_t key = rng.below(kKeys);
+        if (rng.below(2) == 0 && ref.size() < 13) {
+            const uint64_t val = rng.next64();
+            ASSERT_EQ(m.emplace(key, val).second,
+                      ref.emplace(key, val).second);
+        } else {
+            uint64_t got = 0;
+            const bool had = m.take(key, got);
+            const auto it = ref.find(key);
+            ASSERT_EQ(had, it != ref.end());
+            if (had) {
+                ASSERT_EQ(got, it->second);
+                ref.erase(it);
+            }
+        }
+        ASSERT_EQ(m.capacity(), 16u);
+        expectSame(m, ref, kKeys);
+    }
+}
+
+/** A value that counts its moves: a rehash moves every entry. */
+struct Counted
+{
+    static inline std::size_t moves = 0;
+
+    uint64_t v = 0;
+
+    Counted() = default;
+    explicit Counted(uint64_t x) : v(x) {}
+    Counted(const Counted &) = default;
+    Counted &operator=(const Counted &) = default;
+    Counted(Counted &&o) noexcept : v(o.v) { ++moves; }
+    Counted &
+    operator=(Counted &&o) noexcept
+    {
+        v = o.v;
+        ++moves;
+        return *this;
+    }
+};
+
+TEST(FlatMap, SteadyChurnNeverRehashes)
+{
+    // A reserved table at a constant live size, under far more
+    // erase/insert pairs than it has slots, keeps its one table: no
+    // operation moves more than a short cluster of entries (a rehash,
+    // same-size or not, would move all 1000), the capacity holds, and
+    // every live key is still found.
+    FlatMap<uint64_t, Counted> m;
+    constexpr uint64_t kLive = 1000;
+    m.reserve(kLive);
     const std::size_t cap = m.capacity();
-    // Nearly full table: shrink must not thrash.
-    m.shrink();
-    EXPECT_EQ(m.capacity(), cap);
-    // Empty map with no table: shrink must not allocate.
-    FlatMap<uint64_t, int> empty;
-    empty.shrink();
-    EXPECT_EQ(empty.capacity(), 0u);
+    for (uint64_t k = 0; k < kLive; ++k)
+        m.emplace(k, Counted(k));
+    std::size_t worst = 0;
+    for (uint64_t round = 0; round < 200000; ++round) {
+        const std::size_t before = Counted::moves;
+        ASSERT_TRUE(m.erase(round));
+        ASSERT_TRUE(m.emplace(round + kLive, Counted(round + kLive)).second);
+        worst = std::max(worst, Counted::moves - before);
+        ASSERT_EQ(m.capacity(), cap);
+    }
+    EXPECT_LT(worst, kLive / 4);
+    EXPECT_EQ(m.size(), kLive);
+    for (uint64_t k = 200000; k < 200000 + kLive; ++k) {
+        ASSERT_NE(m.find(k), nullptr);
+        EXPECT_EQ(m.find(k)->v, k);
+    }
 }
 
 } // namespace

@@ -15,6 +15,7 @@
  *   pacache_tracectl scale --in slow.txt --out fast.txt --time-factor 0.5
  */
 
+#include <cstdio>
 #include <functional>
 #include <iostream>
 #include <limits>
@@ -115,34 +116,44 @@ openInput(const cli::Args &args)
         ingestOptions(args));
 }
 
-std::unique_ptr<tracefmt::TraceSink>
-openOutput(const cli::Args &args)
+/**
+ * Stream @p src through @p keep (record in, possibly-rewritten record
+ * kept or dropped) into --out; shared by convert (identity), filter,
+ * and scale. The records go to a side file, renamed over --out only
+ * once the input has been read to its end (which also settles a .pct
+ * input's checksum) and removed if anything fails, so a bad input
+ * never leaves a valid-looking partial trace behind.
+ */
+uint64_t
+transformInto(const cli::Args &args, tracefmt::TraceSource &src,
+              const std::function<bool(TraceRecord &)> &keep)
 {
     if (!args.has("out"))
         PACACHE_FATAL("--out FILE is required (see --help)");
-    return tracefmt::openTraceSink(
-        args.get("out", ""),
-        tracefmt::parseTraceFormat(args.get("out-format", "auto")));
-}
-
-/**
- * Stream @p src through @p keep (record in, possibly-rewritten record
- * kept or dropped) into the --out sink; shared by convert (identity),
- * filter, and scale.
- */
-uint64_t
-transformInto(tracefmt::TraceSource &src, tracefmt::TraceSink &sink,
-              const std::function<bool(TraceRecord &)> &keep)
-{
-    TraceRecord rec;
+    const std::string out = args.get("out", "");
+    const std::string part = out + ".part";
     uint64_t written = 0;
-    while (src.next(rec)) {
-        if (!keep(rec))
-            continue;
-        sink.append(rec);
-        ++written;
+    try {
+        const auto sink = tracefmt::openTraceSink(
+            part, tracefmt::sinkFormat(out, tracefmt::parseTraceFormat(
+                                                args.get("out-format",
+                                                         "auto"))));
+        TraceRecord rec;
+        while (src.next(rec)) {
+            if (!keep(rec))
+                continue;
+            sink->append(rec);
+            ++written;
+        }
+        sink->finish();
+    } catch (...) {
+        std::remove(part.c_str());
+        throw;
     }
-    sink.finish();
+    if (std::rename(part.c_str(), out.c_str()) != 0) {
+        std::remove(part.c_str());
+        PACACHE_FATAL("cannot rename '", part, "' to '", out, "'");
+    }
     return written;
 }
 
@@ -150,8 +161,8 @@ int
 cmdConvert(const cli::Args &args)
 {
     const auto src = openInput(args);
-    const auto sink = openOutput(args);
-    const uint64_t n = tracefmt::copyAll(*src, *sink);
+    const uint64_t n =
+        transformInto(args, *src, [](TraceRecord &) { return true; });
     std::cout << "converted " << n << " records (" << src->formatName()
               << " -> " << args.get("out", "") << ")\n";
     return 0;
@@ -233,10 +244,9 @@ cmdFilter(const cli::Args &args)
         PACACHE_FATAL("filter needs --disk, --from, or --to");
 
     const auto src = openInput(args);
-    const auto sink = openOutput(args);
     uint64_t seen = 0;
     const uint64_t kept =
-        transformInto(*src, *sink, [&](TraceRecord &rec) {
+        transformInto(args, *src, [&](TraceRecord &rec) {
             ++seen;
             if (by_disk && rec.disk != disk)
                 return false;
@@ -259,8 +269,7 @@ cmdScale(const cli::Args &args)
         PACACHE_FATAL("scale needs --time-factor > 0, got ", factor);
 
     const auto src = openInput(args);
-    const auto sink = openOutput(args);
-    const uint64_t n = transformInto(*src, *sink, [&](TraceRecord &rec) {
+    const uint64_t n = transformInto(args, *src, [&](TraceRecord &rec) {
         rec.time *= factor;
         return true;
     });
